@@ -29,11 +29,8 @@
 //! exiting nonzero on drift. Missing baselines pass with a notice so
 //! the gate bootstraps on the first run.
 //!
-//! The `bench-gate` id (not part of the default run) re-records
-//! `BENCH_throughput.json` / `BENCH_read_throughput.json` and exits
-//! nonzero if any `{workload, mode}` row regressed past the band vs the
-//! committed baselines (10%; `--quick` widens to 50% since the
-//! baselines are recorded in full mode).
+//! Throughput is not measured here: `benchmark/` (`BENCHMARK.json`,
+//! `scripts/bench_check.sh`) is the repo's one measuring system.
 
 use smarth_bench::figures::{self, FigureOpts};
 use smarth_bench::report::Table;
@@ -49,7 +46,7 @@ use std::path::PathBuf;
 
 const ALL_IDS: &[&str] = &[
     "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "ablations", "ext_storage", "soak", "conformance", "throughput", "read-throughput",
+    "ablations", "ext_storage", "soak", "conformance",
 ];
 
 /// One conformance preset run through both engines: a single-client
@@ -237,380 +234,6 @@ fn run_diff_baseline(out_dir: &std::path::Path, baseline_dir: &std::path::Path) 
     pass
 }
 
-/// One measured row of the throughput baseline.
-struct ThroughputRow {
-    workload: &'static str,
-    mode: WriteMode,
-    bytes: u64,
-    secs: f64,
-}
-
-impl ThroughputRow {
-    fn mbps(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.bytes as f64 * 8.0 / 1e6 / self.secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Emulator config for the throughput baseline: test scale, but with the
-/// disk shaped to the instance NIC (376 Mbps) so the receive and flush
-/// stages genuinely contend — the disk/network mismatch regime §IV-C's
-/// first-node buffer is sized for. A serial receive→flush datanode pays
-/// both costs back to back; a staged one overlaps them.
-fn throughput_config() -> DfsConfig {
-    let mut config = DfsConfig::test_scale();
-    config.disk_bandwidth = Bandwidth::mbps(376.0);
-    config
-}
-
-/// Replication-width cluster (3 datanodes): every pipeline touches every
-/// node, so there are no idle nodes whose disk token buckets refill
-/// between blocks — the disks stay drained and the benchmark measures
-/// the sustained regime instead of burst absorption.
-fn throughput_spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::homogeneous(InstanceType::Large);
-    spec.hosts.retain(|h| {
-        h.role != smarth_core::HostRole::DataNode || matches!(h.name.as_str(), "dn0" | "dn1" | "dn2")
-    });
-    spec
-}
-
-/// Single writer, one file at a time, measured by the per-upload reports.
-fn throughput_single_writer(
-    mode: WriteMode,
-    files: usize,
-    file_size: usize,
-) -> smarth_core::DfsResult<ThroughputRow> {
-    let cluster = MiniCluster::start(&throughput_spec(), throughput_config(), 42)?;
-    let workload = smarth_cluster::UploadWorkload::new(files, file_size);
-    let reports = workload.run(&cluster, mode)?;
-    let summary = smarth_cluster::summarize(&reports);
-    cluster.shutdown();
-    Ok(ThroughputRow {
-        workload: "single-writer",
-        mode,
-        bytes: summary.total_bytes,
-        secs: summary.total_secs,
-    })
-}
-
-/// Four concurrent writers on distinct client hosts, measured wall-clock
-/// from a post-warmup barrier to the last writer finishing.
-fn throughput_multi_writer(
-    mode: WriteMode,
-    files_per_writer: usize,
-    file_size: usize,
-) -> smarth_core::DfsResult<ThroughputRow> {
-    const WRITERS: usize = 4;
-    let spec = throughput_spec().with_extra_clients(WRITERS, InstanceType::Large);
-    let cluster = MiniCluster::start(&spec, throughput_config(), 42)?;
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(WRITERS + 1));
-    let results: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let host = format!("client{w}");
-                let rack = cluster
-                    .spec()
-                    .hosts
-                    .iter()
-                    .find(|h| h.name == host)
-                    .expect("extra client host exists")
-                    .rack
-                    .clone();
-                let cluster = &cluster;
-                let barrier = barrier.clone();
-                s.spawn(move || -> smarth_core::DfsResult<u64> {
-                    let client = cluster.client_on(&host, &rack)?;
-                    let warm = random_data(0xDEAD ^ w as u64, file_size.min(1 << 20));
-                    client.put(&format!("/warmup/{}/{w}", mode.name()), &warm, mode)?;
-                    client.flush_speed_report()?;
-                    barrier.wait();
-                    let mut bytes = 0u64;
-                    for i in 0..files_per_writer {
-                        let data = random_data((w * 1000 + i) as u64, file_size);
-                        client.put(&format!("/data/{}/{w}/{i}", mode.name()), &data, mode)?;
-                        bytes += data.len() as u64;
-                    }
-                    Ok(bytes)
-                })
-            })
-            .collect();
-        barrier.wait();
-        let t0 = std::time::Instant::now();
-        let bytes: Vec<_> = handles.into_iter().map(|h| h.join().expect("writer panicked")).collect();
-        let secs = t0.elapsed().as_secs_f64();
-        bytes.into_iter().map(|b| b.map(|b| (b, secs))).collect()
-    });
-    cluster.shutdown();
-    let mut total = 0u64;
-    let mut secs = 0.0f64;
-    for r in results {
-        let (b, s) = r?;
-        total += b;
-        secs = s;
-    }
-    Ok(ThroughputRow {
-        workload: "4-writer",
-        mode,
-        bytes: total,
-        secs,
-    })
-}
-
-/// The `throughput` id: single-writer and 4-writer saturation workloads
-/// on both protocols, through the threaded emulator. Writes
-/// `BENCH_throughput.json` at the current directory (the repo root when
-/// run via `cargo run`) so later PRs have a recorded trajectory to beat,
-/// plus the usual `results/throughput.{csv,json}` table.
-fn run_throughput(out_dir: &std::path::Path, quick: bool) {
-    let (files, file_size, mw_files, mw_size) = if quick {
-        (2, 2 * 1024 * 1024, 2, 1024 * 1024)
-    } else {
-        (6, 4 * 1024 * 1024, 4, 2 * 1024 * 1024)
-    };
-    let mut rows: Vec<ThroughputRow> = Vec::new();
-    for mode in [WriteMode::Hdfs, WriteMode::Smarth] {
-        match throughput_single_writer(mode, files, file_size) {
-            Ok(row) => rows.push(row),
-            Err(e) => eprintln!("throughput single-writer {} failed: {e}", mode.name()),
-        }
-        match throughput_multi_writer(mode, mw_files, mw_size) {
-            Ok(row) => rows.push(row),
-            Err(e) => eprintln!("throughput 4-writer {} failed: {e}", mode.name()),
-        }
-    }
-
-    let mut table = Table::new(
-        "throughput",
-        "write-path saturation throughput (emulator, test scale, disk ≈ NIC)",
-        &["workload", "mode", "bytes", "secs", "Mbps"],
-    );
-    for r in &rows {
-        table.row(vec![
-            r.workload.to_string(),
-            r.mode.name().to_string(),
-            r.bytes.to_string(),
-            format!("{:.3}", r.secs),
-            format!("{:.1}", r.mbps()),
-        ]);
-    }
-    table.note("disk token bucket shaped to 376 Mbps so receive/flush stages contend");
-    print!("{}", table.render());
-    if let Err(e) = table.save(out_dir) {
-        eprintln!("  failed to save throughput table: {e}");
-    }
-
-    let json = smarth_core::json::Value::Array(
-        rows.iter()
-            .map(|r| {
-                smarth_core::json::ObjectBuilder::new()
-                    .field("workload", r.workload)
-                    .field("mode", r.mode.name())
-                    .field("bytes", r.bytes)
-                    .field("secs", r.secs)
-                    .field("mbps", r.mbps())
-                    .build()
-            })
-            .collect(),
-    );
-    match std::fs::write("BENCH_throughput.json", json.to_string_pretty() + "\n") {
-        Ok(()) => println!("  saved BENCH_throughput.json\n"),
-        Err(e) => eprintln!("  failed to write BENCH_throughput.json: {e}"),
-    }
-}
-
-/// Cluster for the read baseline: the 3-DN throughput shape with every
-/// datanode NIC throttled well below the client's, so a whole-block
-/// read from one replica is source-bound and striping across the
-/// replica set has headroom to win.
-fn read_throughput_spec() -> ClusterSpec {
-    let mut spec = throughput_spec();
-    for h in &mut spec.hosts {
-        if h.role == smarth_core::HostRole::DataNode {
-            h.nic_throttle = Some(Bandwidth::mbps(150.0));
-        }
-    }
-    spec
-}
-
-/// Writes one multi-block file, warms the speed registry, then times
-/// `repeats` full striped reads with `read_stripes = stripes`.
-fn read_throughput_run(
-    workload: &'static str,
-    stripes: usize,
-    repeats: usize,
-    file_size: usize,
-) -> smarth_core::DfsResult<ThroughputRow> {
-    let mut config = throughput_config();
-    config.read_stripes = stripes;
-    let cluster = MiniCluster::start(&read_throughput_spec(), config, 42)?;
-    let client = cluster.client()?;
-    let data = random_data(0x5EED, file_size);
-    client.put("/read/baseline.bin", &data, WriteMode::Smarth)?;
-    client.flush_speed_report()?;
-    // Warm read: source speeds observed, not yet timed.
-    let warm = client.get("/read/baseline.bin")?;
-    assert_eq!(warm, data, "read must return the written bytes");
-    let t0 = std::time::Instant::now();
-    let mut bytes = 0u64;
-    for _ in 0..repeats {
-        bytes += client.get("/read/baseline.bin")?.len() as u64;
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    cluster.shutdown();
-    Ok(ThroughputRow {
-        workload,
-        mode: WriteMode::Smarth,
-        bytes,
-        secs,
-    })
-}
-
-/// The `read-throughput` id: sequential (1 stripe) vs striped (config
-/// default) whole-file reads on the shaped 3-DN cluster, through the
-/// threaded emulator. Writes `BENCH_read_throughput.json` beside the
-/// write baseline.
-fn run_read_throughput(out_dir: &std::path::Path, quick: bool) {
-    let (repeats, file_size) = if quick {
-        (3, 2 * 1024 * 1024)
-    } else {
-        (6, 6 * 1024 * 1024)
-    };
-    let striped_stripes = DfsConfig::test_scale().read_stripes;
-    let runs: [(&'static str, usize); 2] =
-        [("sequential", 1), ("striped", striped_stripes)];
-    let mut rows: Vec<ThroughputRow> = Vec::new();
-    for (workload, stripes) in runs {
-        match read_throughput_run(workload, stripes, repeats, file_size) {
-            Ok(row) => rows.push(row),
-            Err(e) => eprintln!("read-throughput {workload} failed: {e}"),
-        }
-    }
-
-    let mut table = Table::new(
-        "read-throughput",
-        "read-path throughput: sequential vs striped (emulator, shaped 3-DN cluster)",
-        &["workload", "mode", "bytes", "secs", "Mbps"],
-    );
-    for r in &rows {
-        table.row(vec![
-            r.workload.to_string(),
-            r.mode.name().to_string(),
-            r.bytes.to_string(),
-            format!("{:.3}", r.secs),
-            format!("{:.1}", r.mbps()),
-        ]);
-    }
-    table.note("datanode NICs throttled to 150 Mbps so one-source reads are source-bound");
-    print!("{}", table.render());
-    if let Err(e) = table.save(out_dir) {
-        eprintln!("  failed to save read-throughput table: {e}");
-    }
-    if let [seq, striped] = &rows[..] {
-        println!(
-            "  striped/sequential speedup: {:.2}x\n",
-            striped.mbps() / seq.mbps()
-        );
-    }
-
-    let json = smarth_core::json::Value::Array(
-        rows.iter()
-            .map(|r| {
-                smarth_core::json::ObjectBuilder::new()
-                    .field("workload", r.workload)
-                    .field("mode", r.mode.name())
-                    .field("bytes", r.bytes)
-                    .field("secs", r.secs)
-                    .field("mbps", r.mbps())
-                    .build()
-            })
-            .collect(),
-    );
-    match std::fs::write("BENCH_read_throughput.json", json.to_string_pretty() + "\n") {
-        Ok(()) => println!("  saved BENCH_read_throughput.json\n"),
-        Err(e) => eprintln!("  failed to write BENCH_read_throughput.json: {e}"),
-    }
-}
-
-/// `(workload, mode, mbps)` rows of a `BENCH_*.json` trajectory file.
-fn load_bench_rows(path: &str) -> Option<Vec<(String, String, f64)>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = smarth_core::json::parse(&text).ok()?;
-    let mut rows = Vec::new();
-    for r in v.as_array()? {
-        rows.push((
-            r.get("workload").as_str()?.to_string(),
-            r.get("mode").as_str()?.to_string(),
-            r.get("mbps").as_f64()?,
-        ));
-    }
-    Some(rows)
-}
-
-/// The `bench-gate` mode: re-records both throughput baselines and
-/// fails (exit 1 from main) if any matching `{workload, mode}` row
-/// regressed more than the band vs the committed files. The committed
-/// baselines are recorded in full mode; quick mode runs smaller
-/// workloads on shared CI hardware, so its band is much wider — it
-/// catches collapses (a serialized pipeline, a lost overlap), not
-/// single-digit drift.
-fn run_bench_gate(out_dir: &std::path::Path, quick: bool) -> bool {
-    let band = if quick { 0.50 } else { 0.10 };
-    let gates: [(&str, &str); 2] = [
-        ("BENCH_throughput.json", "throughput"),
-        ("BENCH_read_throughput.json", "read-throughput"),
-    ];
-    let baselines: Vec<Option<Vec<(String, String, f64)>>> = gates
-        .iter()
-        .map(|(path, _)| load_bench_rows(path))
-        .collect();
-
-    // Re-record: these rewrite the BENCH files in place.
-    run_throughput(out_dir, quick);
-    run_read_throughput(out_dir, quick);
-
-    let mut pass = true;
-    for ((path, name), baseline) in gates.iter().zip(baselines) {
-        let Some(baseline) = baseline else {
-            println!("bench-gate {name}: no committed baseline at {path}; recorded a fresh one");
-            continue;
-        };
-        let Some(fresh) = load_bench_rows(path) else {
-            eprintln!("bench-gate {name}: fresh run produced no parseable {path}");
-            pass = false;
-            continue;
-        };
-        for (workload, mode, base_mbps) in &baseline {
-            let Some((_, _, new_mbps)) = fresh
-                .iter()
-                .find(|(w, m, _)| w == workload && m == mode)
-            else {
-                eprintln!("bench-gate {name}: row {{{workload}, {mode}}} missing from fresh run");
-                pass = false;
-                continue;
-            };
-            let floor = base_mbps * (1.0 - band);
-            let verdict = if *new_mbps < floor { "REGRESSION" } else { "ok" };
-            println!(
-                "bench-gate {name}: {workload}/{mode} {base_mbps:.1} -> {new_mbps:.1} Mbps (floor {floor:.1}): {verdict}"
-            );
-            if *new_mbps < floor {
-                pass = false;
-            }
-        }
-    }
-    println!(
-        "bench-gate: {} (band {:.0}%{})",
-        if pass { "PASS" } else { "FAIL" },
-        band * 100.0,
-        if quick { ", quick mode" } else { "" }
-    );
-    pass
-}
-
 fn generate(id: &str, opts: FigureOpts) -> Option<Vec<Table>> {
     Some(match id {
         "table1" => vec![figures::table1()],
@@ -641,9 +264,9 @@ fn main() {
         wanted.iter().map(|s| s.as_str()).collect()
     };
     for id in &ids {
-        if !ALL_IDS.contains(id) && *id != "bench-gate" && *id != "diff-baseline" {
+        if !ALL_IDS.contains(id) && *id != "diff-baseline" {
             eprintln!("unknown figure id: {id}");
-            eprintln!("known: {} bench-gate diff-baseline", ALL_IDS.join(" "));
+            eprintln!("known: {} diff-baseline", ALL_IDS.join(" "));
             std::process::exit(2);
         }
     }
@@ -693,25 +316,6 @@ fn main() {
             // Paired emulator + DES runs with a cross-engine diff
             // verdict instead of a figure table.
             run_conformance(&out_dir, quick);
-            continue;
-        }
-        if id == "throughput" {
-            // Saturation benchmark on the threaded emulator; records the
-            // BENCH_throughput.json trajectory file at the repo root.
-            run_throughput(&out_dir, quick);
-            continue;
-        }
-        if id == "read-throughput" {
-            // Read-path baseline (sequential vs striped); records
-            // BENCH_read_throughput.json beside the write baseline.
-            run_read_throughput(&out_dir, quick);
-            continue;
-        }
-        if id == "bench-gate" {
-            // CI regression gate over both recorded trajectories.
-            if !run_bench_gate(&out_dir, quick) {
-                std::process::exit(1);
-            }
             continue;
         }
         if id == "diff-baseline" {

@@ -14,8 +14,7 @@ use smarth_core::ids::ClientId;
 use smarth_core::obs::Obs;
 use smarth_core::proto::FileStatus;
 use smarth_core::speed::ClientSpeedTracker;
-use smarth_fabric::Fabric;
-use std::sync::atomic::{AtomicBool, Ordering};
+use smarth_fabric::{Fabric, StopSignal};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,7 +60,7 @@ impl UploadReport {
 /// A DFS client session bound to one fabric host.
 pub struct DfsClient {
     ctx: Arc<ClientCtx>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     heartbeat: Option<JoinHandle<()>>,
 }
 
@@ -112,7 +111,7 @@ impl DfsClient {
             obs,
         });
 
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let heartbeat = {
             let ctx = Arc::clone(&ctx);
             let stop = Arc::clone(&stop);
@@ -123,8 +122,7 @@ impl DfsClient {
             std::thread::Builder::new()
                 .name(format!("client-{host}-heartbeat"))
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(interval);
+                    while !stop.wait_timeout(interval) {
                         let records = ctx.tracker.lock().drain_report();
                         if records.is_empty() {
                             continue;
@@ -298,7 +296,7 @@ impl DfsClient {
 
 impl Drop for DfsClient {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
         }

@@ -278,6 +278,13 @@ impl DfsOutputStream {
         if self.current.is_some() {
             return Ok(());
         }
+        self.open_next_block(0)
+    }
+
+    /// Allocates the next block and opens its pipeline. `lost_targets`
+    /// counts the allocations of this block already given back because
+    /// their first target was dead (see `first_target_lost`).
+    fn open_next_block(&mut self, lost_targets: u32) -> DfsResult<()> {
         // Ablation cap on concurrent pipelines (§IV-C's rule emerges
         // naturally from placement exclusions; the override forces a
         // different cap).
@@ -307,15 +314,14 @@ impl DfsOutputStream {
                     // because our own active pipelines occupy the rest
                     // (§IV-C). Release the allocation and wait for one
                     // to drain rather than writing under-replicated.
-                    let _ = self.ctx.rpc.abandon_block(
-                        self.ctx.id,
-                        self.file_id,
-                        lb.block.id,
-                    );
+                    let _ = self.abandon_allocation(lb.block.id);
                     let ev = self.wait_event()?;
                     self.process_event(ev)?;
                 }
-                Ok(lb) => break lb,
+                Ok(lb) => {
+                    self.deferred_commit_landed();
+                    break lb;
+                }
                 Err(DfsError::PlacementFailed { .. }) if !self.pending.is_empty() => {
                     // Every datanode is busy in one of our pipelines —
                     // the §IV-C limit. Wait for one to drain. (The
@@ -387,7 +393,11 @@ impl DfsOutputStream {
             }
         }
 
-        let pipeline = self.open_pipeline(located.block, targets, ctx)?;
+        let first = targets[0].id;
+        let pipeline = match self.open_pipeline(located.block, targets, ctx) {
+            Ok(p) => p,
+            Err(e) => return self.first_target_lost(located.block, first, ctx, lost_targets, e),
+        };
         self.current = Some(ActiveBlock {
             pipeline,
             next_seq: 0,
@@ -398,6 +408,38 @@ impl DfsOutputStream {
         let active = self.active_pipelines();
         self.stats.max_concurrent_pipelines = self.stats.max_concurrent_pipelines.max(active);
         Ok(())
+    }
+
+    /// The first target died after placement but before the namenode
+    /// expired it, so it refused the connection. Nothing was sent: as in
+    /// `rebuild_from_scratch`, mark it dead, give the block back and
+    /// allocate again without it — one `ConnectionLost` incident.
+    fn first_target_lost(
+        &mut self,
+        block: ExtendedBlock,
+        first: DatanodeId,
+        ctx: Option<TraceCtx>,
+        lost_targets: u32,
+        e: DfsError,
+    ) -> DfsResult<()> {
+        let attempt = lost_targets + 1;
+        if !e.is_recoverable() || attempt >= self.max_recovery_attempts() {
+            return Err(e);
+        }
+        let step = format!(
+            "first target {} refused the pipeline: abandoning block, reallocating",
+            first.raw()
+        );
+        self.record_incident(ctx, block.id, attempt, RecoveryCause::ConnectionLost, false, step);
+        self.mark_dead(first);
+        self.abandon_allocation(block.id)?;
+        self.open_next_block(attempt)
+    }
+
+    /// Returns an allocation no pipeline was opened on to the namenode.
+    fn abandon_allocation(&mut self, block: BlockId) -> DfsResult<()> {
+        self.obs().metrics().allocations_abandoned.inc();
+        self.ctx.rpc.abandon_block(self.ctx.id, self.file_id, block)
     }
 
     fn open_pipeline(
@@ -756,22 +798,14 @@ impl DfsOutputStream {
             // closes the nested span and keeps attaching later steps to
             // the enclosing recovery.
             for dn in std::mem::take(&mut nested_losses) {
-                self.stats.recoveries += 1;
-                self.obs().metrics().record_recovery(RecoveryCause::NestedFailure);
-                self.obs().emit_traced(old_ctx, ObsEvent::RecoveryStarted {
-                    block: old_block.id,
+                self.record_incident(
+                    old_ctx,
+                    old_block.id,
                     attempt,
-                    cause: RecoveryCause::NestedFailure,
-                    nested: true,
-                });
-                self.obs().emit_traced(old_ctx, ObsEvent::RecoveryStep {
-                    block: old_block.id,
-                    step: format!("datanode {} lost mid-recovery", dn.raw()),
-                });
-                self.obs().emit_traced(old_ctx, ObsEvent::RecoveryFinished {
-                    block: old_block.id,
-                    success: false,
-                });
+                    RecoveryCause::NestedFailure,
+                    true,
+                    format!("datanode {} lost mid-recovery", dn.raw()),
+                );
             }
             match rebuilt {
                 Ok((new_pipeline, resent_all)) => {
@@ -831,6 +865,32 @@ impl DfsOutputStream {
         result
     }
 
+    /// Counts and attributes a recovery incident that is over the moment
+    /// it is known, and traces it as a balanced zero-length span.
+    fn record_incident(
+        &mut self,
+        ctx: Option<TraceCtx>,
+        block: BlockId,
+        attempt: u32,
+        cause: RecoveryCause,
+        nested: bool,
+        step: String,
+    ) {
+        self.stats.recoveries += 1;
+        self.obs().metrics().record_recovery(cause);
+        self.obs().emit_traced(ctx, ObsEvent::RecoveryStarted {
+            block,
+            attempt,
+            cause,
+            nested,
+        });
+        self.obs().emit_traced(ctx, ObsEvent::RecoveryStep { block, step });
+        self.obs().emit_traced(ctx, ObsEvent::RecoveryFinished {
+            block,
+            success: false,
+        });
+    }
+
     /// Records a namenode outage as a first-class recovery incident
     /// ([`RecoveryCause::NamenodeError`]) with a balanced trace span,
     /// then backs off before the caller retries. `block` is the block
@@ -844,22 +904,8 @@ impl DfsOutputStream {
         nested: bool,
         detail: &str,
     ) {
-        self.stats.recoveries += 1;
-        self.obs().metrics().record_recovery(RecoveryCause::NamenodeError);
-        self.obs().emit_traced(ctx, ObsEvent::RecoveryStarted {
-            block,
-            attempt,
-            cause: RecoveryCause::NamenodeError,
-            nested,
-        });
-        self.obs().emit_traced(ctx, ObsEvent::RecoveryStep {
-            block,
-            step: format!("namenode outage: {detail}"),
-        });
-        self.obs().emit_traced(ctx, ObsEvent::RecoveryFinished {
-            block,
-            success: false,
-        });
+        let step = format!("namenode outage: {detail}");
+        self.record_incident(ctx, block, attempt, RecoveryCause::NamenodeError, nested, step);
         // The RPC layer already burned its per-call retry budget; the
         // stream waits longer between incidents so a stalled namenode
         // has time to come back before the bounded attempts run out.
@@ -1066,10 +1112,7 @@ impl DfsOutputStream {
                     // the other nodes (§IV-C) — wait for one to finish
                     // rather than replaying into an under-replicated
                     // pipeline.
-                    let _ = self
-                        .ctx
-                        .rpc
-                        .abandon_block(self.ctx.id, self.file_id, lb.block.id);
+                    let _ = self.abandon_allocation(lb.block.id);
                     let ev = self.wait_event()?;
                     self.process_event(ev)?;
                 }

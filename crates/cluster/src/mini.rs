@@ -184,21 +184,23 @@ impl MiniCluster {
 
     /// Orderly teardown: breaks the fabric (unblocking every thread)
     /// then joins all node threads.
-    pub fn shutdown(mut self) {
-        self.fabric.shutdown();
-        if let Some(nn) = self.namenode.take() {
-            nn.shutdown();
-        }
-        for dn in self.datanodes.drain(..) {
-            dn.shutdown();
-        }
+    pub fn shutdown(self) {
+        // `Drop` does the work, so a forgotten `shutdown()` tears down
+        // the same way.
     }
 }
 
 impl Drop for MiniCluster {
     fn drop(&mut self) {
-        // Defensive teardown when `shutdown()` was not called.
         self.fabric.shutdown();
+        // Every node is told to stop before any is joined, so their
+        // threads wind down side by side, not one node after another.
+        if let Some(nn) = &self.namenode {
+            nn.stop();
+        }
+        for dn in &self.datanodes {
+            dn.stop();
+        }
         if let Some(nn) = self.namenode.take() {
             nn.shutdown();
         }

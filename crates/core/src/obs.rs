@@ -1072,6 +1072,10 @@ pub struct Metrics {
     /// unreachable or erroring). Lets `top` show a node that is alive
     /// but cut off from the namenode.
     pub heartbeat_failures: Counter,
+    /// Allocations a stream gave back (`abandonBlock`) without opening a
+    /// pipeline on them: a short pipeline, or a first target that died
+    /// after placement.
+    pub allocations_abandoned: Counter,
 }
 
 impl Metrics {
@@ -1113,6 +1117,7 @@ impl Metrics {
             .field("blocks_committed", self.blocks_committed.get())
             .field("fnfa_received", self.fnfa_received.get())
             .field("fnfa_to_allocation_us", self.fnfa_to_allocation_us.to_json())
+            .field("allocations_abandoned", self.allocations_abandoned.get())
             .field("recoveries", recoveries)
             .field("exploration_swaps", self.exploration_swaps.get())
             .field("speed_aware_placements", self.speed_aware_placements.get())

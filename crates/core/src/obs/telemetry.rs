@@ -100,6 +100,11 @@ pub const DESCRIPTORS: &[MetricDesc] = &[
         read: |m| m.fnfa_received.get() as f64,
     },
     MetricDesc {
+        name: "allocations_abandoned",
+        kind: MetricKind::Counter,
+        read: |m| m.allocations_abandoned.get() as f64,
+    },
+    MetricDesc {
         name: "recoveries_total",
         kind: MetricKind::Counter,
         read: |m| m.recoveries_total() as f64,
@@ -638,7 +643,7 @@ impl SloTracker {
     /// evaluate: a lenient sustained-write floor, an FNFA-gap p99
     /// ceiling, and a recovery burn budget. Deliberately loose — these
     /// flag pathology (a stalled cluster, a runaway recovery storm),
-    /// not benchmark regressions (that's bench-gate's job).
+    /// not benchmark regressions (that's `benchmark/`'s job).
     pub fn standard() -> Self {
         SloTracker::new(vec![
             SloObjective {

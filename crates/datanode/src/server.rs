@@ -45,9 +45,9 @@ use smarth_core::proto::{
     Packet, PipelineAck, WriteBlockHeader,
 };
 use smarth_core::wire::{recv_message, send_message};
-use smarth_fabric::{Fabric, FabricStream, ReadHalf, TokenBucket, WriteHalf};
+use smarth_fabric::{Fabric, FabricStream, ReadHalf, StopSignal, TokenBucket, WriteHalf};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -164,7 +164,7 @@ impl DnInner {
 /// A running datanode.
 pub struct DataNode {
     inner: Arc<DnInner>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -230,10 +230,11 @@ impl DataNode {
             local: DnLocalStats::default(),
             sampler,
         });
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let mut threads = Vec::new();
 
-        // Accept loop.
+        // Accept loop. `stop()` closes the listener, which ends the
+        // blocking accept (so does a host kill or a fabric shutdown).
         {
             let inner = Arc::clone(&inner);
             let stop = Arc::clone(&stop);
@@ -241,18 +242,15 @@ impl DataNode {
                 std::thread::Builder::new()
                     .name(format!("dn-{host}-accept"))
                     .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            match listener.accept_timeout(Duration::from_millis(50)) {
-                                Ok(Some(stream)) => {
-                                    let inner = Arc::clone(&inner);
-                                    std::thread::Builder::new()
-                                        .name("dn-xceiver".into())
-                                        .spawn(move || handle_connection(inner, stream))
-                                        .expect("spawn xceiver");
-                                }
-                                Ok(None) => continue,
-                                Err(_) => break,
+                        while let Ok(stream) = listener.accept() {
+                            if stop.is_stopped() {
+                                break;
                             }
+                            let inner = Arc::clone(&inner);
+                            std::thread::Builder::new()
+                                .name("dn-xceiver".into())
+                                .spawn(move || handle_connection(inner, stream))
+                                .expect("spawn xceiver");
                         }
                     })
                     .expect("spawn dn accept"),
@@ -272,8 +270,8 @@ impl DataNode {
                     .name(format!("dn-{host}-heartbeat"))
                     .spawn(move || {
                         let mut failure_streak = 0u32;
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(interval);
+                        loop {
+                            let mut pause = interval;
                             if failure_streak > 0 {
                                 // Bounded exponential backoff: a namenode
                                 // outage must not turn every datanode
@@ -281,10 +279,12 @@ impl DataNode {
                                 // silence the heartbeat forever either
                                 // (the old loop broke on first error, so
                                 // a healed namenode saw a ghost node).
-                                let extra = interval
+                                pause += interval
                                     .saturating_mul(1 << failure_streak.min(3))
                                     .min(Duration::from_secs(2));
-                                std::thread::sleep(extra);
+                            }
+                            if stop.wait_timeout(pause) {
+                                break;
                             }
                             inner.sampler.sample_at(Obs::now_us());
                             let req = DatanodeRequest::Heartbeat {
@@ -355,10 +355,18 @@ impl DataNode {
         self.inner.read_corruption.lock().remove(&block);
     }
 
+    /// Tells the server threads to stop, without waiting for them: the
+    /// heartbeat's wait ends at once and the listener closes. An
+    /// orchestrator stops every node first and joins afterwards.
+    pub fn stop(&self) {
+        self.stop.stop();
+        self.inner.fabric.close_listener(&self.data_addr());
+    }
+
     /// Stops server threads. Blocked I/O is released by killing the host
     /// or shutting the fabric down (the cluster orchestrator does this).
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

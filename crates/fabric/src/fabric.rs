@@ -183,6 +183,14 @@ impl Fabric {
         })
     }
 
+    /// Stops listening on `addr`: connections are refused from now on,
+    /// and an `accept` blocked on the listener returns an error once it
+    /// has drained what was already queued — how a server wakes its
+    /// accept loop to stop it.
+    pub fn close_listener(&self, addr: &str) {
+        self.inner.listeners.lock().remove(addr);
+    }
+
     /// Opens a duplex stream from `from_host` to the listener at
     /// `to_addr`, shaped by both hosts' NICs and any pair throttle.
     pub fn connect(&self, from_host: &str, to_addr: &str) -> DfsResult<FabricStream> {

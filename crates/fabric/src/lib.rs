@@ -12,10 +12,12 @@
 mod bucket;
 mod channel;
 mod fabric;
+mod stop;
 
 pub use bucket::{BucketClosed, TokenBucket};
 pub use channel::ByteChannel;
 pub use fabric::{Fabric, FabricConfig, FabricStream, Listener, ReadHalf, WriteHalf};
+pub use stop::StopSignal;
 
 #[cfg(test)]
 mod tests {

@@ -26,9 +26,8 @@ use smarth_core::proto::{
 };
 use smarth_core::speed::NamenodeSpeedRegistry;
 use smarth_core::wire::{recv_message, send_message};
-use smarth_fabric::{Fabric, Listener};
+use smarth_fabric::{Fabric, Listener, StopSignal};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -860,8 +859,9 @@ impl NameNodeState {
 /// A running namenode: state + server threads on the fabric.
 pub struct NameNode {
     state: Arc<NameNodeState>,
+    fabric: Fabric,
     host: String,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -885,7 +885,7 @@ impl NameNode {
         obs: Obs,
     ) -> DfsResult<Self> {
         let state = Arc::new(NameNodeState::with_obs(config, seed, obs));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let client_listener = fabric.listen(&format!("{host}:{}", Self::CLIENT_PORT))?;
         let dn_listener = fabric.listen(&format!("{host}:{}", Self::DATANODE_PORT))?;
 
@@ -919,8 +919,7 @@ impl NameNode {
                 std::thread::Builder::new()
                     .name("nn-expiry".into())
                     .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(interval);
+                        while !stop.wait_timeout(interval) {
                             state.sampler.sample_at(Obs::now_us());
                             state.expire_dead_datanodes();
                         }
@@ -931,6 +930,7 @@ impl NameNode {
 
         Ok(Self {
             state,
+            fabric: fabric.clone(),
             host: host.to_string(),
             stop,
             threads,
@@ -949,12 +949,19 @@ impl NameNode {
         format!("{}:{}", self.host, Self::DATANODE_PORT)
     }
 
-    /// Signals all server threads to stop and joins them. The fabric
-    /// must be shut down (or the listeners' host killed) first/likewise
-    /// for accept loops blocked on idle listeners — the cluster
-    /// orchestrator does both.
+    /// Tells the server threads to stop, without waiting for them: the
+    /// sweeper's wait ends at once and both listeners close.
+    pub fn stop(&self) {
+        self.stop.stop();
+        self.fabric.close_listener(&self.client_addr());
+        self.fabric.close_listener(&self.datanode_addr());
+    }
+
+    /// Signals all server threads to stop and joins them. Connection
+    /// handlers blocked on a silent peer are released by shutting the
+    /// fabric down — the cluster orchestrator does both.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -967,7 +974,7 @@ fn spawn_accept_loop<Req, Resp, F>(
     name: &str,
     listener: Listener,
     state: Arc<NameNodeState>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     handler: F,
     on_panic: fn(String) -> Resp,
 ) -> JoinHandle<()>
@@ -976,48 +983,46 @@ where
     Resp: smarth_core::wire::Wire + Send + 'static,
     F: Fn(&NameNodeState, Req) -> Resp + Send + Sync + Copy + 'static,
 {
-    let accept_stop = Arc::clone(&stop);
     std::thread::Builder::new()
         .name(name.to_string())
         .spawn(move || {
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept_timeout(Duration::from_millis(50)) {
-                    Ok(Some(mut stream)) => {
-                        let state = Arc::clone(&state);
-                        let conn_stop = Arc::clone(&accept_stop);
-                        std::thread::Builder::new()
-                            .name("nn-conn".into())
-                            .spawn(move || {
-                                while !conn_stop.load(Ordering::SeqCst) {
-                                    let req: Req = match recv_message(&mut stream) {
-                                        Ok(r) => r,
-                                        Err(_) => break, // peer closed
-                                    };
-                                    // A buggy handler must cost one
-                                    // error response, not the whole
-                                    // connection with zero diagnostics.
-                                    let resp = match std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| handler(&state, req)),
-                                    ) {
-                                        Ok(resp) => resp,
-                                        Err(payload) => {
-                                            state.obs.metrics().handler_panics.inc();
-                                            on_panic(format!(
-                                                "internal error: handler panicked: {}",
-                                                panic_message(payload)
-                                            ))
-                                        }
-                                    };
-                                    if send_message(&mut stream, &resp).is_err() {
-                                        break;
-                                    }
-                                }
-                            })
-                            .expect("spawn conn handler");
-                    }
-                    Ok(None) => continue,
-                    Err(_) => break, // fabric shut down
+            // `NameNode::stop` closes the listener, which ends the
+            // blocking accept (so does a fabric shutdown).
+            while let Ok(mut stream) = listener.accept() {
+                if stop.is_stopped() {
+                    break;
                 }
+                let state = Arc::clone(&state);
+                let conn_stop = Arc::clone(&stop);
+                std::thread::Builder::new()
+                    .name("nn-conn".into())
+                    .spawn(move || {
+                        while !conn_stop.is_stopped() {
+                            let req: Req = match recv_message(&mut stream) {
+                                Ok(r) => r,
+                                Err(_) => break, // peer closed
+                            };
+                            // A buggy handler must cost one error
+                            // response, not the whole connection with
+                            // zero diagnostics.
+                            let resp = match std::panic::catch_unwind(
+                                std::panic::AssertUnwindSafe(|| handler(&state, req)),
+                            ) {
+                                Ok(resp) => resp,
+                                Err(payload) => {
+                                    state.obs.metrics().handler_panics.inc();
+                                    on_panic(format!(
+                                        "internal error: handler panicked: {}",
+                                        panic_message(payload)
+                                    ))
+                                }
+                            };
+                            if send_message(&mut stream, &resp).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                    .expect("spawn conn handler");
             }
         })
         .expect("spawn accept loop")

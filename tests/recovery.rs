@@ -443,3 +443,71 @@ fn stalled_datanode_record_ages_out_and_re_earns_after_restore() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn dead_first_target_is_given_back_and_the_block_allocated_again() {
+    use smarth::core::obs::{Obs, ObsEvent, RecoveryCause, RingBufferSink};
+    use smarth::core::DatanodeId;
+
+    // A first target that died after placement but before the namenode
+    // expired it refuses the pipeline. Placement is a function of the
+    // cluster seed, so a rehearsal on an identical cluster tells which
+    // datanode the first `addBlock` will put first. Algorithm 2 is off
+    // so that is also the node the client connects to.
+    const BLOCK: usize = 256 * 1024;
+    let len = BLOCK + 50_000;
+    let data = random_data(73, len);
+    let opened_pipelines = |sink: &RingBufferSink| -> Vec<Vec<DatanodeId>> {
+        sink.snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                ObsEvent::PipelineOpened { targets, .. } => Some(targets),
+                _ => None,
+            })
+            .collect()
+    };
+    let start = || {
+        let mut config = fast_config();
+        config.local_opt_enabled = false;
+        let sink = RingBufferSink::new(16_384);
+        let spec = ClusterSpec::homogeneous(InstanceType::Large);
+        let cluster =
+            MiniCluster::start_with_obs(&spec, config, 101, Obs::new(sink.clone())).unwrap();
+        (cluster, sink)
+    };
+
+    let (rehearsal, sink) = start();
+    let client = rehearsal.client().unwrap();
+    client.put("/dead/first.bin", &data, WriteMode::Smarth).unwrap();
+    let victim = opened_pipelines(&sink)[0][0];
+    drop(client);
+    rehearsal.shutdown();
+
+    let (cluster, sink) = start();
+    let host = cluster
+        .datanode_hosts()
+        .into_iter()
+        .find(|h| cluster.datanode(h).unwrap().id() == victim)
+        .unwrap();
+    // Nobody tells the namenode: until heartbeats expire the node, its
+    // placements keep pointing at it.
+    cluster.kill_datanode_silently(&host).unwrap();
+    let client = cluster.client().unwrap();
+    let report = client.put("/dead/first.bin", &data, WriteMode::Smarth).unwrap();
+
+    let m = cluster.obs().metrics();
+    assert_eq!(report.stats.recoveries, 1);
+    assert_eq!(m.recoveries(RecoveryCause::ConnectionLost), 1);
+    assert_eq!(m.allocations_abandoned.get(), 1);
+    // No pipeline ever opened on the dead node; the block given back
+    // left no empty block in the file.
+    let opened = opened_pipelines(&sink);
+    assert_eq!(opened.len(), 2);
+    assert!(opened.iter().all(|targets| !targets.contains(&victim)), "{opened:?}");
+    let reader = client.open("/dead/first.bin").unwrap();
+    let blocks = reader.block_layout();
+    assert_eq!(blocks.len(), 2, "{blocks:?}");
+    assert!(blocks.iter().all(|b| b.block.len > 0), "{blocks:?}");
+    assert_eq!(client.get("/dead/first.bin").unwrap(), data);
+    cluster.shutdown();
+}

@@ -88,3 +88,38 @@ fn fast_disk_keeps_staging_shallow() {
     assert_eq!(m.datanode_buffered_bytes.get(), 0);
     cluster.shutdown();
 }
+
+#[test]
+fn deferred_commits_ride_successive_add_blocks() {
+    // A fully acked block's commit rides the next `addBlock` as
+    // `previous`, and a successful reply retires it so the *next* commit
+    // rides the *next* request. Before `close()` the namenode must
+    // therefore already know the length of several blocks — not of the
+    // first one only, re-sent with every request and the rest left to a
+    // burst of `commitBlock` round trips at close.
+    const BLOCK: usize = 256 * 1024;
+    // The paper cluster: 9 datanodes, 300 µs links.
+    let spec = ClusterSpec::homogeneous(InstanceType::Large);
+    let cluster = MiniCluster::start(&spec, DfsConfig::test_scale(), 29).unwrap();
+    let client = cluster.client().unwrap();
+    let len = 6 * BLOCK + 10_000; // seven allocations, six of them after block 1
+    let data = random_data(13, len);
+
+    let mut stream = client.create("/commits/seven.bin", WriteMode::Smarth).unwrap();
+    stream.write(&data).unwrap();
+    let known = client.file_info("/commits/seven.bin").unwrap().unwrap().len;
+    assert!(
+        known >= 2 * BLOCK as u64,
+        "namenode knows {known} bytes before close"
+    );
+    let stats = stream.close().unwrap();
+    assert_eq!(stats.blocks_committed, 7);
+    // Every allocation was written: none given back, none left empty.
+    assert_eq!(cluster.obs().metrics().allocations_abandoned.get(), 0);
+    let reader = client.open("/commits/seven.bin").unwrap();
+    let blocks = reader.block_layout();
+    assert_eq!(blocks.len(), 7, "{blocks:?}");
+    assert!(blocks.iter().all(|b| b.block.len > 0), "{blocks:?}");
+    assert_eq!(client.get("/commits/seven.bin").unwrap(), data);
+    cluster.shutdown();
+}
