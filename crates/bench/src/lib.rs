@@ -5,5 +5,7 @@
 //! deterministic simulator, and [`report`] renders/saves the results.
 //! Criterion micro/macro benchmarks live under `benches/`.
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 pub mod report;

@@ -8,6 +8,8 @@
 //! fault-tolerance of Algorithms 3/4. [`DfsClient`] adds the `put`/`get`
 //! surface and the 3-second speed-report heartbeat (§III-B).
 
+#![forbid(unsafe_code)]
+
 mod client;
 pub mod istream;
 pub mod ostream;

@@ -7,6 +7,8 @@
 //! and summaries. The end-to-end behaviour of the whole system — both
 //! write protocols, speed learning and fault tolerance — is tested here.
 
+#![forbid(unsafe_code)]
+
 pub mod mini;
 pub mod replay;
 pub mod soak;

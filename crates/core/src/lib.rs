@@ -13,6 +13,9 @@
 //! deterministic simulator (`smarth-sim`) build on, so the two engines
 //! can never drift apart on policy decisions.
 
+// The one exception is `checksum::hw`, the SSE4.2 `crc32` instruction.
+#![deny(unsafe_code)]
+
 pub mod checksum;
 pub mod config;
 pub mod conformance;

@@ -208,6 +208,11 @@ pub trait FrameIo {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()>;
     /// Reads exactly `buf.len()` bytes or fails.
     fn read_exact(&mut self, buf: &mut [u8]) -> DfsResult<()>;
+    /// Writes all of a shared buffer; a transport that queues `Bytes`
+    /// takes slices of it instead of copies.
+    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
+        self.write_all(buf)
+    }
 }
 
 /// Writes one length-prefixed frame.
@@ -216,7 +221,7 @@ pub fn write_frame(io: &mut impl FrameIo, body: &Bytes) -> DfsResult<()> {
         return Err(DfsError::codec(format!("frame too large: {}", body.len())));
     }
     io.write_all(&(body.len() as u32).to_le_bytes())?;
-    io.write_all(body)
+    io.write_bytes(body)
 }
 
 /// Reads one length-prefixed frame.
@@ -348,6 +353,16 @@ mod tests {
         assert_eq!(read_frame(&mut pipe).unwrap(), "");
         assert_eq!(read_frame(&mut pipe).unwrap(), "third-frame");
         assert!(read_frame(&mut pipe).is_err(), "no fourth frame");
+    }
+
+    #[test]
+    fn write_bytes_defaults_to_write_all() {
+        let body = Bytes::from((0u8..=255).collect::<Vec<u8>>()).slice(3..200);
+        let (mut by_slice, mut by_bytes) = (MemPipe::new(), MemPipe::new());
+        by_slice.write_all(&body).unwrap();
+        by_bytes.write_bytes(&body).unwrap();
+        assert_eq!(by_bytes.data, by_slice.data);
+        assert_eq!(by_bytes.data, &body[..]);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! aggregation and — in SMARTH mode — the FIRST_NODE_FINISH ack that
 //! unlocks the client's next pipeline (§III-A).
 
+#![forbid(unsafe_code)]
+
 pub mod server;
 pub mod store;
 

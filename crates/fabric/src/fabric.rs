@@ -521,25 +521,31 @@ impl WriteHalf {
     }
 }
 
+/// Pays the path's buckets and queues `buf` towards the peer, one
+/// `chunk_size` slice of it at a time.
 fn shaped_write(
     out: &ByteChannel,
     buckets: &[Arc<TokenBucket>],
     chunk_size: usize,
-    buf: &[u8],
+    buf: &Bytes,
 ) -> DfsResult<()> {
-    for chunk in buf.chunks(chunk_size) {
+    for at in (0..buf.len()).step_by(chunk_size) {
+        let chunk = buf.slice(at..buf.len().min(at + chunk_size));
         for bucket in buckets {
             bucket
                 .acquire(chunk.len())
                 .map_err(|_| DfsError::connection_lost("path bucket closed"))?;
         }
-        out.push(Bytes::copy_from_slice(chunk))?;
+        out.push(chunk)?;
     }
     Ok(())
 }
 
 impl FrameIo for WriteHalf {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()> {
+        self.write_bytes(&Bytes::copy_from_slice(buf))
+    }
+    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
         shaped_write(&self.out, &self.out_buckets, self.chunk, buf)
     }
     fn read_exact(&mut self, _buf: &mut [u8]) -> DfsResult<()> {
@@ -555,6 +561,9 @@ impl Drop for WriteHalf {
 
 impl FrameIo for FabricStream {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()> {
+        self.write_bytes(&Bytes::copy_from_slice(buf))
+    }
+    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
         shaped_write(&self.out, &self.out_buckets, self.chunk, buf)
     }
 

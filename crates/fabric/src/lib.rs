@@ -9,6 +9,8 @@
 //! The fabric is the real-time execution engine; the deterministic
 //! counterpart at full paper scale lives in `smarth-sim`.
 
+#![forbid(unsafe_code)]
+
 mod bucket;
 mod channel;
 mod fabric;
@@ -85,6 +87,35 @@ mod tests {
         c.write_all(&vec![0u8; 1 << 20]).unwrap();
         reader.join().unwrap();
         let secs = start.elapsed().as_secs_f64();
+        assert!(secs > 0.07, "throttle ignored: {secs}s");
+        assert!(secs < 0.6, "throttle far too strict: {secs}s");
+    }
+
+    /// A frame body is queued as slices of one buffer: it must still
+    /// cross a socket buffer smaller than itself intact, chunk by chunk,
+    /// at the rate the buckets allow.
+    #[test]
+    fn frame_larger_than_socket_buffer_arrives_intact_at_bucket_rate() {
+        let f = Fabric::new(FabricConfig {
+            latency: Duration::ZERO,
+            socket_buffer: 64 * 1024,
+            chunk_size: 8192,
+        });
+        // 8 MiB/s NICs: 1 MiB (and 5 odd bytes) should take ≈ 0.125 s.
+        f.add_host("src", "r", Bandwidth::mib_per_sec(8.0));
+        f.add_host("dst", "r", Bandwidth::mib_per_sec(8.0));
+        let body: bytes::Bytes = (0..(1u32 << 20) + 5)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        let listener = f.listen("dst:1").unwrap();
+        let reader = std::thread::spawn(move || read_frame(&mut listener.accept().unwrap()));
+        let mut c = f.connect("src", "dst:1").unwrap();
+        let start = Instant::now();
+        write_frame(&mut c, &body).unwrap();
+        let got = reader.join().unwrap().unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(got, body);
         assert!(secs > 0.07, "throttle ignored: {secs}s");
         assert!(secs < 0.6, "throttle far too strict: {secs}s");
     }

@@ -7,6 +7,8 @@
 //! `addBlock` path — the stock HDFS strategy for `WriteMode::Hdfs`
 //! streams and Algorithm 1 for `WriteMode::Smarth` streams.
 
+#![forbid(unsafe_code)]
+
 pub mod block_mgr;
 pub mod datanode_mgr;
 pub mod namespace;

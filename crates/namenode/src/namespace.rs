@@ -24,6 +24,11 @@ struct FileMeta {
     /// Lease holder while under construction.
     lease: Option<ClientId>,
     blocks: Vec<ExtendedBlock>,
+    /// Positions in `blocks`, ascending, that abandoned blocks vacated
+    /// while later blocks already stood behind them. The next
+    /// allocations fill them, so a block the client lost entirely and
+    /// writes again keeps its place in the file.
+    vacated: Vec<usize>,
     complete: bool,
 }
 
@@ -228,6 +233,7 @@ impl FsNamespace {
                 mode,
                 lease: Some(client),
                 blocks: Vec::new(),
+                vacated: Vec::new(),
                 complete: false,
             }),
         );
@@ -271,7 +277,8 @@ impl FsNamespace {
         }
     }
 
-    /// Appends a freshly allocated block to a file under construction.
+    /// Adds a freshly allocated block to a file under construction: at
+    /// the end, or in the earliest place an abandoned block left behind.
     pub fn append_block(
         &mut self,
         client: ClientId,
@@ -287,7 +294,13 @@ impl FsNamespace {
                 meta.path
             )));
         }
-        meta.blocks.push(block);
+        if meta.vacated.is_empty() {
+            meta.blocks.push(block);
+        } else {
+            let at = meta.vacated.remove(0);
+            meta.blocks.insert(at, block);
+            meta.vacated.iter_mut().for_each(|v| *v += 1);
+        }
         Ok(())
     }
 
@@ -311,7 +324,8 @@ impl FsNamespace {
         }
     }
 
-    /// Removes an abandoned block.
+    /// Removes an abandoned block, remembering its place if later blocks
+    /// already follow it.
     pub fn remove_block(
         &mut self,
         client: ClientId,
@@ -321,10 +335,14 @@ impl FsNamespace {
         self.check_mutable()?;
         let meta = self.file_mut(file)?;
         Self::check_lease(meta, client)?;
-        let before = meta.blocks.len();
-        meta.blocks.retain(|b| b.id != block);
-        if meta.blocks.len() == before {
+        let Some(at) = meta.blocks.iter().position(|b| b.id == block) else {
             return Err(DfsError::UnknownBlock(block));
+        };
+        meta.blocks.remove(at);
+        meta.vacated.iter_mut().filter(|v| **v > at).for_each(|v| *v -= 1);
+        if at < meta.blocks.len() {
+            let slot = meta.vacated.partition_point(|&v| v < at);
+            meta.vacated.insert(slot, at);
         }
         Ok(())
     }
@@ -697,6 +715,38 @@ mod tests {
         ns.remove_block(C1, f, BlockId(1)).unwrap();
         assert!(ns.blocks_of(f).unwrap().is_empty());
         assert!(ns.remove_block(C1, f, BlockId(1)).is_err());
+    }
+
+    #[test]
+    fn abandoned_place_is_refilled_in_file_order() {
+        let ids = |ns: &FsNamespace, f| -> Vec<u64> {
+            ns.blocks_of(f).unwrap().iter().map(|b| b.id.raw()).collect()
+        };
+        let (mut ns, f) = ns_with_file();
+        for id in 1..=4 {
+            ns.append_block(C1, f, blk(id, 0)).unwrap();
+        }
+        // Block 2 is lost and written again while 3 and 4 exist.
+        ns.remove_block(C1, f, BlockId(2)).unwrap();
+        ns.append_block(C1, f, blk(5, 0)).unwrap();
+        assert_eq!(ids(&ns, f), [1, 5, 3, 4]);
+        // Two neighbours lost before either is replaced; then the tail.
+        ns.remove_block(C1, f, BlockId(5)).unwrap();
+        ns.remove_block(C1, f, BlockId(3)).unwrap();
+        ns.append_block(C1, f, blk(6, 0)).unwrap();
+        ns.append_block(C1, f, blk(7, 0)).unwrap();
+        assert_eq!(ids(&ns, f), [1, 6, 7, 4]);
+        // An earlier block goes while a later place is still open.
+        ns.remove_block(C1, f, BlockId(7)).unwrap();
+        ns.remove_block(C1, f, BlockId(1)).unwrap();
+        ns.append_block(C1, f, blk(8, 0)).unwrap();
+        ns.append_block(C1, f, blk(9, 0)).unwrap();
+        assert_eq!(ids(&ns, f), [8, 6, 9, 4]);
+        // The last block leaves no place behind: the next one is appended.
+        ns.remove_block(C1, f, BlockId(4)).unwrap();
+        ns.append_block(C1, f, blk(10, 0)).unwrap();
+        ns.append_block(C1, f, blk(11, 0)).unwrap();
+        assert_eq!(ids(&ns, f), [8, 6, 9, 10, 11]);
     }
 
     #[test]

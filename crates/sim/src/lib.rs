@@ -9,6 +9,8 @@
 //! differs. Every figure of §V is regenerated from [`scenario`] sweeps
 //! by the `smarth-bench` crate.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod scenario;
 pub mod server;

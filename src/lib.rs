@@ -12,6 +12,8 @@
 //! * [`cluster`] — MiniCluster orchestration and the paper's scenarios.
 //! * [`sim`] — deterministic discrete-event simulator at paper scale.
 
+#![forbid(unsafe_code)]
+
 pub use smarth_client as client;
 pub use smarth_cluster as cluster;
 pub use smarth_core as core;

@@ -511,3 +511,62 @@ fn dead_first_target_is_given_back_and_the_block_allocated_again() {
     assert_eq!(client.get("/dead/first.bin").unwrap(), data);
     cluster.shutdown();
 }
+
+#[test]
+fn block_lost_before_its_first_ack_is_written_again_in_its_place() {
+    // Block 0 is sent and FNFA'd, block 1 is allocated behind it, and
+    // then every holder of block 0 dies before one packet ack came back:
+    // the client abandons the block and writes its retained packets into
+    // a fresh allocation, which must take block 0's place in the file,
+    // not the end. Placement is a function of the cluster seed, so a
+    // rehearsal on an identical cluster tells who will hold block 0.
+    const BLOCK: usize = 256 * 1024;
+    let data = random_data(91, 2 * BLOCK + 70_000);
+    let start = || {
+        let mut config = fast_config();
+        config.local_opt_enabled = false;
+        let spec = ClusterSpec::homogeneous(InstanceType::Large);
+        MiniCluster::start(&spec, config, 57).unwrap()
+    };
+
+    let rehearsal = start();
+    let client = rehearsal.client().unwrap();
+    let mut stream = client.create("/again/a.bin", WriteMode::Smarth).unwrap();
+    stream.write(&data[..BLOCK / 2]).unwrap();
+    let holders = stream.current_target_hosts();
+    assert_eq!(holders.len(), 3);
+    stream.write(&data[BLOCK / 2..]).unwrap();
+    stream.close().unwrap();
+    drop(client);
+    rehearsal.shutdown();
+
+    let cluster = start();
+    // A packet needs over a second to enter the second holder, and as
+    // long again to leave it: the tail acks nothing in time.
+    cluster
+        .throttle_host(&holders[1], Some(Bandwidth::mbps(0.1)))
+        .unwrap();
+    let client = cluster.client().unwrap();
+    let mut stream = client.create("/again/a.bin", WriteMode::Smarth).unwrap();
+    // Two packets into block 1: block 0 is pending behind its FNFA.
+    stream.write(&data[..BLOCK + 40_000]).unwrap();
+    assert_eq!(stream.active_pipelines(), 2);
+    for host in &holders {
+        cluster.kill_datanode(host).unwrap();
+    }
+    stream.write(&data[BLOCK + 40_000..]).unwrap();
+    let stats = stream.close().unwrap();
+    assert!(stats.recoveries >= 1, "{stats:?}");
+    // The first block of the file is the youngest allocation.
+    let ids: Vec<u64> = client
+        .open("/again/a.bin")
+        .unwrap()
+        .block_layout()
+        .iter()
+        .map(|b| b.block.id.raw())
+        .collect();
+    assert_eq!(ids.len(), 3, "{ids:?}");
+    assert!(ids[0] > ids[1] && ids[1] < ids[2], "{ids:?}");
+    assert_eq!(client.get("/again/a.bin").unwrap(), data);
+    cluster.shutdown();
+}
