@@ -1335,6 +1335,122 @@ mod tests {
         assert_eq!(decoded, v);
     }
 
+    /// The golden values, one `"name" => value` per line as
+    /// `crates/core/tests/golden/wire.hex` has one `name hex` per line:
+    /// each is encoded, decoded back and compared on the way in.
+    macro_rules! golden {
+        ($($name:literal => $value:expr,)*) => {{
+            fn add<T: Wire + PartialEq + std::fmt::Debug>(out: &mut Vec<String>, name: &str, v: T) {
+                let bytes = v.to_bytes();
+                assert_eq!(T::from_bytes(bytes.clone()).unwrap(), v, "{name} decodes back");
+                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                out.push(format!("{name} {hex}"));
+            }
+            let mut lines = Vec::new();
+            $(add(&mut lines, $name, $value);)*
+            lines
+        }};
+    }
+
+    /// One value per record and per enum variant (both arms of every
+    /// `Option`, and an `Idempotent` envelope around an `AddBlock`).
+    fn golden_lines() -> Vec<String> {
+        let blk = ExtendedBlock::new(BlockId(0x0b10c), GenStamp(3), 64 << 20);
+        let (client, file_id) = (ClientId(4), FileId(8));
+        let telemetry = DatanodeTelemetry { staging_packets: 7, buffered_bytes: 4096, forward_bytes: 128 };
+        let status = FileStatus { file_id: FileId(11), path: "/vol/a.bin".into(), len: 12345, replication: 3, block_size: 64 << 20, is_dir: false, complete: true };
+        let located = LocatedBlock { block: blk, targets: vec![dn(0), dn(5)], trace: TraceId(17), span: SpanId(18) };
+        let row = NodeTelemetryRow { id: DatanodeId(3), host_name: "dn3".into(), rack: "rack-1".into(), alive: true, used: 1 << 30, capacity: 1 << 40, active_transfers: 2, telemetry, age_ms: 1500 };
+        let header = WriteBlockHeader { pipeline: PipelineId(3), client, block: blk, mode: WriteMode::Smarth, targets: vec![dn(5), dn(6)], position: 1, client_buffer: 64 << 20, trace: TraceId(9), span: SpanId(10) };
+        let speed = SpeedRecord { datanode: DatanodeId(3), bytes_per_sec: 27e6, samples: 12 };
+        let add_block = ClientRequest::AddBlock { client, file_id, previous: Some(blk), excluded: vec![DatanodeId(1), DatanodeId(5)] };
+        let ok3 = vec![AckStatus::Success, AckStatus::Error, AckStatus::Success];
+        golden! {
+            "ExtendedBlock" => blk,
+            "DatanodeInfo" => dn(7),
+            "DatanodeTelemetry" => telemetry,
+            "NodeTelemetryRow" => row.clone(),
+            "LocatedBlock" => located.clone(),
+            "LocatedBlock.untraced" => LocatedBlock::untraced(blk, vec![]),
+            "SpeedRecord" => speed,
+            "FileStatus" => status.clone(),
+            "WriteBlockHeader" => header.clone(),
+            "Packet" => Packet { seq: 17, offset_in_block: 64 * 1024, last_in_block: true, checksums: vec![1, 0xdead_beef], payload: Bytes::from_static(b"payload bytes") },
+            "PipelineAck.Packet" => PipelineAck { kind: AckKind::Packet, seq: 12, batch: 5, statuses: ok3 },
+            "PipelineAck.FirstNodeFinish" => PipelineAck { kind: AckKind::FirstNodeFinish, seq: 99, batch: 1, statuses: vec![AckStatus::Success] },
+            "WriteMode.Hdfs" => WriteMode::Hdfs,
+            "WriteMode.Smarth" => WriteMode::Smarth,
+            "ClientRequest::Register" => ClientRequest::Register { host_name: "client".into(), rack: "rack-a".into() },
+            "ClientRequest::Create" => ClientRequest::Create { client, path: "/data/file.bin".into(), replication: 3, block_size: 64 << 20, overwrite: true, mode: WriteMode::Smarth },
+            "ClientRequest::AddBlock" => add_block.clone(),
+            "ClientRequest::AddBlock.none" => ClientRequest::AddBlock { client, file_id, previous: None, excluded: vec![] },
+            "ClientRequest::CommitBlock" => ClientRequest::CommitBlock { client, file_id, block: blk },
+            "ClientRequest::Complete" => ClientRequest::Complete { client, file_id, last: Some(blk) },
+            "ClientRequest::Complete.none" => ClientRequest::Complete { client, file_id, last: None },
+            "ClientRequest::AbandonBlock" => ClientRequest::AbandonBlock { client, file_id, block: BlockId(77) },
+            "ClientRequest::GetAdditionalDatanodes" => ClientRequest::GetAdditionalDatanodes { client, block: BlockId(77), existing: vec![DatanodeId(0), DatanodeId(2)], wanted: 1 },
+            "ClientRequest::BeginBlockRecovery" => ClientRequest::BeginBlockRecovery { client, block: BlockId(77) },
+            "ClientRequest::ReportSpeeds" => ClientRequest::ReportSpeeds { client, records: vec![speed] },
+            "ClientRequest::GetFileInfo" => ClientRequest::GetFileInfo { path: "/a/b".into() },
+            "ClientRequest::GetBlockLocations" => ClientRequest::GetBlockLocations { client, path: "/data/file.bin".into() },
+            "ClientRequest::ReportBadReplica" => ClientRequest::ReportBadReplica { client, block: blk, datanode: DatanodeId(5) },
+            "ClientRequest::List" => ClientRequest::List { path: "/a".into() },
+            "ClientRequest::Delete" => ClientRequest::Delete { path: "/x".into() },
+            "ClientRequest::Rename" => ClientRequest::Rename { src: "/x".into(), dst: "/vol/y".into() },
+            "ClientRequest::GetTelemetry" => ClientRequest::GetTelemetry,
+            "ClientRequest::Idempotent{AddBlock}" => ClientRequest::Idempotent { client, request_id: 99, inner: Box::new(add_block) },
+            "ClientResponse::Registered" => ClientResponse::Registered { client },
+            "ClientResponse::Created" => ClientResponse::Created { file_id },
+            "ClientResponse::BlockAllocated" => ClientResponse::BlockAllocated(located.clone()),
+            "ClientResponse::Committed" => ClientResponse::Committed,
+            "ClientResponse::Completed" => ClientResponse::Completed,
+            "ClientResponse::Abandoned" => ClientResponse::Abandoned,
+            "ClientResponse::AdditionalDatanodes" => ClientResponse::AdditionalDatanodes { targets: vec![dn(8)] },
+            "ClientResponse::BadReplicaAck" => ClientResponse::BadReplicaAck,
+            "ClientResponse::RecoveryStamp" => ClientResponse::RecoveryStamp { new_gen: GenStamp(4) },
+            "ClientResponse::SpeedsAck" => ClientResponse::SpeedsAck,
+            "ClientResponse::FileInfo" => ClientResponse::FileInfo(Some(status.clone())),
+            "ClientResponse::FileInfo.none" => ClientResponse::FileInfo(None),
+            "ClientResponse::BlockLocations" => ClientResponse::BlockLocations { blocks: vec![located] },
+            "ClientResponse::Listing" => ClientResponse::Listing { entries: vec![status] },
+            "ClientResponse::Deleted" => ClientResponse::Deleted { existed: true },
+            "ClientResponse::Renamed" => ClientResponse::Renamed,
+            "ClientResponse::Telemetry" => ClientResponse::Telemetry { rows: vec![row], text: "smarth_bytes_written 1\n".into(), series_json: "[]".into() },
+            "ClientResponse::Error" => ClientResponse::Error("boom".into()),
+            "DatanodeRequest::Register" => DatanodeRequest::Register { host_name: "dn0".into(), rack: "rack-a".into(), data_addr: "dn0:50010".into(), capacity: 1 << 40 },
+            "DatanodeRequest::Heartbeat" => DatanodeRequest::Heartbeat { id: DatanodeId(2), used: 42, active_transfers: 3, telemetry },
+            "DatanodeRequest::BlockReceived" => DatanodeRequest::BlockReceived { id: DatanodeId(2), block: blk },
+            "DatanodeResponse::Registered" => DatanodeResponse::Registered { id: DatanodeId(7) },
+            "DatanodeResponse::HeartbeatAck" => DatanodeResponse::HeartbeatAck,
+            "DatanodeResponse::BlockReceivedAck" => DatanodeResponse::BlockReceivedAck,
+            "DatanodeResponse::Error" => DatanodeResponse::Error("nope".into()),
+            "DataOp::WriteBlock" => DataOp::WriteBlock(header),
+            "DataOp::ReadBlock" => DataOp::ReadBlock { block: blk, offset: 512, len: 1024 },
+            "DataOp::RecoverBlock" => DataOp::RecoverBlock { block: blk, new_gen: GenStamp(4), new_len: 2048 },
+            "DataOp::GetReplicaInfo" => DataOp::GetReplicaInfo { block: BlockId(77) },
+            "DataOp::GetTelemetry" => DataOp::GetTelemetry,
+            "DataReply::ReadOk" => DataReply::ReadOk { len: 4096 },
+            "DataReply::RecoverOk" => DataReply::RecoverOk { block: blk },
+            "DataReply::ReplicaInfo" => DataReply::ReplicaInfo { block: Some(blk), finalized: false },
+            "DataReply::ReplicaInfo.none" => DataReply::ReplicaInfo { block: None, finalized: true },
+            "DataReply::Telemetry" => DataReply::Telemetry { text: "smarth_bytes_written 9\n".into(), series_json: "[{\"name\":\"bytes_written\"}]".into() },
+            "DataReply::Error" => DataReply::Error("no such block".into()),
+        }
+    }
+
+    /// The wire format is pinned byte for byte. A new message adds one
+    /// line to the table above and one to `tests/golden/wire.hex` (the
+    /// failure prints the line to add); an existing line never changes.
+    #[test]
+    fn golden_bytes_are_unchanged() {
+        let actual = golden_lines();
+        let expected: Vec<&str> = include_str!("../tests/golden/wire.hex").lines().collect();
+        for (i, line) in actual.iter().enumerate() {
+            assert_eq!(Some(line.as_str()), expected.get(i).copied(), "line {} of wire.hex", i + 1);
+        }
+        assert_eq!(actual.len(), expected.len(), "wire.hex has lines no value accounts for");
+    }
+
     #[test]
     fn client_request_roundtrips() {
         roundtrip(ClientRequest::Register {
