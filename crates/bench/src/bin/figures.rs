@@ -22,13 +22,6 @@
 //! each with its digest embedded under `otherData.digest`) and the
 //! machine-readable verdict (`results/conformance_<preset>.diff.json`).
 //!
-//! The `diff-baseline` id (not part of the default run) compares the
-//! digests embedded in `results/conformance_*.trace.json` against the
-//! same-named traces from a previous green run (`SMARTH_BASELINE_DIR`,
-//! default `baseline/`) under the tight same-engine tolerance bands,
-//! exiting nonzero on drift. Missing baselines pass with a notice so
-//! the gate bootstraps on the first run.
-//!
 //! Throughput is not measured here: `benchmark/` (`BENCHMARK.json`,
 //! `scripts/bench_check.sh`) is the repo's one measuring system.
 
@@ -36,7 +29,7 @@ use smarth_bench::figures::{self, FigureOpts};
 use smarth_bench::report::Table;
 use smarth_cluster::soak::{self, SoakConfig};
 use smarth_cluster::{random_data, MiniCluster};
-use smarth_core::conformance::{diff_digests, diff_reports, ToleranceBands, TraceDigest};
+use smarth_core::conformance::{diff_reports, ToleranceBands};
 use smarth_core::obs::{Obs, RingBufferSink};
 use smarth_core::trace::{write_chrome_trace, TraceAssembler, TraceReport};
 use smarth_core::units::{Bandwidth, ByteSize};
@@ -147,93 +140,6 @@ fn run_conformance(out_dir: &std::path::Path, quick: bool) {
     }
 }
 
-/// Reads the `otherData.digest` a conformance run embeds in each saved
-/// Chrome trace file.
-fn load_trace_digest(path: &std::path::Path) -> Result<TraceDigest, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let v = smarth_core::json::parse(&text).map_err(|e| e.to_string())?;
-    TraceDigest::from_json(&v)
-}
-
-/// The `diff-baseline` mode: compares every conformance trace in
-/// `out_dir` against the same-named trace from a previous green run
-/// (`SMARTH_BASELINE_DIR`, default `baseline/`) and fails if any
-/// same-engine pair drifts outside [`ToleranceBands::same_engine`] —
-/// latency-distribution distance, FNFA gap ratio, hop residency. No
-/// baseline (first run, expired artifact) is a pass with a notice, so
-/// the gate bootstraps itself; a baseline trace that exists but does
-/// not parse is a failure, not a skip.
-fn run_diff_baseline(out_dir: &std::path::Path, baseline_dir: &std::path::Path) -> bool {
-    let mut names: Vec<String> = match std::fs::read_dir(out_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| {
-                n.starts_with("conformance_")
-                    && (n.ends_with(".emulator.trace.json") || n.ends_with(".sim.trace.json"))
-            })
-            .collect(),
-        Err(e) => {
-            eprintln!("diff-baseline: cannot read {}: {e}", out_dir.display());
-            return false;
-        }
-    };
-    names.sort();
-    if names.is_empty() {
-        eprintln!(
-            "diff-baseline: no conformance traces in {}; run `figures -- conformance` first",
-            out_dir.display()
-        );
-        return false;
-    }
-
-    let mut pass = true;
-    let mut compared = 0usize;
-    for name in &names {
-        let base_path = baseline_dir.join(name);
-        if !base_path.exists() {
-            println!("diff-baseline: no baseline for {name}; skipping");
-            continue;
-        }
-        let id = name.trim_end_matches(".trace.json").replace('.', "-");
-        let pair = load_trace_digest(&base_path).and_then(|base| {
-            load_trace_digest(&out_dir.join(name)).map(|cur| (base, cur))
-        });
-        let (base, cur) = match pair {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("diff-baseline {id}: cannot load digest pair: {e}");
-                pass = false;
-                continue;
-            }
-        };
-        let verdict = diff_digests(&format!("{id}-vs-baseline"), &base, &cur, ToleranceBands::same_engine());
-        print!("{}", verdict.render());
-        match verdict.save(out_dir) {
-            Ok(path) => println!("  saved {}\n", path.display()),
-            Err(e) => eprintln!("  failed to save baseline diff for {id}: {e}"),
-        }
-        compared += 1;
-        if !verdict.pass {
-            pass = false;
-        }
-    }
-    if compared == 0 {
-        println!(
-            "diff-baseline: no baseline artifacts under {} — first run or expired artifact; \
-             nothing to compare (PASS)",
-            baseline_dir.display()
-        );
-        return true;
-    }
-    println!(
-        "diff-baseline: {} ({compared} trace pair(s) vs {})",
-        if pass { "PASS" } else { "FAIL" },
-        baseline_dir.display()
-    );
-    pass
-}
-
 fn generate(id: &str, opts: FigureOpts) -> Option<Vec<Table>> {
     Some(match id {
         "table1" => vec![figures::table1()],
@@ -264,9 +170,9 @@ fn main() {
         wanted.iter().map(|s| s.as_str()).collect()
     };
     for id in &ids {
-        if !ALL_IDS.contains(id) && *id != "diff-baseline" {
+        if !ALL_IDS.contains(id) {
             eprintln!("unknown figure id: {id}");
-            eprintln!("known: {} diff-baseline", ALL_IDS.join(" "));
+            eprintln!("known: {}", ALL_IDS.join(" "));
             std::process::exit(2);
         }
     }
@@ -316,16 +222,6 @@ fn main() {
             // Paired emulator + DES runs with a cross-engine diff
             // verdict instead of a figure table.
             run_conformance(&out_dir, quick);
-            continue;
-        }
-        if id == "diff-baseline" {
-            // CI drift gate: current conformance digests vs the previous
-            // green run's uploaded artifacts.
-            let baseline = std::env::var("SMARTH_BASELINE_DIR")
-                .unwrap_or_else(|_| "baseline".to_string());
-            if !run_diff_baseline(&out_dir, std::path::Path::new(&baseline)) {
-                std::process::exit(1);
-            }
             continue;
         }
         let tables = generate(id, opts).expect("ids validated above");

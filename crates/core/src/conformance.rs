@@ -355,8 +355,8 @@ impl ToleranceBands {
     /// cross-engine default leaves `latency_distance` at TV's own
     /// maximum because the DES's gap ratios are structurally ~0; build
     /// vs build there is no such excuse, so drift past these bands is a
-    /// real scheduling regression. CI's baseline diff
-    /// (`scripts/diff_against_baseline.sh`) runs with these.
+    /// real scheduling regression (`tests/namenode_sharding.rs` holds
+    /// 1 shard against 8 to them).
     pub fn same_engine() -> Self {
         ToleranceBands {
             latency_distance: 0.35,
