@@ -4,8 +4,10 @@
 //! clients, packets, pipelines) gets its own newtype so that the compiler
 //! rejects, e.g., passing a packet sequence number where a block id is
 //! expected. All ids are plain `u64`/`u32` wrappers: cheap to copy, hash
-//! and serialize.
+//! and serialize (on the wire an id is its raw integer).
 
+use crate::error::DfsResult;
+use crate::wire::{Wire, WireReader, WireWriter};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,6 +36,22 @@ macro_rules! id_newtype {
         impl From<$inner> for $name {
             fn from(v: $inner) -> Self {
                 Self(v)
+            }
+        }
+
+        impl Wire for $name {
+            fn encode(&self, w: &mut WireWriter) {
+                self.0.encode(w);
+            }
+            fn decode(r: &mut WireReader) -> DfsResult<Self> {
+                <$inner>::decode(r).map(Self)
+            }
+        }
+
+        #[cfg(test)]
+        impl crate::wire::testing::WireSample for $name {
+            fn sample(rng: &mut crate::wire::testing::SampleRng) -> Self {
+                Self(<$inner>::sample(rng))
             }
         }
     };

@@ -1,10 +1,28 @@
-//! Hand-rolled binary wire codec.
+//! Binary wire codec: leaves written once, records declared once.
 //!
 //! Every RPC message and data-transfer frame in the system is encoded with
-//! this little-endian, length-prefixed format. A hand-written codec (rather
-//! than a serde backend) keeps the wire format explicit, versionable and
-//! allocation-conscious: payload bytes travel as [`bytes::Bytes`] and are
-//! never copied during encode.
+//! this little-endian, length-prefixed format. [`Wire`] is implemented by
+//! hand only for the leaves below (integers, `bool`, `f64`, `String`,
+//! `Bytes`, `Option`, `Vec`, `Box`; the id newtypes in [`crate::ids`]).
+//! Every record is *declared* through [`wire_struct!`] or [`wire_enum!`]
+//! (see [`crate::proto`]), which emit the type, `encode`, `decode` and a
+//! test sampler from one description. What the tables guarantee:
+//!
+//! * **declaration order is wire order** — a struct's fields, and a
+//!   variant's fields after its tag byte, go out exactly as listed;
+//! * **tags are explicit and never reused** — each variant names its `u8`
+//!   tag in the table, an unknown tag decodes to `unknown <Name> tag`, and
+//!   a retired tag stays retired;
+//! * `Option<T>` is a `bool` then the value, `Vec<T>` a `u32` count (at
+//!   most [`MAX_VEC_LEN`]) then the items, ids their raw integer, and
+//!   payload bytes travel as [`bytes::Bytes`], never copied on the way in
+//!   or out;
+//! * a decoder that also *validates* names its check in the table
+//!   (`field: Type where check_fn`), so the check is part of the
+//!   description and the sampler only draws values that pass it.
+//!
+//! `crates/core/tests/golden/wire.hex` pins the bytes of one value per
+//! variant and record.
 //!
 //! Framing: each message on a stream is `u32 length ‖ body`, where `length`
 //! is the body size in bytes. [`write_frame`]/[`read_frame`] implement this
@@ -15,6 +33,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum accepted frame body, a defence against corrupt length prefixes.
 pub const MAX_FRAME: usize = 256 * 1024 * 1024;
+
+/// Largest item count any `Vec<T>` field may claim on the wire.
+pub const MAX_VEC_LEN: usize = 1 << 20;
 
 /// Serialization sink.
 #[derive(Debug, Default)]
@@ -62,13 +83,6 @@ impl WireWriter {
     pub fn put_bytes(&mut self, b: &Bytes) {
         self.put_u32(b.len() as u32);
         self.buf.put_slice(b);
-    }
-
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_u32(v.len() as u32);
-        for &x in v {
-            self.put_u32(x);
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -157,12 +171,6 @@ impl WireReader {
         Ok(self.buf.copy_to_bytes(len))
     }
 
-    pub fn get_u32_vec(&mut self) -> DfsResult<Vec<u32>> {
-        let n = self.get_u32()? as usize;
-        self.need(n.saturating_mul(4))?;
-        (0..n).map(|_| self.get_u32()).collect()
-    }
-
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }
@@ -200,6 +208,251 @@ pub trait Wire: Sized {
         Ok(v)
     }
 }
+
+// ---------------------------------------------------------------------------
+// Leaves: the only hand-written `Wire` impls
+// ---------------------------------------------------------------------------
+
+macro_rules! wire_scalar {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, w: &mut WireWriter) {
+                w.$put(*self);
+            }
+            fn decode(r: &mut WireReader) -> DfsResult<Self> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+wire_scalar! {
+    u8: put_u8, get_u8;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    f64: put_f64, get_f64;
+    bool: put_bool, get_bool;
+}
+
+impl Wire for String {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_str(self);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        r.get_str()
+    }
+}
+
+/// A payload: a slice of the frame on the way in, one copy into the
+/// frame on the way out.
+impl Wire for Bytes {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_bytes(self);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        r.get_bytes()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        Ok(if r.get_bool()? {
+            Some(T::decode(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.len() as u32);
+        for item in self {
+            item.encode(w);
+        }
+    }
+    /// The claimed count is bounded before anything is allocated, and the
+    /// vector grows only as items actually decode.
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        let n = r.get_u32()? as usize;
+        if n > MAX_VEC_LEN {
+            return Err(DfsError::codec(format!("vector length {n} unreasonable")));
+        }
+        (0..n).map(|_| T::decode(r)).collect()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut WireReader) -> DfsResult<Self> {
+        T::decode(r).map(Box::new)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Record tables
+// ---------------------------------------------------------------------------
+
+/// Declares a struct and its codec from one field list: fields go on the
+/// wire in declaration order. `field: Type where check` runs
+/// `check(&value) -> DfsResult<()>` after the field decodes. The
+/// `impl Name { field: Type, … }` form gives the same codec to a struct
+/// defined elsewhere.
+macro_rules! wire_struct {
+    (impl $name:ident { $($field:ident: $ty:ty $(where $check:path)?),* $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::encode(&self.$field, w);)*
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> $crate::error::DfsResult<Self> {
+                Ok($name {
+                    $($field: $crate::wire::wire_field!(r, $ty $(, $check)?),)*
+                })
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::wire::testing::WireSample for $name {
+            fn sample(rng: &mut $crate::wire::testing::SampleRng) -> Self {
+                $name {
+                    $($field: $crate::wire::wire_field!(sample rng, $ty $(, $check)?),)*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty $(where $check:path)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        $crate::wire::wire_struct!(impl $name { $($field: $ty $(where $check)?),* });
+    };
+}
+pub(crate) use wire_struct;
+
+/// Declares a tagged enum and its codec from one table of
+/// `<tag> => Variant`, `<tag> => Variant(Type)` or
+/// `<tag> => Variant { field: Type, … }` lines: the `u8` tag, then the
+/// fields in declaration order. An unlisted tag decodes to
+/// `unknown <Name> tag`. The `impl Name { … }` form gives the same codec to
+/// an enum defined elsewhere.
+macro_rules! wire_enum {
+    (impl $name:ident {
+        $($tag:literal => $variant:ident
+            $(($tty:ty))?
+            $({ $($field:ident: $fty:ty $(where $check:path)?),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                match self {$(
+                    $name::$variant
+                        $(($crate::wire::wire_field!(bind inner, $tty)))?
+                        $({ $($field),* })?
+                    => {
+                        w.put_u8($tag);
+                        $(<$tty as $crate::wire::Wire>::encode(inner, w);)?
+                        $($($crate::wire::Wire::encode($field, w);)*)?
+                    }
+                )*}
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> $crate::error::DfsResult<Self> {
+                Ok(match r.get_u8()? {
+                    $($tag => $name::$variant
+                        $(($crate::wire::wire_field!(r, $tty)))?
+                        $({ $($field: $crate::wire::wire_field!(r, $fty $(, $check)?)),* })?,
+                    )*
+                    x => {
+                        return Err($crate::error::DfsError::codec(format!(
+                            concat!("unknown ", stringify!($name), " tag {}"),
+                            x
+                        )))
+                    }
+                })
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::wire::testing::WireSample for $name {
+            /// Every variant is drawn with equal probability.
+            #[allow(unused_variables)]
+            fn sample(rng: &mut $crate::wire::testing::SampleRng) -> Self {
+                let variants: &[fn(&mut $crate::wire::testing::SampleRng) -> $name] = &[$(
+                    |rng| $name::$variant
+                        $(($crate::wire::wire_field!(sample rng, $tty)))?
+                        $({ $($field: $crate::wire::wire_field!(sample rng, $fty $(, $check)?)),* })?,
+                )*];
+                variants[rng.below(variants.len())](rng)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $tag:literal => $variant:ident
+                $(($tty:ty))?
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty $(where $check:path)?),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant
+                $(($tty))?
+                $({ $($(#[$fmeta])* $field: $fty,)* })?,
+            )*
+        }
+
+        $crate::wire::wire_enum!(impl $name {
+            $($tag => $variant $(($tty))? $({ $($field: $fty $(where $check)?),* })?),*
+        });
+    };
+}
+pub(crate) use wire_enum;
+
+/// One field of a table, in the three places a table mentions it:
+/// decoding (with the optional validity check), sampling under test (only
+/// values the check accepts), and the binding of a tuple variant's
+/// payload in a `match` pattern.
+macro_rules! wire_field {
+    ($r:ident, $ty:ty) => {
+        <$ty as $crate::wire::Wire>::decode($r)?
+    };
+    ($r:ident, $ty:ty, $check:path) => {{
+        let value = <$ty as $crate::wire::Wire>::decode($r)?;
+        $check(&value)?;
+        value
+    }};
+    (sample $rng:ident, $ty:ty) => {
+        <$ty as $crate::wire::testing::WireSample>::sample($rng)
+    };
+    (sample $rng:ident, $ty:ty, $check:path) => {
+        loop {
+            let value = <$ty as $crate::wire::testing::WireSample>::sample($rng);
+            if $check(&value).is_ok() {
+                break value;
+            }
+        }
+    };
+    (bind $binding:ident, $ty:ty) => {
+        $binding
+    };
+}
+pub(crate) use wire_field;
 
 /// Byte-channel abstraction so framing works over both fabric streams and
 /// in-process test buffers.
@@ -280,6 +533,122 @@ impl FrameIo for MemPipe {
     }
 }
 
+/// Test support the tables emit into: a seeded sampler per record and
+/// the one property every record is held to.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// SplitMix64: small, seeded, good enough to pick variants and lengths.
+    pub(crate) struct SampleRng(u64);
+
+    impl SampleRng {
+        pub(crate) fn seeded(seed: u64) -> Self {
+            SampleRng(seed)
+        }
+
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// A type the sampler can draw a value of.
+    pub(crate) trait WireSample: Sized {
+        fn sample(rng: &mut SampleRng) -> Self;
+    }
+
+    macro_rules! sample_int {
+        ($($ty:ty),*) => {$(
+            impl WireSample for $ty {
+                /// Edge values one draw in four, else uniform.
+                fn sample(rng: &mut SampleRng) -> Self {
+                    match rng.below(8) {
+                        0 => 0,
+                        1 => <$ty>::MAX,
+                        _ => rng.next_u64() as $ty,
+                    }
+                }
+            }
+        )*};
+    }
+    sample_int!(u8, u32, u64);
+
+    impl WireSample for bool {
+        fn sample(rng: &mut SampleRng) -> Self {
+            rng.below(2) == 1
+        }
+    }
+
+    impl WireSample for f64 {
+        /// Finite, so a round trip compares equal.
+        fn sample(rng: &mut SampleRng) -> Self {
+            rng.below(1 << 40) as f64 / 8.0
+        }
+    }
+
+    impl WireSample for String {
+        fn sample(rng: &mut SampleRng) -> Self {
+            const ALPHABET: [char; 8] = ['a', 'Z', '/', '-', '0', 'é', '路', '\n'];
+            (0..rng.below(12)).map(|_| ALPHABET[rng.below(8)]).collect()
+        }
+    }
+
+    impl WireSample for Bytes {
+        fn sample(rng: &mut SampleRng) -> Self {
+            (0..rng.below(48)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>().into()
+        }
+    }
+
+    impl<T: WireSample> WireSample for Option<T> {
+        fn sample(rng: &mut SampleRng) -> Self {
+            bool::sample(rng).then(|| T::sample(rng))
+        }
+    }
+
+    impl<T: WireSample> WireSample for Vec<T> {
+        fn sample(rng: &mut SampleRng) -> Self {
+            (0..rng.below(4)).map(|_| T::sample(rng)).collect()
+        }
+    }
+
+    impl<T: WireSample> WireSample for Box<T> {
+        fn sample(rng: &mut SampleRng) -> Self {
+            Box::new(T::sample(rng))
+        }
+    }
+
+    /// The property: a sampled value encodes and decodes back to itself,
+    /// and every strict prefix of its encoding is a codec error, never a
+    /// panic and never a shorter value.
+    pub(crate) fn round_trips_and_rejects_prefixes<T>(seed: u64)
+    where
+        T: Wire + WireSample + PartialEq + std::fmt::Debug,
+    {
+        let mut rng = SampleRng::seeded(seed);
+        for _ in 0..64 {
+            let value = T::sample(&mut rng);
+            let bytes = value.to_bytes();
+            assert_eq!(T::from_bytes(bytes.clone()).unwrap(), value);
+            for cut in 0..bytes.len() {
+                let prefix = T::from_bytes(bytes.slice(..cut));
+                assert!(
+                    matches!(prefix, Err(DfsError::Codec(_))),
+                    "{cut} of {} bytes of {value:?} decoded to {prefix:?}",
+                    bytes.len()
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,7 +665,6 @@ mod tests {
         w.put_f64(216.5);
         w.put_str("hello/путь");
         w.put_bytes(&Bytes::from_static(b"payload"));
-        w.put_u32_slice(&[1, 2, 3]);
 
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -307,7 +675,6 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), 216.5);
         assert_eq!(r.get_str().unwrap(), "hello/путь");
         assert_eq!(r.get_bytes().unwrap(), Bytes::from_static(b"payload"));
-        assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
         r.expect_end().unwrap();
     }
 
@@ -372,29 +739,22 @@ mod tests {
         assert!(matches!(read_frame(&mut pipe), Err(DfsError::Codec(_))));
     }
 
-    #[derive(Debug, Clone, PartialEq)]
-    struct Sample {
-        a: u64,
-        b: String,
-        c: Vec<u32>,
-        d: Bytes,
+    wire_struct! {
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Sample {
+            pub a: u64,
+            pub b: String,
+            pub c: Vec<u32>,
+            pub d: Bytes,
+        }
     }
 
-    impl Wire for Sample {
-        fn encode(&self, w: &mut WireWriter) {
-            w.put_u64(self.a);
-            w.put_str(&self.b);
-            w.put_u32_slice(&self.c);
-            w.put_bytes(&self.d);
-        }
-        fn decode(r: &mut WireReader) -> DfsResult<Self> {
-            Ok(Sample {
-                a: r.get_u64()?,
-                b: r.get_str()?,
-                c: r.get_u32_vec()?,
-                d: r.get_bytes()?,
-            })
-        }
+    #[test]
+    fn vec_length_is_bounded_before_anything_is_allocated() {
+        let mut w = WireWriter::new();
+        w.put_u32(MAX_VEC_LEN as u32 + 1);
+        let claimed = Vec::<u64>::from_bytes(w.finish());
+        assert!(matches!(claimed, Err(DfsError::Codec(m)) if m.contains("unreasonable")));
     }
 
     proptest! {
