@@ -3,7 +3,6 @@
 //! Benchmark harness for the SMARTH reproduction: [`figures`] regenerates
 //! every table and figure of the paper's evaluation section on the
 //! deterministic simulator, and [`report`] renders/saves the results.
-//! Criterion micro/macro benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 

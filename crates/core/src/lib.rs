@@ -2,8 +2,8 @@
 //!
 //! Shared substrate for the SMARTH reproduction: strongly-typed ids and
 //! units, protocol configuration and the EC2 cluster presets of Table I,
-//! CRC-32C checksumming, the hand-rolled wire codec and every protocol
-//! message, the rack-aware topology, both datanode placement policies
+//! CRC-32C checksumming, the wire codec and the one table that declares
+//! every protocol message, the rack-aware topology, both datanode placement policies
 //! (stock HDFS and SMARTH's Algorithm 1), the client-side local
 //! optimization (Algorithm 2), transfer-speed tracking (§III-B) and the
 //! closed-form cost model of §III-D.
@@ -46,8 +46,7 @@ pub use obs::{
     RecoveryCause, RingBufferSink, SpeedObservation, TraceCtx,
 };
 pub use ids::{
-    BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, GenStamp, PacketSeq, PipelineId,
-    SpanId, TraceId,
+    BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, GenStamp, PipelineId, SpanId, TraceId,
 };
 pub use trace::{BlockTimeline, TraceAssembler, TraceReport};
 pub use units::{Bandwidth, ByteSize, SimDuration, SimInstant};

@@ -547,101 +547,6 @@ impl Drop for SyncFile {
     }
 }
 
-impl JsonLinesSink<RotatingFile> {
-    /// File-backed sink that rotates once the live file exceeds
-    /// `max_bytes`, keeping at most `max_rotated` old files
-    /// (`<path>.1` is the most recent rotation). Long-running clusters
-    /// stay bounded at roughly `(max_rotated + 1) * max_bytes`.
-    pub fn create_rotating(
-        path: &std::path::Path,
-        max_bytes: u64,
-        max_rotated: usize,
-    ) -> std::io::Result<Arc<Self>> {
-        Ok(Self::new(RotatingFile::create(path, max_bytes, max_rotated)?))
-    }
-
-    /// Number of times the live file has been rotated out.
-    pub fn rotations(&self) -> u64 {
-        self.out.lock().rotations
-    }
-}
-
-/// Write target with size-based rotation. Rotation only ever happens on
-/// a line boundary so no JSON record is ever split across files.
-pub struct RotatingFile {
-    path: std::path::PathBuf,
-    max_bytes: u64,
-    max_rotated: usize,
-    file: std::io::BufWriter<std::fs::File>,
-    written: u64,
-    at_line_start: bool,
-    rotations: u64,
-}
-
-impl RotatingFile {
-    pub fn create(
-        path: &std::path::Path,
-        max_bytes: u64,
-        max_rotated: usize,
-    ) -> std::io::Result<Self> {
-        assert!(max_bytes > 0, "rotation threshold must be positive");
-        assert!(max_rotated > 0, "must keep at least one rotated file");
-        let file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        Ok(RotatingFile {
-            path: path.to_path_buf(),
-            max_bytes,
-            max_rotated,
-            file,
-            written: 0,
-            at_line_start: true,
-            rotations: 0,
-        })
-    }
-
-    fn rotated_path(&self, i: usize) -> std::path::PathBuf {
-        let mut name = self.path.as_os_str().to_os_string();
-        name.push(format!(".{i}"));
-        std::path::PathBuf::from(name)
-    }
-
-    fn rotate(&mut self) -> std::io::Result<()> {
-        self.file.flush()?;
-        // Shift <path>.i → <path>.i+1, newest last so nothing is
-        // clobbered; the oldest ages out by being renamed over.
-        for i in (1..self.max_rotated).rev() {
-            let _ = std::fs::rename(self.rotated_path(i), self.rotated_path(i + 1));
-        }
-        std::fs::rename(&self.path, self.rotated_path(1))?;
-        self.file = std::io::BufWriter::new(std::fs::File::create(&self.path)?);
-        self.written = 0;
-        self.rotations += 1;
-        Ok(())
-    }
-}
-
-impl Drop for RotatingFile {
-    fn drop(&mut self) {
-        let _ = self.file.flush();
-        let _ = self.file.get_ref().sync_all();
-    }
-}
-
-impl Write for RotatingFile {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.at_line_start && self.written >= self.max_bytes {
-            self.rotate()?;
-        }
-        let n = self.file.write(buf)?;
-        self.written += n as u64;
-        self.at_line_start = buf[..n].last() == Some(&b'\n');
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.file.flush()
-    }
-}
-
 impl<W: Write + Send> EventSink for JsonLinesSink<W> {
     fn emit(&self, record: &EventRecord) {
         let line = record.to_json().to_string_compact();
@@ -1568,80 +1473,18 @@ mod tests {
     }
 
     #[test]
-    fn rotating_sink_caps_file_size_and_keeps_bounded_history() {
-        let dir = std::env::temp_dir().join(format!("smarth-obs-rot-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let sink = JsonLinesSink::create_rotating(&path, 256, 2).unwrap();
-        let obs = Obs::new(sink.clone());
-        for i in 0..100 {
-            obs.emit(sample_event(i));
-        }
-        sink.out.lock().flush().unwrap();
-        assert!(sink.rotations() >= 2, "100 records must rotate a 256-byte cap");
-        // Live file plus at most two rotated files, each a bounded size
-        // and each containing only whole JSON lines.
-        let rotated_3 = std::fs::metadata(dir.join("events.jsonl.3"));
-        assert!(rotated_3.is_err(), "history beyond max_rotated must age out");
-        for name in ["events.jsonl", "events.jsonl.1", "events.jsonl.2"] {
-            let text = std::fs::read_to_string(dir.join(name)).unwrap();
-            for line in text.lines() {
-                let v = crate::json::parse(line).unwrap();
-                assert_eq!(v.get("kind").as_str(), Some("packet_batch_acked"));
-            }
-            // One record (~70 bytes) past the cap at most.
-            assert!(text.len() < 256 + 128, "{name} overgrew: {}", text.len());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rotation_boundary_record_is_never_split() {
-        let dir = std::env::temp_dir().join(format!("smarth-obs-edge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        // Fixed-content record so the line length is knowable up front.
-        let record = EventRecord {
-            seq: 0,
-            at_us: 123,
-            virtual_time: true,
-            ctx: None,
-            event: sample_event(1),
-        };
-        let line_len = record.to_json().to_string_compact().len() as u64 + 1;
-        // The first record lands *exactly* on the rotation threshold.
-        let sink = JsonLinesSink::create_rotating(&path, line_len, 2).unwrap();
-        sink.emit(&record);
-        sink.emit(&record);
-        sink.out.lock().flush().unwrap();
-        assert_eq!(sink.rotations(), 1, "second record must rotate, not split");
-        for name in ["events.jsonl", "events.jsonl.1"] {
-            let text = std::fs::read_to_string(dir.join(name)).unwrap();
-            assert_eq!(text.len() as u64, line_len, "{name} holds one whole line");
-            crate::json::parse(text.trim_end()).unwrap();
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn json_lines_sink_is_durable_after_drop() {
         let dir = std::env::temp_dir().join(format!("smarth-obs-sync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, rotating) in [("plain.jsonl", false), ("rot.jsonl", true)] {
-            let path = dir.join(name);
-            {
-                let obs = if rotating {
-                    Obs::new(JsonLinesSink::create_rotating(&path, 1 << 20, 2).unwrap())
-                } else {
-                    Obs::new(JsonLinesSink::create(&path).unwrap())
-                };
-                obs.emit(sample_event(42));
-                // Sink dropped here without an explicit flush.
-            }
-            let text = std::fs::read_to_string(&path).unwrap();
-            let v = crate::json::parse(text.trim_end()).unwrap();
-            assert_eq!(v.get("block").as_u64(), Some(42), "{name} lost its record");
+        let path = dir.join("plain.jsonl");
+        {
+            let obs = Obs::new(JsonLinesSink::create(&path).unwrap());
+            obs.emit(sample_event(42));
+            // Sink dropped here without an explicit flush.
         }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let v = crate::json::parse(text.trim_end()).unwrap();
+        assert_eq!(v.get("block").as_u64(), Some(42), "the file lost its record");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

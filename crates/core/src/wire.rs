@@ -48,20 +48,11 @@ impl WireWriter {
         Self::default()
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: BytesMut::with_capacity(cap),
-        }
-    }
-
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
     pub fn put_bool(&mut self, v: bool) {
         self.buf.put_u8(v as u8);
-    }
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
     }
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
@@ -83,14 +74,6 @@ impl WireWriter {
     pub fn put_bytes(&mut self, b: &Bytes) {
         self.put_u32(b.len() as u32);
         self.buf.put_slice(b);
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     pub fn finish(self) -> Bytes {
@@ -131,11 +114,6 @@ impl WireReader {
             1 => Ok(true),
             other => Err(DfsError::codec(format!("invalid bool byte {other}"))),
         }
-    }
-
-    pub fn get_u16(&mut self) -> DfsResult<u16> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
     }
 
     pub fn get_u32(&mut self) -> DfsResult<u32> {
@@ -659,7 +637,6 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(65535);
         w.put_u32(123_456);
         w.put_u64(u64::MAX);
         w.put_f64(216.5);
@@ -669,7 +646,6 @@ mod tests {
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 65535);
         assert_eq!(r.get_u32().unwrap(), 123_456);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap(), 216.5);
