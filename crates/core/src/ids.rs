@@ -96,6 +96,14 @@ id_newtype!(
 );
 
 id_newtype!(
+    /// Sequence number of a packet within one block transfer. The first
+    /// packet of each block is sequence 0.
+    PacketSeq,
+    u64,
+    "pkt_"
+);
+
+id_newtype!(
     /// Identifier of a write pipeline created by a client. SMARTH clients
     /// hold several live pipelines at once; the id ties acks, recovery
     /// records and metrics back to the right one.

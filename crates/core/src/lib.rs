@@ -46,7 +46,8 @@ pub use obs::{
     RecoveryCause, RingBufferSink, SpeedObservation, TraceCtx,
 };
 pub use ids::{
-    BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, GenStamp, PipelineId, SpanId, TraceId,
+    BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, GenStamp, PacketSeq, PipelineId,
+    SpanId, TraceId,
 };
 pub use trace::{BlockTimeline, TraceAssembler, TraceReport};
 pub use units::{Bandwidth, ByteSize, SimDuration, SimInstant};

@@ -48,11 +48,20 @@ impl WireWriter {
         Self::default()
     }
 
+    pub fn with_capacity(cap: usize) -> Self {
+        Self {
+            buf: BytesMut::with_capacity(cap),
+        }
+    }
+
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
     pub fn put_bool(&mut self, v: bool) {
         self.buf.put_u8(v as u8);
+    }
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.put_u16_le(v);
     }
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
@@ -74,6 +83,14 @@ impl WireWriter {
     pub fn put_bytes(&mut self, b: &Bytes) {
         self.put_u32(b.len() as u32);
         self.buf.put_slice(b);
+    }
+
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
     pub fn finish(self) -> Bytes {
@@ -114,6 +131,11 @@ impl WireReader {
             1 => Ok(true),
             other => Err(DfsError::codec(format!("invalid bool byte {other}"))),
         }
+    }
+
+    pub fn get_u16(&mut self) -> DfsResult<u16> {
+        self.need(2)?;
+        Ok(self.buf.get_u16_le())
     }
 
     pub fn get_u32(&mut self) -> DfsResult<u32> {
@@ -348,6 +370,8 @@ macro_rules! wire_enum {
                     }
                 )*}
             }
+            // A tag listed twice is a compile error, not a dead arm.
+            #[deny(unreachable_patterns)]
             fn decode(r: &mut $crate::wire::WireReader) -> $crate::error::DfsResult<Self> {
                 Ok(match r.get_u8()? {
                     $($tag => $name::$variant
@@ -374,7 +398,7 @@ macro_rules! wire_enum {
                         $(($crate::wire::wire_field!(sample rng, $tty)))?
                         $({ $($field: $crate::wire::wire_field!(sample rng, $fty $(, $check)?)),* })?,
                 )*];
-                variants[rng.below(variants.len())](rng)
+                variants[$crate::wire::testing::Rng::gen_range(rng, 0..variants.len())](rng)
             }
         }
     };
@@ -517,26 +541,8 @@ impl FrameIo for MemPipe {
 pub(crate) mod testing {
     use super::*;
 
-    /// SplitMix64: small, seeded, good enough to pick variants and lengths.
-    pub(crate) struct SampleRng(u64);
-
-    impl SampleRng {
-        pub(crate) fn seeded(seed: u64) -> Self {
-            SampleRng(seed)
-        }
-
-        pub(crate) fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        pub(crate) fn below(&mut self, n: usize) -> usize {
-            (self.next_u64() % n as u64) as usize
-        }
-    }
+    pub(crate) use rand::{Rng, RngCore, SeedableRng};
+    pub(crate) use rand_chacha::ChaCha8Rng as SampleRng;
 
     /// A type the sampler can draw a value of.
     pub(crate) trait WireSample: Sized {
@@ -548,7 +554,7 @@ pub(crate) mod testing {
             impl WireSample for $ty {
                 /// Edge values one draw in four, else uniform.
                 fn sample(rng: &mut SampleRng) -> Self {
-                    match rng.below(8) {
+                    match rng.gen_range(0..8) {
                         0 => 0,
                         1 => <$ty>::MAX,
                         _ => rng.next_u64() as $ty,
@@ -561,27 +567,27 @@ pub(crate) mod testing {
 
     impl WireSample for bool {
         fn sample(rng: &mut SampleRng) -> Self {
-            rng.below(2) == 1
+            rng.gen_range(0..2) == 1
         }
     }
 
     impl WireSample for f64 {
         /// Finite, so a round trip compares equal.
         fn sample(rng: &mut SampleRng) -> Self {
-            rng.below(1 << 40) as f64 / 8.0
+            rng.gen_range(0..1u64 << 40) as f64 / 8.0
         }
     }
 
     impl WireSample for String {
         fn sample(rng: &mut SampleRng) -> Self {
             const ALPHABET: [char; 8] = ['a', 'Z', '/', '-', '0', 'é', '路', '\n'];
-            (0..rng.below(12)).map(|_| ALPHABET[rng.below(8)]).collect()
+            (0..rng.gen_range(0..12)).map(|_| ALPHABET[rng.gen_range(0..8usize)]).collect()
         }
     }
 
     impl WireSample for Bytes {
         fn sample(rng: &mut SampleRng) -> Self {
-            (0..rng.below(48)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>().into()
+            (0..rng.gen_range(0..48)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>().into()
         }
     }
 
@@ -593,7 +599,7 @@ pub(crate) mod testing {
 
     impl<T: WireSample> WireSample for Vec<T> {
         fn sample(rng: &mut SampleRng) -> Self {
-            (0..rng.below(4)).map(|_| T::sample(rng)).collect()
+            (0..rng.gen_range(0..4)).map(|_| T::sample(rng)).collect()
         }
     }
 
@@ -610,7 +616,7 @@ pub(crate) mod testing {
     where
         T: Wire + WireSample + PartialEq + std::fmt::Debug,
     {
-        let mut rng = SampleRng::seeded(seed);
+        let mut rng = SampleRng::seed_from_u64(seed);
         for _ in 0..64 {
             let value = T::sample(&mut rng);
             let bytes = value.to_bytes();
@@ -637,6 +643,7 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u8(7);
         w.put_bool(true);
+        w.put_u16(65535);
         w.put_u32(123_456);
         w.put_u64(u64::MAX);
         w.put_f64(216.5);
@@ -646,6 +653,7 @@ mod tests {
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
+        assert_eq!(r.get_u16().unwrap(), 65535);
         assert_eq!(r.get_u32().unwrap(), 123_456);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap(), 216.5);
