@@ -166,7 +166,7 @@ impl DfsClient {
         replication: u32,
         overwrite: bool,
     ) -> DfsResult<DfsOutputStream> {
-        let file_id = self.ctx.rpc.create(
+        let (file_id, first_block) = self.ctx.rpc.create_with_block(
             self.ctx.id,
             path,
             replication,
@@ -180,6 +180,7 @@ impl DfsClient {
             path.to_string(),
             mode,
             replication as usize,
+            first_block,
         ))
     }
 
@@ -197,32 +198,6 @@ impl DfsClient {
         Ok(UploadReport {
             path: path.to_string(),
             bytes: data.len() as u64,
-            elapsed: start.elapsed(),
-            stats,
-        })
-    }
-
-    /// Streams `total_bytes` of generated data — same as [`Self::put`]
-    /// without materializing the payload (for large emulated uploads).
-    pub fn put_generated(
-        &self,
-        path: &str,
-        total_bytes: u64,
-        mode: WriteMode,
-    ) -> DfsResult<UploadReport> {
-        let start = Instant::now();
-        let mut stream = self.create(path, mode)?;
-        let chunk = vec![0xA5u8; 256 * 1024];
-        let mut remaining = total_bytes;
-        while remaining > 0 {
-            let n = remaining.min(chunk.len() as u64) as usize;
-            stream.write(&chunk[..n])?;
-            remaining -= n as u64;
-        }
-        let stats = stream.close()?;
-        Ok(UploadReport {
-            path: path.to_string(),
-            bytes: total_bytes,
             elapsed: start.elapsed(),
             stats,
         })

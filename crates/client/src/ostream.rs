@@ -13,6 +13,13 @@
 //!   pipelines; when every datanode is busy, block allocation fails and
 //!   the stream waits for a pipeline to drain).
 //!
+//! In both modes the first block's allocation arrives with the stream:
+//! `create` carried the first `addBlock` (§II steps 1–2 in one namenode
+//! round trip), so the first `write` opens a pipeline at once. Every
+//! later block, and the first one when the namenode had nowhere to place
+//! it, is asked for with `addBlock`; a stream closed before any byte was
+//! written gives the unused allocation back.
+//!
 //! Fault tolerance implements Algorithm 3 (single pipeline recovery:
 //! requeue retained packets, probe replicas, bump the generation stamp,
 //! truncate survivors to the common prefix, rebuild and resend) embedded
@@ -28,7 +35,7 @@ use smarth_core::error::{DfsError, DfsResult};
 use smarth_core::ids::{BlockId, DatanodeId, ExtendedBlock, FileId, PipelineId};
 use smarth_core::localopt::{local_optimize, LocalOptOutcome};
 use smarth_core::obs::{Obs, ObsEvent, RecoveryCause, TraceCtx};
-use smarth_core::proto::{DataOp, DataReply, DatanodeInfo, Packet};
+use smarth_core::proto::{DataOp, DataReply, DatanodeInfo, LocatedBlock, Packet};
 use smarth_core::units::{ByteSize, SimDuration};
 use smarth_core::wire::{recv_message, send_message};
 use std::sync::Arc;
@@ -75,6 +82,9 @@ pub struct DfsOutputStream {
     events_rx: Receiver<PipelineEvent>,
     next_pipeline: u64,
 
+    /// The allocation `create` brought back, until the first block is
+    /// opened on it or `close()` gives it back.
+    first_block: Option<LocatedBlock>,
     current: Option<ActiveBlock>,
     pending: Vec<PendingPipeline>,
     /// Fully-acked SMARTH blocks whose namenode commit has not been
@@ -92,7 +102,6 @@ pub struct DfsOutputStream {
     /// Timestamp of the most recent FNFA, for the FNFA→next-allocation
     /// latency histogram (the §III-A overlap the protocol exists to buy).
     last_fnfa_at: Option<u64>,
-    closed: bool,
 }
 
 impl DfsOutputStream {
@@ -102,6 +111,7 @@ impl DfsOutputStream {
         path: String,
         mode: WriteMode,
         replication: usize,
+        first_block: Option<LocatedBlock>,
     ) -> Self {
         let (events_tx, events_rx) = unbounded();
         let checksum = ChunkedChecksum::new(ctx.config.bytes_per_checksum);
@@ -115,6 +125,7 @@ impl DfsOutputStream {
             events_tx,
             events_rx,
             next_pipeline: 1,
+            first_block,
             current: None,
             pending: Vec::new(),
             deferred_commits: Vec::new(),
@@ -122,7 +133,6 @@ impl DfsOutputStream {
             packet_buf: Vec::new(),
             stats: StreamStats::default(),
             last_fnfa_at: None,
-            closed: false,
         }
     }
 
@@ -197,9 +207,6 @@ impl DfsOutputStream {
 
     /// Appends data to the stream, blocking under network backpressure.
     pub fn write(&mut self, mut data: &[u8]) -> DfsResult<()> {
-        if self.closed {
-            return Err(DfsError::internal("write to closed stream"));
-        }
         let packet_size = self.ctx.config.packet_size.as_u64() as usize;
         let block_size = self.ctx.config.block_size.as_u64();
         while !data.is_empty() {
@@ -235,9 +242,6 @@ impl DfsOutputStream {
     /// Flushes any partial packet, waits for full durability of every
     /// block, seals the file, and returns the stream statistics.
     pub fn close(mut self) -> DfsResult<StreamStats> {
-        if self.closed {
-            return Ok(self.stats.clone());
-        }
         // Tail of the file: a last, possibly short, packet. When the
         // file ends exactly on a packet boundary mid-block, the buffer
         // is empty but the block is still open — seal it with an empty
@@ -245,6 +249,11 @@ impl DfsOutputStream {
         if !self.packet_buf.is_empty() || self.current.is_some() {
             self.flush_packet(true)?;
             self.finish_current_block()?;
+        }
+        // Nothing was ever written: the file is sealed with no blocks, not
+        // with an empty one.
+        if let Some(unused) = self.first_block.take() {
+            self.abandon_allocation(unused.block.id)?;
         }
 
         // §II steps 5-6: wait for every ack, then complete.
@@ -266,8 +275,7 @@ impl DfsOutputStream {
             self.stats.blocks_committed += 1;
             self.obs().metrics().blocks_committed.inc();
         }
-        self.closed = true;
-        Ok(self.stats.clone())
+        Ok(self.stats)
     }
 
     // ------------------------------------------------------------------
@@ -303,11 +311,16 @@ impl DfsOutputStream {
             // recovery rebuild path below keeps `previous = None`: it
             // must not couple a replay to unrelated commit state.
             let previous = self.deferred_commits.first().copied();
-            match self
-                .ctx
-                .rpc
-                .add_block(self.ctx.id, self.file_id, previous, &excluded)
-            {
+            // The first block's allocation came with `create`, when
+            // nothing was busy, dead or waiting for its commit.
+            let reply = match self.first_block.take() {
+                Some(lb) => Ok(lb),
+                None => self
+                    .ctx
+                    .rpc
+                    .add_block(self.ctx.id, self.file_id, previous, &excluded),
+            };
+            match reply {
                 Ok(lb) if lb.targets.len() < self.replication && !self.pending.is_empty() => {
                     self.deferred_commit_landed();
                     // The namenode could only find a short pipeline

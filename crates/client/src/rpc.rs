@@ -9,9 +9,9 @@
 //! `DfsConfig::rpc_retry`: a broken or stalled connection is torn down
 //! and reopened, each attempt carries a per-attempt response deadline,
 //! and backoff between attempts is exponential with jitter. Pure reads
-//! retry freely. Mutations (`create`, `addBlock` with its piggybacked
-//! commit, `commitBlock`, `complete`, `abandonBlock`,
-//! `beginBlockRecovery`, `delete`) travel inside a
+//! retry freely. Mutations (`create`, which carries the first `addBlock`;
+//! `addBlock` with its piggybacked commit, `commitBlock`, `complete`,
+//! `abandonBlock`, `beginBlockRecovery`, `delete`) travel inside a
 //! [`ClientRequest::Idempotent`] envelope whose client-minted
 //! `request_id` lets the namenode dedupe retries, so a retry after a
 //! lost response cannot double-allocate or double-commit. Exhausted
@@ -171,8 +171,11 @@ impl NamenodeClient {
         }
     }
 
+    /// §II steps 1 and 2 in one round trip: creates the file and brings
+    /// back its first block's allocation — `None` when the namenode could
+    /// not place one yet, and [`Self::add_block`] is the way to ask again.
     #[allow(clippy::too_many_arguments)]
-    pub fn create(
+    pub fn create_with_block(
         &self,
         client: ClientId,
         path: &str,
@@ -180,10 +183,10 @@ impl NamenodeClient {
         block_size: u64,
         overwrite: bool,
         mode: WriteMode,
-    ) -> DfsResult<FileId> {
+    ) -> DfsResult<(FileId, Option<LocatedBlock>)> {
         match self.call_idempotent(
             client,
-            ClientRequest::Create {
+            ClientRequest::CreateWithBlock {
                 client,
                 path: path.to_string(),
                 replication,
@@ -192,7 +195,7 @@ impl NamenodeClient {
                 mode,
             },
         )? {
-            ClientResponse::Created { file_id } => Ok(file_id),
+            ClientResponse::CreatedWithBlock { file_id, first } => Ok((file_id, first)),
             other => Err(unexpected(other)),
         }
     }

@@ -981,6 +981,9 @@ pub struct Metrics {
     /// pipeline on them: a short pipeline, or a first target that died
     /// after placement.
     pub allocations_abandoned: Counter,
+    /// Client requests the namenode handled: an `Idempotent` envelope is
+    /// one request, and so is its replay.
+    pub namenode_client_rpcs: Counter,
 }
 
 impl Metrics {
@@ -1058,6 +1061,7 @@ impl Metrics {
             )
             .field("handler_panics", self.handler_panics.get())
             .field("heartbeat_failures", self.heartbeat_failures.get())
+            .field("namenode_client_rpcs", self.namenode_client_rpcs.get())
             .build()
     }
 }
@@ -1087,14 +1091,6 @@ impl Obs {
         Obs {
             sink,
             metrics: Metrics::new(),
-            seq: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    pub fn with_metrics(sink: Arc<dyn EventSink>, metrics: Arc<Metrics>) -> Self {
-        Obs {
-            sink,
-            metrics,
             seq: Arc::new(AtomicU64::new(0)),
         }
     }

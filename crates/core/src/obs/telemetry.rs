@@ -130,6 +130,11 @@ pub const DESCRIPTORS: &[MetricDesc] = &[
         read: |m| m.heartbeat_failures.get() as f64,
     },
     MetricDesc {
+        name: "namenode_client_rpcs",
+        kind: MetricKind::Counter,
+        read: |m| m.namenode_client_rpcs.get() as f64,
+    },
+    MetricDesc {
         name: "packets_in_flight",
         kind: MetricKind::Gauge,
         read: |m| m.packets_in_flight.get() as f64,

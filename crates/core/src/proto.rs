@@ -222,6 +222,16 @@ wire_enum! {
         /// this is the one client-visible cross-shard mutation (src and dst
         /// volumes may live on different shards).
         16 => Rename { src: String, dst: String },
+        /// §II steps 1 and 2 in one round trip: `Create`, then the first
+        /// `AddBlock` (`previous: None`, nothing excluded) on the new file.
+        17 => CreateWithBlock {
+            client: ClientId,
+            path: String,
+            replication: u32,
+            block_size: u64,
+            overwrite: bool,
+            mode: WriteMode,
+        },
     }
 }
 
@@ -260,6 +270,9 @@ wire_enum! {
         /// text exposition, and its `TelemetrySeries` as compact JSON.
         14 => Telemetry { rows: Vec<NodeTelemetryRow>, text: String, series_json: String },
         15 => Renamed,
+        /// The file exists; `first` is `None` when no block could be placed
+        /// yet, and the client then asks through `AddBlock` as for any block.
+        16 => CreatedWithBlock { file_id: FileId, first: Option<LocatedBlock> },
         255 => Error(String),
     }
 }
@@ -456,7 +469,7 @@ wire_enum! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::testing::round_trips_and_rejects_prefixes;
+    use crate::wire::testing::{round_trips_and_rejects_prefixes, WireVariants};
     use crate::wire::{Wire, WireWriter};
     use proptest::prelude::*;
 
@@ -472,6 +485,34 @@ mod tests {
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let decoded = T::from_bytes(v.to_bytes()).unwrap();
         assert_eq!(decoded, v);
+    }
+
+    /// Every type a table in this file declares: the ten records, then
+    /// the enums.
+    macro_rules! every_record {
+        ($f:ident $args:tt) => {
+            every_record!(
+                $f $args:
+                ExtendedBlock, DatanodeInfo, DatanodeTelemetry, NodeTelemetryRow, LocatedBlock,
+                SpeedRecord, FileStatus, WriteBlockHeader, Packet, PipelineAck
+            );
+            every_enum!($f $args)
+        };
+        ($f:ident $args:tt: $($record:ty),*) => {
+            $($f::<$record> $args;)*
+        };
+    }
+
+    /// Every `wire_enum!` table: the six message enums and the three
+    /// tag-only ones.
+    macro_rules! every_enum {
+        ($f:ident $args:tt) => {
+            every_record!(
+                $f $args:
+                ClientRequest, ClientResponse, DatanodeRequest, DatanodeResponse, DataOp,
+                DataReply, WriteMode, AckKind, AckStatus
+            )
+        };
     }
 
     /// The golden values, one `"name" => value` per line as
@@ -519,6 +560,10 @@ mod tests {
             "PipelineAck.FirstNodeFinish" => PipelineAck { kind: AckKind::FirstNodeFinish, seq: 99, batch: 1, statuses: vec![AckStatus::Success] },
             "WriteMode.Hdfs" => WriteMode::Hdfs,
             "WriteMode.Smarth" => WriteMode::Smarth,
+            "AckKind::Packet" => AckKind::Packet,
+            "AckKind::FirstNodeFinish" => AckKind::FirstNodeFinish,
+            "AckStatus::Success" => AckStatus::Success,
+            "AckStatus::Error" => AckStatus::Error,
             "ClientRequest::Register" => ClientRequest::Register { host_name: "client".into(), rack: "rack-a".into() },
             "ClientRequest::Create" => ClientRequest::Create { client, path: "/data/file.bin".into(), replication: 3, block_size: 64 << 20, overwrite: true, mode: WriteMode::Smarth },
             "ClientRequest::AddBlock" => add_block.clone(),
@@ -536,10 +581,13 @@ mod tests {
             "ClientRequest::List" => ClientRequest::List { path: "/a".into() },
             "ClientRequest::Delete" => ClientRequest::Delete { path: "/x".into() },
             "ClientRequest::Rename" => ClientRequest::Rename { src: "/x".into(), dst: "/vol/y".into() },
+            "ClientRequest::CreateWithBlock" => ClientRequest::CreateWithBlock { client, path: "/data/file.bin".into(), replication: 3, block_size: 64 << 20, overwrite: true, mode: WriteMode::Smarth },
             "ClientRequest::GetTelemetry" => ClientRequest::GetTelemetry,
             "ClientRequest::Idempotent{AddBlock}" => ClientRequest::Idempotent { client, request_id: 99, inner: Box::new(add_block) },
             "ClientResponse::Registered" => ClientResponse::Registered { client },
             "ClientResponse::Created" => ClientResponse::Created { file_id },
+            "ClientResponse::CreatedWithBlock" => ClientResponse::CreatedWithBlock { file_id, first: Some(located.clone()) },
+            "ClientResponse::CreatedWithBlock.none" => ClientResponse::CreatedWithBlock { file_id, first: None },
             "ClientResponse::BlockAllocated" => ClientResponse::BlockAllocated(located.clone()),
             "ClientResponse::Committed" => ClientResponse::Committed,
             "ClientResponse::Completed" => ClientResponse::Completed,
@@ -577,9 +625,27 @@ mod tests {
         }
     }
 
+    /// The variants of `T` that no golden line is named after. A line's
+    /// name is `Enum::Variant` (`Enum.Variant` for `WriteMode`), then
+    /// possibly `.arm` or `{Inner}`.
+    fn unpinned_variants<T: WireVariants>(lines: &[String], out: &mut Vec<String>) {
+        for variant in T::VARIANTS {
+            let names_it = |line: &String| {
+                line.strip_prefix(T::NAME)
+                    .and_then(|rest| rest.strip_prefix("::").or_else(|| rest.strip_prefix('.')))
+                    .and_then(|rest| rest.strip_prefix(variant))
+                    .is_some_and(|tail| !tail.starts_with(|c: char| c.is_alphanumeric()))
+            };
+            if !lines.iter().any(names_it) {
+                out.push(format!("{}::{variant}", T::NAME));
+            }
+        }
+    }
+
     /// The wire format is pinned byte for byte. A new message adds one
     /// line to the table above and one to `tests/golden/wire.hex` (the
-    /// failure prints the line to add); an existing line never changes.
+    /// failure prints the line to add); an existing line never changes,
+    /// and a variant of any table with no line at all is a failure too.
     #[test]
     fn golden_bytes_are_unchanged() {
         let actual = golden_lines();
@@ -588,6 +654,9 @@ mod tests {
             assert_eq!(Some(line.as_str()), expected.get(i).copied(), "line {} of wire.hex", i + 1);
         }
         assert_eq!(actual.len(), expected.len(), "wire.hex has lines no value accounts for");
+        let mut unpinned = Vec::new();
+        every_enum!(unpinned_variants(&actual, &mut unpinned));
+        assert!(unpinned.is_empty(), "variants with no golden line: {unpinned:?}");
     }
 
     #[test]
@@ -602,23 +671,6 @@ mod tests {
             }),
         };
         assert!(ClientRequest::from_bytes(nested.to_bytes()).is_err());
-    }
-
-    /// Every type a table in this file declares: the ten records, the six
-    /// message enums and the three tag-only enums.
-    macro_rules! every_record {
-        ($f:ident $args:tt) => {
-            every_record!(
-                $f $args:
-                ExtendedBlock, DatanodeInfo, DatanodeTelemetry, NodeTelemetryRow, LocatedBlock,
-                SpeedRecord, FileStatus, WriteBlockHeader, Packet, PipelineAck,
-                ClientRequest, ClientResponse, DatanodeRequest, DatanodeResponse, DataOp,
-                DataReply, WriteMode, AckKind, AckStatus
-            )
-        };
-        ($f:ident $args:tt: $($record:ty),*) => {
-            $($f::<$record> $args;)*
-        };
     }
 
     /// The tables' samplers draw every variant of every record; the one

@@ -22,7 +22,8 @@
 //!   description and the sampler only draws values that pass it.
 //!
 //! `crates/core/tests/golden/wire.hex` pins the bytes of one value per
-//! variant and record.
+//! variant and record; each enum table also emits, under test, the list of
+//! its variants, and a variant with no line there fails the golden test.
 //!
 //! Framing: each message on a stream is `u32 length ‖ body`, where `length`
 //! is the body size in bytes. [`write_frame`]/[`read_frame`] implement this
@@ -389,6 +390,12 @@ macro_rules! wire_enum {
         }
 
         #[cfg(test)]
+        impl $crate::wire::testing::WireVariants for $name {
+            const NAME: &'static str = stringify!($name);
+            const VARIANTS: &'static [&'static str] = &[$(stringify!($variant)),*];
+        }
+
+        #[cfg(test)]
         impl $crate::wire::testing::WireSample for $name {
             /// Every variant is drawn with equal probability.
             #[allow(unused_variables)]
@@ -547,6 +554,13 @@ pub(crate) mod testing {
     /// A type the sampler can draw a value of.
     pub(crate) trait WireSample: Sized {
         fn sample(rng: &mut SampleRng) -> Self;
+    }
+
+    /// What a `wire_enum!` table lists, so a test can tell that no variant
+    /// was left without a golden line.
+    pub(crate) trait WireVariants {
+        const NAME: &'static str;
+        const VARIANTS: &'static [&'static str];
     }
 
     macro_rules! sample_int {

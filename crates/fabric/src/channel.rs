@@ -189,13 +189,6 @@ impl ByteChannel {
         Ok(())
     }
 
-    /// True when a `read_exact` would find at least one byte without
-    /// blocking on data arrival (latency may still apply).
-    pub fn has_pending(&self) -> bool {
-        let st = self.state.lock();
-        st.front.is_some() || !st.queue.is_empty()
-    }
-
     pub fn buffered_bytes(&self) -> usize {
         self.state.lock().buffered
     }

@@ -434,15 +434,6 @@ impl FabricStream {
         self.read_deadline = deadline;
     }
 
-    /// Bytes currently queued towards the peer (diagnostics/tests).
-    pub fn outbound_buffered(&self) -> usize {
-        self.out.buffered_bytes()
-    }
-
-    pub fn inbound_ready(&self) -> bool {
-        self.inn.has_pending()
-    }
-
     /// Gracefully closes the outbound direction (like `shutdown(WR)`).
     pub fn close_write(&self) {
         self.out.close_write();

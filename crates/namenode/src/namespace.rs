@@ -72,6 +72,10 @@ impl DetachedFile {
     }
 }
 
+/// A file the namespace let go of: its id and the blocks the caller still
+/// has to retire.
+pub type RemovedFile = (FileId, Vec<ExtendedBlock>);
+
 /// Splits a normalized absolute path into components.
 fn components(path: &str) -> DfsResult<Vec<&str>> {
     if !path.starts_with('/') {
@@ -193,7 +197,9 @@ impl FsNamespace {
         Ok((cur, name))
     }
 
-    /// §II step 1: the `create()` RPC.
+    /// §II step 1: the `create()` RPC. Also returns the file an
+    /// `overwrite` displaced, for the caller to retire as after
+    /// [`Self::delete_file`].
     pub fn create_file(
         &mut self,
         client: ClientId,
@@ -202,7 +208,7 @@ impl FsNamespace {
         block_size: u64,
         mode: WriteMode,
         overwrite: bool,
-    ) -> DfsResult<FileId> {
+    ) -> DfsResult<(FileId, Option<RemovedFile>)> {
         self.check_mutable()?;
         if replication == 0 || block_size == 0 {
             return Err(DfsError::internal("replication/block_size must be > 0"));
@@ -212,9 +218,11 @@ impl FsNamespace {
             Some(INode::Dir { children }) => children.get(name).copied(),
             _ => unreachable!(),
         };
+        let mut displaced = None;
         if let Some(id) = existing {
             match self.inodes.get(&id) {
-                Some(INode::File(_)) if overwrite => {
+                Some(INode::File(meta)) if overwrite => {
+                    displaced = Some((id, meta.blocks.clone()));
                     self.remove_inode(parent, name);
                 }
                 Some(INode::File(_)) => {
@@ -243,7 +251,7 @@ impl FsNamespace {
             }
             _ => unreachable!(),
         }
-        Ok(id)
+        Ok((id, displaced))
     }
 
     fn remove_inode(&mut self, parent: FileId, name: &str) {
@@ -446,10 +454,7 @@ impl FsNamespace {
     /// Returns the removed file's id and blocks so the caller can retire
     /// them (and drop its shard routing entries), or `None` if the path
     /// did not exist.
-    pub fn delete_file(
-        &mut self,
-        path: &str,
-    ) -> DfsResult<Option<(FileId, Vec<ExtendedBlock>)>> {
+    pub fn delete_file(&mut self, path: &str) -> DfsResult<Option<RemovedFile>> {
         self.check_mutable()?;
         let Ok(comps) = components(path) else {
             return Ok(None);
@@ -596,7 +601,8 @@ mod tests {
         let mut ns = FsNamespace::new();
         let f = ns
             .create_file(C1, "/data/file.bin", 3, 64, WriteMode::Smarth, false)
-            .unwrap();
+            .unwrap()
+            .0;
         (ns, f)
     }
 
@@ -613,15 +619,18 @@ mod tests {
 
     #[test]
     fn duplicate_create_fails_without_overwrite() {
-        let (mut ns, _) = ns_with_file();
+        let (mut ns, f) = ns_with_file();
+        ns.append_block(C1, f, blk(1, 10)).unwrap();
         let err = ns
             .create_file(C1, "/data/file.bin", 3, 64, WriteMode::Hdfs, false)
             .unwrap_err();
         assert!(matches!(err, DfsError::AlreadyExists(_)));
-        // Overwrite replaces the file.
-        let f2 = ns
+        // Overwrite replaces the file and hands the old one back.
+        let (f2, displaced) = ns
             .create_file(C1, "/data/file.bin", 2, 64, WriteMode::Hdfs, true)
             .unwrap();
+        assert_eq!(displaced, Some((f, vec![blk(1, 10)])));
+        assert!(ns.blocks_of(f).is_err(), "the old inode is gone");
         assert_eq!(ns.replication_of(f2).unwrap(), 2);
         assert_eq!(ns.mode_of(f2).unwrap(), WriteMode::Hdfs);
     }
@@ -830,10 +839,12 @@ mod tests {
         let mut b = FsNamespace::with_shared_ids(ids);
         let fa = a
             .create_file(C1, "/va/f", 1, 64, WriteMode::Smarth, false)
-            .unwrap();
+            .unwrap()
+            .0;
         let fb = b
             .create_file(C1, "/vb/f", 1, 64, WriteMode::Smarth, false)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_ne!(fa, fb, "shards draw from one id space");
     }
 
@@ -887,7 +898,7 @@ mod proptests {
                 // Some paths may collide with directories created by
                 // deeper paths; skip those — the error taxonomy is
                 // exercised by the unit tests.
-                if let Ok(id) = ns.create_file(client, p, 3, 64, WriteMode::Smarth, false) {
+                if let Ok((id, _)) = ns.create_file(client, p, 3, 64, WriteMode::Smarth, false) {
                     ns.append_block(client, id, ExtendedBlock::new(BlockId(id.raw()), GenStamp::INITIAL, 17)).unwrap();
                     ns.complete_file(client, id, None).unwrap();
                     created.push(p.clone());

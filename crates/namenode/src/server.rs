@@ -14,7 +14,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use smarth_core::config::{DfsConfig, WriteMode};
 use smarth_core::error::{DfsError, DfsResult};
-use smarth_core::ids::{BlockId, ClientId, DatanodeId, FileId, IdGenerator, SpanId, TraceId};
+use smarth_core::ids::{
+    BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, IdGenerator, SpanId, TraceId,
+};
 use smarth_core::shard::{shard_of_path, volume_of};
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
 use smarth_core::obs::{Obs, ObsEvent, SpeedObservation, TraceCtx};
@@ -362,9 +364,65 @@ impl NameNodeState {
         })
     }
 
+    /// §II step 1 for both create requests: the namespace entry (and the
+    /// end of whatever file an overwrite displaced) plus its shard route.
+    fn create_file(
+        &self,
+        client: ClientId,
+        path: &str,
+        replication: u32,
+        block_size: u64,
+        overwrite: bool,
+        mode: WriteMode,
+    ) -> DfsResult<FileId> {
+        let injected = {
+            let mut armed = self.panic_on_create_path.lock();
+            if armed.as_deref() == Some(path) {
+                *armed = None;
+                true
+            } else {
+                false
+            }
+        };
+        if injected {
+            panic!("injected handler panic for {path}");
+        }
+        let shard_idx = self.shard_of(path);
+        let shard = &self.shards[shard_idx];
+        let (file_id, displaced) = shard.namespace.lock().create_file(
+            client,
+            path,
+            replication,
+            block_size,
+            mode,
+            overwrite,
+        )?;
+        if let Some((old_file, blocks)) = displaced {
+            self.retire_file(shard, old_file, &blocks);
+        }
+        self.file_shards.write().insert(file_id, shard_idx);
+        Ok(file_id)
+    }
+
+    /// Forgets a file the namespace no longer holds: its block records
+    /// and both shard routes.
+    fn retire_file(&self, shard: &Shard, file_id: FileId, blocks: &[ExtendedBlock]) {
+        let mut bm = shard.blocks.lock();
+        for b in blocks {
+            bm.retire(b.id);
+        }
+        drop(bm);
+        self.file_shards.write().remove(&file_id);
+        let mut block_map = self.block_shards.write();
+        for b in blocks {
+            block_map.remove(&b.id);
+        }
+    }
+
     /// Handles one client RPC. Never panics on malformed input — every
     /// failure becomes `ClientResponse::Error`.
     pub fn handle_client_request(&self, req: ClientRequest) -> ClientResponse {
+        self.obs.metrics().namenode_client_rpcs.inc();
         if let ClientRequest::Idempotent {
             client,
             request_id,
@@ -436,29 +494,25 @@ impl NameNodeState {
                 overwrite,
                 mode,
             } => {
-                let injected = {
-                    let mut armed = self.panic_on_create_path.lock();
-                    if armed.as_deref() == Some(path.as_str()) {
-                        *armed = None;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if injected {
-                    panic!("injected handler panic for {path}");
-                }
-                let shard_idx = self.shard_of(&path);
-                let file_id = self.shards[shard_idx].namespace.lock().create_file(
-                    client,
-                    &path,
-                    replication,
-                    block_size,
-                    mode,
-                    overwrite,
-                )?;
-                self.file_shards.write().insert(file_id, shard_idx);
+                let file_id =
+                    self.create_file(client, &path, replication, block_size, overwrite, mode)?;
                 Ok(ClientResponse::Created { file_id })
+            }
+            ClientRequest::CreateWithBlock {
+                client,
+                path,
+                replication,
+                block_size,
+                overwrite,
+                mode,
+            } => {
+                let file_id =
+                    self.create_file(client, &path, replication, block_size, overwrite, mode)?;
+                // A failed allocation is not a failed create: the client
+                // asks again through `AddBlock`, which has the retries and
+                // the §IV-C waits.
+                let first = self.allocate_block(client, file_id, &[]).ok();
+                Ok(ClientResponse::CreatedWithBlock { file_id, first })
             }
             ClientRequest::AddBlock {
                 client,
@@ -646,22 +700,11 @@ impl NameNodeState {
             ClientRequest::Delete { path } => {
                 let shard = self.shard_for_path(&path);
                 let removed = shard.namespace.lock().delete_file(&path)?;
-                match removed {
-                    Some((file_id, blocks)) => {
-                        let mut bm = shard.blocks.lock();
-                        for b in &blocks {
-                            bm.retire(b.id);
-                        }
-                        drop(bm);
-                        self.file_shards.write().remove(&file_id);
-                        let mut block_map = self.block_shards.write();
-                        for b in &blocks {
-                            block_map.remove(&b.id);
-                        }
-                        Ok(ClientResponse::Deleted { existed: true })
-                    }
-                    None => Ok(ClientResponse::Deleted { existed: false }),
+                let existed = removed.is_some();
+                if let Some((file_id, blocks)) = removed {
+                    self.retire_file(shard, file_id, &blocks);
                 }
+                Ok(ClientResponse::Deleted { existed })
             }
             ClientRequest::Rename { src, dst } => self.rename(&src, &dst),
             // Unwrapped in handle_client_request / handle_idempotent;
@@ -1031,12 +1074,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarth_core::ids::ExtendedBlock;
     use smarth_core::proto::SpeedRecord;
 
     fn state_with_datanodes(n: u32) -> (NameNodeState, Vec<DatanodeId>) {
         let st = NameNodeState::new(DfsConfig::test_scale(), 7);
-        let ids = (0..n)
+        let ids = register_datanodes(&st, n);
+        (st, ids)
+    }
+
+    fn register_datanodes(st: &NameNodeState, n: u32) -> Vec<DatanodeId> {
+        (0..n)
             .map(|i| {
                 let rack = if i < n.div_ceil(2) { "rack-a" } else { "rack-b" };
                 match st.handle_datanode_request(DatanodeRequest::Register {
@@ -1049,8 +1096,7 @@ mod tests {
                     other => panic!("unexpected {other:?}"),
                 }
             })
-            .collect();
-        (st, ids)
+            .collect()
     }
 
     fn register_client(st: &NameNodeState) -> ClientId {
@@ -1063,7 +1109,7 @@ mod tests {
         }
     }
 
-    fn create(st: &NameNodeState, client: ClientId, path: &str, mode: WriteMode) -> smarth_core::ids::FileId {
+    fn create(st: &NameNodeState, client: ClientId, path: &str, mode: WriteMode) -> FileId {
         match st.handle_client_request(ClientRequest::Create {
             client,
             path: path.into(),
@@ -1077,21 +1123,26 @@ mod tests {
         }
     }
 
+    /// `AddBlock` with nothing to commit and nothing excluded.
+    fn add_block(st: &NameNodeState, client: ClientId, file_id: FileId) -> LocatedBlock {
+        match st.handle_client_request(ClientRequest::AddBlock {
+            client,
+            file_id,
+            previous: None,
+            excluded: vec![],
+        }) {
+            ClientResponse::BlockAllocated(lb) => lb,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn full_write_rpc_sequence() {
         let (st, _dns) = state_with_datanodes(9);
         let client = register_client(&st);
         let file = create(&st, client, "/a/b.bin", WriteMode::Hdfs);
 
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         assert_eq!(lb.targets.len(), 3);
         let done = ExtendedBlock::new(lb.block.id, lb.block.gen, 999);
 
@@ -1175,17 +1226,8 @@ mod tests {
         // of those three; over many draws dn8 must appear.
         let mut firsts = std::collections::BTreeSet::new();
         for _ in 0..60 {
-            match st.handle_client_request(ClientRequest::AddBlock {
-                client,
-                file_id: file,
-                previous: None,
-                excluded: vec![],
-            }) {
-                ClientResponse::BlockAllocated(lb) => {
-                    firsts.insert(lb.targets[0].id);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            let lb = add_block(&st, client, file);
+            firsts.insert(lb.targets[0].id);
         }
         for f in &firsts {
             assert!(
@@ -1203,18 +1245,9 @@ mod tests {
         let file = create(&st, client, "/t.bin", WriteMode::Smarth);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..5 {
-            match st.handle_client_request(ClientRequest::AddBlock {
-                client,
-                file_id: file,
-                previous: None,
-                excluded: vec![],
-            }) {
-                ClientResponse::BlockAllocated(lb) => {
-                    let ctx = lb.trace_ctx().expect("allocations are always traced");
-                    assert!(seen.insert(ctx.trace), "trace ids must be unique");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            let lb = add_block(&st, client, file);
+            let ctx = lb.trace_ctx().expect("allocations are always traced");
+            assert!(seen.insert(ctx.trace), "trace ids must be unique");
         }
         // The read path hands out untraced located blocks.
         match st.handle_client_request(ClientRequest::GetBlockLocations {
@@ -1247,15 +1280,7 @@ mod tests {
         let (st, dns) = state_with_datanodes(5);
         let client = register_client(&st);
         let file = create(&st, client, "/r.bin", WriteMode::Hdfs);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         let existing: Vec<DatanodeId> = lb.targets.iter().map(|t| t.id).collect();
         match st.handle_client_request(ClientRequest::GetAdditionalDatanodes {
             client,
@@ -1290,17 +1315,8 @@ mod tests {
         st.decommission(dns[0]);
         assert_eq!(st.alive_datanodes().len(), 3);
         for _ in 0..30 {
-            match st.handle_client_request(ClientRequest::AddBlock {
-                client,
-                file_id: file,
-                previous: None,
-                excluded: vec![],
-            }) {
-                ClientResponse::BlockAllocated(lb) => {
-                    assert!(lb.targets.iter().all(|t| t.id != dns[0]));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            let lb = add_block(&st, client, file);
+            assert!(lb.targets.iter().all(|t| t.id != dns[0]));
         }
     }
 
@@ -1309,15 +1325,7 @@ mod tests {
         let (st, _) = state_with_datanodes(3);
         let client = register_client(&st);
         let file = create(&st, client, "/del.bin", WriteMode::Hdfs);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         assert_eq!(
             st.handle_client_request(ClientRequest::Delete { path: "/del.bin".into() }),
             ClientResponse::Deleted { existed: true }
@@ -1339,15 +1347,7 @@ mod tests {
         let (st, dns) = state_with_datanodes(4);
         let client = register_client(&st);
         let file = create(&st, client, "/rep.bin", WriteMode::Hdfs);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         // A heartbeat reports usage for the first target.
         st.handle_datanode_request(DatanodeRequest::Heartbeat {
             id: lb.targets[0].id,
@@ -1453,15 +1453,7 @@ mod tests {
         let (st, _dns) = state_with_datanodes(9);
         let client = register_client(&st);
         let file = create(&st, client, "/commit.bin", WriteMode::Smarth);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         let done = ExtendedBlock::new(lb.block.id, lb.block.gen, 777);
         // addBlock(previous=done) piggybacks the commit; a retried copy
         // must not allocate a second new block.
@@ -1480,6 +1472,103 @@ mod tests {
         assert_eq!(a, b);
         // Exactly two blocks exist: the first and the one allocation.
         assert_eq!(st.cluster_report().blocks, 2);
+    }
+
+    fn create_with_block(path: &str, client: ClientId, overwrite: bool) -> ClientRequest {
+        ClientRequest::CreateWithBlock {
+            client,
+            path: path.into(),
+            replication: 3,
+            block_size: 1 << 20,
+            overwrite,
+            mode: WriteMode::Smarth,
+        }
+    }
+
+    #[test]
+    fn create_with_block_is_create_then_add_block() {
+        // Two namenodes with the same seed and the same datanodes: the
+        // folded request on one, the two it replaces on the other.
+        let (folded, _) = state_with_datanodes(9);
+        let (apart, _) = state_with_datanodes(9);
+        let client = register_client(&folded);
+        assert_eq!(register_client(&apart), client);
+
+        let file = create(&apart, client, "/fold/a.bin", WriteMode::Smarth);
+        let lb = add_block(&apart, client, file);
+        assert!(lb.trace_ctx().is_some());
+        // File id, block id, targets, trace and span: all of it.
+        assert_eq!(
+            folded.handle_client_request(create_with_block("/fold/a.bin", client, false)),
+            ClientResponse::CreatedWithBlock { file_id: file, first: Some(lb) }
+        );
+        assert_eq!(folded.cluster_report().blocks, 1);
+    }
+
+    #[test]
+    fn retried_create_with_block_is_replayed_and_an_existing_path_allocates_nothing() {
+        let (st, _dns) = state_with_datanodes(9);
+        let client = register_client(&st);
+        let wrapped = |request_id| ClientRequest::Idempotent {
+            client,
+            request_id,
+            inner: Box::new(create_with_block("/fold/once.bin", client, false)),
+        };
+        let first = st.handle_client_request(wrapped(1));
+        assert!(
+            matches!(first, ClientResponse::CreatedWithBlock { first: Some(_), .. }),
+            "{first:?}"
+        );
+        let after_first = st.cluster_report();
+        assert_eq!(st.handle_client_request(wrapped(1)), first);
+        // A new request for the same path is refused before any placement.
+        match st.handle_client_request(wrapped(2)) {
+            ClientResponse::Error(msg) => assert!(msg.contains("already exists"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let report = st.cluster_report();
+        assert_eq!((report.files, report.blocks), (after_first.files, 1));
+    }
+
+    #[test]
+    fn create_with_block_without_datanodes_leaves_the_block_to_add_block() {
+        let (st, _) = state_with_datanodes(0);
+        let client = register_client(&st);
+        let file_id = match st.handle_client_request(create_with_block("/fold/early.bin", client, false)) {
+            ClientResponse::CreatedWithBlock { file_id, first: None } => file_id,
+            other => panic!("unexpected {other:?}"),
+        };
+        match st.handle_client_request(ClientRequest::GetFileInfo { path: "/fold/early.bin".into() }) {
+            ClientResponse::FileInfo(Some(info)) => assert_eq!((info.file_id, info.len), (file_id, 0)),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(st.cluster_report().blocks, 0);
+        register_datanodes(&st, 3);
+        assert_eq!(add_block(&st, client, file_id).targets.len(), 3);
+    }
+
+    #[test]
+    fn overwrite_retires_the_file_it_replaces() {
+        let (st, _dns) = state_with_datanodes(3);
+        let client = register_client(&st);
+        let old_block = write_file(&st, client, "/ow/x.bin");
+        let old_file = match st.handle_client_request(ClientRequest::GetFileInfo { path: "/ow/x.bin".into() }) {
+            ClientResponse::FileInfo(Some(info)) => info.file_id,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(st.replica_count(old_block.id), 3);
+
+        let resp = st.handle_client_request(create_with_block("/ow/x.bin", client, true));
+        let ClientResponse::CreatedWithBlock { file_id, first: Some(lb) } = resp else {
+            panic!("unexpected {resp:?}");
+        };
+        // As after `Delete`: no replicas, no block record, no routes.
+        assert_eq!(st.replica_count(old_block.id), 0);
+        assert_eq!(st.cluster_report().blocks, 1);
+        assert!(!st.block_shards.read().contains_key(&old_block.id));
+        assert!(!st.file_shards.read().contains_key(&old_file));
+        assert!(st.block_shards.read().contains_key(&lb.block.id));
+        assert!(st.file_shards.read().contains_key(&file_id));
     }
 
     #[test]
@@ -1514,15 +1603,7 @@ mod tests {
         let (st, dns) = state_with_datanodes(3);
         let client = register_client(&st);
         let file = create(&st, client, "/ord.bin", WriteMode::Hdfs);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(&st, client, file);
         let done = ExtendedBlock::new(lb.block.id, lb.block.gen, 100);
         for t in &lb.targets {
             st.handle_datanode_request(DatanodeRequest::BlockReceived { id: t.id, block: done });
@@ -1572,15 +1653,7 @@ mod tests {
     /// Writes a complete single-block file and returns its last block.
     fn write_file(st: &NameNodeState, client: ClientId, path: &str) -> ExtendedBlock {
         let file = create(st, client, path, WriteMode::Hdfs);
-        let lb = match st.handle_client_request(ClientRequest::AddBlock {
-            client,
-            file_id: file,
-            previous: None,
-            excluded: vec![],
-        }) {
-            ClientResponse::BlockAllocated(lb) => lb,
-            other => panic!("unexpected {other:?}"),
-        };
+        let lb = add_block(st, client, file);
         let done = ExtendedBlock::new(lb.block.id, lb.block.gen, 100);
         for t in &lb.targets {
             assert_eq!(

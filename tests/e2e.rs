@@ -165,11 +165,15 @@ fn overwrite_semantics() {
     // Plain create over an existing path fails...
     let err = client.create("/ow/x", WriteMode::Hdfs).err().unwrap();
     assert!(matches!(err, smarth::core::DfsError::AlreadyExists(_)));
-    // ...but overwrite replaces content.
+    // ...but overwrite replaces content, and the namenode lets go of the
+    // old file's block as `delete` would.
+    let old_block = client.open("/ow/x").unwrap().block_layout()[0].block.id;
+    assert_eq!(cluster.namenode_state().replica_count(old_block), 3);
     let second = random_data(2, 80_000);
     let mut s = client
         .create_with("/ow/x", WriteMode::Smarth, 3, true)
         .unwrap();
+    assert_eq!(cluster.namenode_state().replica_count(old_block), 0);
     s.write(&second).unwrap();
     s.close().unwrap();
     assert_eq!(client.get("/ow/x").unwrap(), second);

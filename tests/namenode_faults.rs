@@ -195,6 +195,83 @@ fn retried_add_block_does_not_double_allocate() {
 }
 
 #[test]
+fn dropped_response_to_create_is_retried_and_replayed() {
+    use smarth::client::DfsClient;
+    use smarth::core::wire::{recv_message, send_message};
+
+    // The client talks to the namenode through a relay on its own host
+    // that passes every frame on, except that it hangs up instead of
+    // delivering the first answer to a `create`: the request was
+    // executed, the response is lost.
+    let cluster = MiniCluster::start(
+        &ClusterSpec::homogeneous(InstanceType::Large),
+        fast_config(),
+        83,
+    )
+    .unwrap();
+    let host = cluster.spec().client_host().clone();
+    let relay_addr = format!("{}:8020", host.name);
+    let listener = cluster.fabric().listen(&relay_addr).unwrap();
+    let (fabric, nn_addr, from) = (cluster.fabric().clone(), cluster.client_addr(), host.name.clone());
+    let (creates_tx, creates_rx) = std::sync::mpsc::channel();
+    let relay = std::thread::spawn(move || {
+        let mut dropped = false;
+        while let Ok(mut down) = listener.accept() {
+            let mut up = fabric.connect(&from, &nn_addr).unwrap();
+            while let Ok(req) = recv_message::<ClientRequest>(&mut down) {
+                send_message(&mut up, &req).unwrap();
+                let resp: ClientResponse = recv_message(&mut up).unwrap();
+                let is_create = matches!(
+                    &req,
+                    ClientRequest::Idempotent { inner, .. }
+                        if matches!(**inner, ClientRequest::CreateWithBlock { .. })
+                );
+                if is_create {
+                    creates_tx.send((req, resp.clone())).unwrap();
+                    if !std::mem::replace(&mut dropped, true) {
+                        break;
+                    }
+                }
+                if send_message(&mut down, &resp).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+
+    let client = DfsClient::connect(
+        cluster.fabric(),
+        &host.name,
+        &host.rack,
+        &relay_addr,
+        cluster.config().clone(),
+        5,
+    )
+    .unwrap();
+    let data = random_data(17, 4096);
+    client.put("/replay/f.bin", &data, WriteMode::Smarth).unwrap();
+    assert_eq!(client.get("/replay/f.bin").unwrap(), data);
+
+    // The same envelope went out twice and got the same answer twice; the
+    // second was a replay, so there is one file holding one block.
+    let creates: Vec<_> = creates_rx.try_iter().collect();
+    assert_eq!(creates.len(), 2, "{creates:?}");
+    assert_eq!(creates[0], creates[1]);
+    assert!(
+        matches!(creates[0].1, ClientResponse::CreatedWithBlock { first: Some(_), .. }),
+        "{:?}",
+        creates[0].1
+    );
+    assert_eq!(cluster.namenode_state().cluster_report().blocks, 1);
+    assert_eq!(client.list("/replay").unwrap().len(), 1);
+
+    drop(client);
+    cluster.fabric().close_listener(&relay_addr);
+    relay.join().unwrap();
+    cluster.shutdown();
+}
+
+#[test]
 fn handler_panic_is_a_typed_error_and_the_server_survives() {
     // Arm the namenode's panic hook for one path: the create comes back
     // as a typed error (not a dead connection), handler_panics ticks,

@@ -513,6 +513,57 @@ fn dead_first_target_is_given_back_and_the_block_allocated_again() {
 }
 
 #[test]
+fn first_target_lost_between_create_and_the_first_write() {
+    use smarth::core::obs::{Obs, ObsEvent, RecoveryCause, RingBufferSink};
+
+    // `create` brings the first block's allocation with it, so the stream
+    // can hold a placement the namenode would no longer make: the first
+    // target dies (and the namenode is told) before a byte is written.
+    // Algorithm 2 is off, so the namenode's first choice is the node the
+    // client connects to.
+    let mut config = fast_config();
+    config.local_opt_enabled = false;
+    let sink = RingBufferSink::new(16_384);
+    let spec = ClusterSpec::homogeneous(InstanceType::Large);
+    let cluster = MiniCluster::start_with_obs(&spec, config, 113, Obs::new(sink.clone())).unwrap();
+    let client = cluster.client().unwrap();
+    let data = random_data(79, 256 * 1024 + 50_000);
+
+    let mut stream = client.create("/dead/held.bin", WriteMode::Smarth).unwrap();
+    let placed: Vec<_> = sink
+        .snapshot()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            ObsEvent::PlacementDecision { chosen, .. } => Some(chosen),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(placed.len(), 1, "create placed the first block: {placed:?}");
+    let victim = placed[0][0];
+    let host = cluster
+        .datanode_hosts()
+        .into_iter()
+        .find(|h| cluster.datanode(h).unwrap().id() == victim)
+        .unwrap();
+    cluster.kill_datanode(&host).unwrap();
+    stream.write(&data).unwrap();
+    let stats = stream.close().unwrap();
+
+    // The path a first target dead at `addBlock` time takes: one
+    // incident, the allocation given back, the block placed again.
+    let m = cluster.obs().metrics();
+    assert_eq!(stats.recoveries, 1);
+    assert_eq!(m.recoveries(RecoveryCause::ConnectionLost), 1);
+    assert_eq!(m.allocations_abandoned.get(), 1);
+    let reader = client.open("/dead/held.bin").unwrap();
+    let blocks = reader.block_layout();
+    assert_eq!(blocks.len(), 2, "{blocks:?}");
+    assert!(blocks.iter().all(|b| b.block.len > 0), "{blocks:?}");
+    assert_eq!(client.get("/dead/held.bin").unwrap(), data);
+    cluster.shutdown();
+}
+
+#[test]
 fn block_lost_before_its_first_ack_is_written_again_in_its_place() {
     // Block 0 is sent and FNFA'd, block 1 is allocated behind it, and
     // then every holder of block 0 dies before one packet ack came back:

@@ -123,3 +123,47 @@ fn deferred_commits_ride_successive_add_blocks() {
     assert_eq!(client.get("/commits/seven.bin").unwrap(), data);
     cluster.shutdown();
 }
+
+#[test]
+fn stream_closed_before_any_write_gives_its_first_block_back() {
+    // `create` brings the first block's allocation with it; a stream that
+    // never writes returns it, so the file is complete with no blocks
+    // rather than with an empty one.
+    let cluster = MiniCluster::start(&small_spec(3), DfsConfig::test_scale(), 31).unwrap();
+    let client = cluster.client().unwrap();
+    let stream = client.create("/wp/empty.bin", WriteMode::Smarth).unwrap();
+    assert_eq!(cluster.namenode_state().cluster_report().blocks, 1);
+    let stats = stream.close().unwrap();
+
+    assert_eq!((stats.bytes_written, stats.blocks_committed), (0, 0));
+    assert_eq!(cluster.obs().metrics().allocations_abandoned.get(), 1);
+    assert_eq!(cluster.namenode_state().cluster_report().blocks, 0);
+    let info = client.file_info("/wp/empty.bin").unwrap().unwrap();
+    assert!(info.complete);
+    assert_eq!(info.len, 0);
+    assert!(client.open("/wp/empty.bin").unwrap().block_layout().is_empty());
+    assert_eq!(client.get("/wp/empty.bin").unwrap(), Vec::<u8>::new());
+    cluster.shutdown();
+}
+
+#[test]
+fn one_block_put_costs_two_namenode_round_trips_and_a_commit_in_hdfs_mode() {
+    // create (carrying the first addBlock) + complete; HDFS mode keeps its
+    // own commitBlock. Multi-block puts are left out: how many commits
+    // find an addBlock to ride depends on ack timing.
+    let mut config = DfsConfig::test_scale();
+    // No speed report may fall into the counted window.
+    config.heartbeat_interval = SimDuration::from_secs(3);
+    let cluster = MiniCluster::start(&small_spec(3), config, 37).unwrap();
+    let client = cluster.client().unwrap();
+    let data = random_data(3, 4096);
+    let rpcs = || cluster.obs().metrics().namenode_client_rpcs.get();
+
+    let before = rpcs();
+    client.put("/wp/two.bin", &data, WriteMode::Smarth).unwrap();
+    assert_eq!(rpcs() - before, 2);
+    let before = rpcs();
+    client.put("/wp/three.bin", &data, WriteMode::Hdfs).unwrap();
+    assert_eq!(rpcs() - before, 3);
+    cluster.shutdown();
+}
