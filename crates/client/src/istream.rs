@@ -24,6 +24,12 @@
 //! * **Salvage** — [`DfsInputStream::salvage`] recovers every intact
 //!   block of a damaged file and maps the holes instead of erroring on
 //!   the first dead replica set.
+//!
+//! The bytes of a read are copied once on the client: the result is
+//! allocated once, every block window and under it every stripe gets its
+//! own disjoint `&mut [u8]` of it, and each verified packet payload is
+//! copied straight to its place. A failover fills the stripe's slice
+//! again from its start, so a source that died midway leaves no trace.
 
 use crate::client::ClientCtx;
 use smarth_core::checksum::ChunkedChecksum;
@@ -113,10 +119,6 @@ impl DfsInputStream {
         self.info.len == 0
     }
 
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The block layout resolved at open time, replica sets in namenode
     /// speed order (diagnostics and fault-targeting in tests).
     pub fn block_layout(&self) -> &[LocatedBlock] {
@@ -132,19 +134,7 @@ impl DfsInputStream {
             .enumerate()
             .map(|(i, lb)| (i, 0, lb.block.len))
             .collect();
-        let parts = self.read_windows(&windows)?;
-        let mut out = Vec::with_capacity(self.info.len as usize);
-        for p in parts {
-            out.extend_from_slice(&p);
-        }
-        if out.len() as u64 != self.info.len {
-            return Err(DfsError::internal(format!(
-                "read {} bytes, expected {}",
-                out.len(),
-                self.info.len
-            )));
-        }
-        Ok(out)
+        self.read_windows(&windows, self.info.len)
     }
 
     /// Positional read (`pread`) of `len` bytes at `offset`, touching
@@ -172,18 +162,7 @@ impl DfsInputStream {
                 break;
             }
         }
-        let parts = self.read_windows(&windows)?;
-        let mut out = Vec::with_capacity(len as usize);
-        for p in parts {
-            out.extend_from_slice(&p);
-        }
-        if out.len() as u64 != len {
-            return Err(DfsError::internal(format!(
-                "ranged read returned {} of {len} bytes",
-                out.len()
-            )));
-        }
-        Ok(out)
+        self.read_windows(&windows, len)
     }
 
     /// Degraded read: recovers every block that still has an intact
@@ -193,9 +172,11 @@ impl DfsInputStream {
         let mut recovered = Vec::new();
         let mut gaps = Vec::new();
         let mut block_start = 0u64;
+        let cancel = AtomicBool::new(false);
         for lb in &self.blocks {
-            match self.read_block_striped(lb, 0, lb.block.len) {
-                Ok(data) => recovered.push((block_start, data)),
+            let mut data = vec![0u8; lb.block.len as usize];
+            match self.read_block_striped(lb, 0, &mut data, &cancel) {
+                Ok(()) => recovered.push((block_start, data)),
                 Err(e) => gaps.push(BlockGap {
                     block: lb.block.id,
                     offset: block_start,
@@ -213,13 +194,21 @@ impl DfsInputStream {
         })
     }
 
-    /// Runs the given `(block_index, offset, len)` windows through the
-    /// striped fetcher, keeping up to `readahead_blocks` windows in
-    /// flight beyond the one being joined. Results come back in window
-    /// order; the first failure aborts the read.
-    fn read_windows(&self, windows: &[(usize, u64, u64)]) -> DfsResult<Vec<Vec<u8>>> {
+    /// Runs the given `(block_index, offset, len)` windows — `total`
+    /// bytes, back to back — through the striped fetcher, keeping up to
+    /// `readahead_blocks` windows in flight beyond the one being joined.
+    /// The result is allocated once, here: every window, and below it
+    /// every stripe, fills its own disjoint part of it in place. The
+    /// first failure aborts the read.
+    fn read_windows(&self, windows: &[(usize, u64, u64)], total: u64) -> DfsResult<Vec<u8>> {
+        let covered: u64 = windows.iter().map(|w| w.2).sum();
+        if covered != total {
+            return Err(DfsError::internal(format!(
+                "blocks cover {covered} bytes, expected {total}"
+            )));
+        }
         let readahead = self.ctx.config.readahead_blocks;
-        let mut out = Vec::with_capacity(windows.len());
+        let mut out = vec![0u8; total as usize];
         // In-flight readahead workers poll this between failover hops:
         // the first fatal error cancels the speculative windows so the
         // scope (which joins every worker) unwinds promptly instead of
@@ -227,6 +216,7 @@ impl DfsInputStream {
         let cancel = AtomicBool::new(false);
         std::thread::scope(|s| -> DfsResult<()> {
             let cancel = &cancel;
+            let mut rest = &mut out[..];
             let mut pending = VecDeque::new();
             let mut next = 0usize;
             let mut fatal: Option<DfsError> = None;
@@ -237,9 +227,10 @@ impl DfsInputStream {
                 while next < windows.len() && next <= i + readahead {
                     let (bi, off, wlen) = windows[next];
                     let lb = &self.blocks[bi];
-                    pending.push_back(
-                        s.spawn(move || self.read_block_striped_inner(lb, off, wlen, cancel)),
-                    );
+                    let (dst, tail) = std::mem::take(&mut rest).split_at_mut(wlen as usize);
+                    rest = tail;
+                    pending
+                        .push_back(s.spawn(move || self.read_block_striped(lb, off, dst, cancel)));
                     next += 1;
                 }
                 let handle = pending.pop_front().expect("window spawned before join");
@@ -247,12 +238,9 @@ impl DfsInputStream {
                     .join()
                     .map_err(|_| DfsError::internal("read worker panicked"))
                     .and_then(|r| r);
-                match joined {
-                    Ok(data) => out.push(data),
-                    Err(e) => {
-                        cancel.store(true, Ordering::SeqCst);
-                        fatal = Some(e);
-                    }
+                if let Err(e) = joined {
+                    cancel.store(true, Ordering::SeqCst);
+                    fatal = Some(e);
                 }
             }
             // Drain: join what's still pending (cancelled workers exit at
@@ -268,25 +256,20 @@ impl DfsInputStream {
         Ok(out)
     }
 
-    /// Reads `[offset, offset+len)` of one block, split into parallel
-    /// range stripes across its replica set with per-stripe failover.
-    fn read_block_striped(&self, lb: &LocatedBlock, offset: u64, len: u64) -> DfsResult<Vec<u8>> {
-        let cancel = AtomicBool::new(false);
-        self.read_block_striped_inner(lb, offset, len, &cancel)
-    }
-
-    /// [`Self::read_block_striped`] with a shared cancellation flag:
-    /// readahead sets it on a sibling's fatal error and every stripe
-    /// checks it before each failover hop.
-    fn read_block_striped_inner(
+    /// Fills `out` with the block's bytes from `offset` on, split into
+    /// parallel range stripes across its replica set with per-stripe
+    /// failover. Readahead sets `cancel` on a sibling's fatal error and
+    /// every stripe checks it before each failover hop.
+    fn read_block_striped(
         &self,
         lb: &LocatedBlock,
         offset: u64,
-        len: u64,
+        out: &mut [u8],
         cancel: &AtomicBool,
-    ) -> DfsResult<Vec<u8>> {
+    ) -> DfsResult<()> {
+        let len = out.len() as u64;
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if lb.targets.is_empty() {
             return Err(DfsError::internal(format!(
@@ -311,28 +294,28 @@ impl DfsInputStream {
             stripes: stripes as u64,
         });
 
-        let results: Vec<DfsResult<Vec<u8>>> = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let targets = &targets;
+            let mut rest = out;
             let handles: Vec<_> = (0..stripes)
                 .map(|i| {
                     let start = offset + cuts[i];
-                    let slen = cuts[i + 1] - cuts[i];
-                    s.spawn(move || self.fetch_stripe(lb, targets, i, start, slen, cancel))
+                    let stripe_len = (cuts[i + 1] - cuts[i]) as usize;
+                    let (dst, tail) = std::mem::take(&mut rest).split_at_mut(stripe_len);
+                    rest = tail;
+                    s.spawn(move || self.fetch_stripe(lb, targets, i, start, dst, cancel))
                 })
                 .collect();
-            handles
+            // Every stripe is joined before the first error is returned.
+            let results: Vec<DfsResult<()>> = handles
                 .into_iter()
                 .map(|h| {
                     h.join()
                         .unwrap_or_else(|_| Err(DfsError::internal("stripe worker panicked")))
                 })
-                .collect()
-        });
-        let mut data = Vec::with_capacity(len as usize);
-        for r in results {
-            data.extend_from_slice(&r?);
-        }
-        Ok(data)
+                .collect();
+            results.into_iter().collect()
+        })
     }
 
     /// Splits `len` bytes into `stripes` contiguous cuts weighted by the
@@ -373,23 +356,24 @@ impl DfsInputStream {
         cuts
     }
 
-    /// Fetches one stripe, failing over across the replica set starting
-    /// from the stripe's assigned source.
+    /// Fetches one stripe into `out`, failing over across the replica set
+    /// starting from the stripe's assigned source; each attempt fills
+    /// `out` from its start again.
     fn fetch_stripe(
         &self,
         lb: &LocatedBlock,
         targets: &[DatanodeInfo],
         stripe: usize,
         offset: u64,
-        len: u64,
+        out: &mut [u8],
         cancel: &AtomicBool,
-    ) -> DfsResult<Vec<u8>> {
-        if len == 0 {
-            return Ok(Vec::new());
+    ) -> DfsResult<()> {
+        if out.is_empty() {
+            return Ok(());
         }
         let metrics = self.ctx.obs.metrics();
         metrics.client_read_inflight_stripes.inc();
-        let result = self.fetch_stripe_with_failover(lb, targets, stripe, offset, len, cancel);
+        let result = self.fetch_stripe_with_failover(lb, targets, stripe, offset, out, cancel);
         metrics.client_read_inflight_stripes.dec();
         result
     }
@@ -400,10 +384,11 @@ impl DfsInputStream {
         targets: &[DatanodeInfo],
         stripe: usize,
         offset: u64,
-        len: u64,
+        out: &mut [u8],
         cancel: &AtomicBool,
-    ) -> DfsResult<Vec<u8>> {
+    ) -> DfsResult<()> {
         let n = targets.len();
+        let len = out.len() as u64;
         let mut last_err = DfsError::internal(format!("block {} has no replicas", lb.block.id));
         let mut prev: Option<DatanodeId> = None;
         for k in 0..n {
@@ -423,8 +408,8 @@ impl DfsInputStream {
                 });
             }
             let started = Instant::now();
-            match self.fetch_once(lb, target, offset, len) {
-                Ok(data) => {
+            match self.fetch_once(lb, target, offset, out) {
+                Ok(()) => {
                     // Reads feed the same §III-B tracker as writes, so
                     // read experience shapes future source ordering and
                     // the next heartbeat's speed report.
@@ -440,7 +425,7 @@ impl DfsInputStream {
                         bytes: len,
                     });
                     self.ctx.obs.metrics().bytes_read.add(len);
-                    return Ok(data);
+                    return Ok(());
                 }
                 Err(e) => {
                     if is_corrupt_replica(&e) {
@@ -454,18 +439,20 @@ impl DfsInputStream {
         Err(last_err)
     }
 
-    /// One connection-level attempt against one replica. Any length
-    /// disagreement — announced vs requested, or delivered vs announced —
-    /// is treated as a corrupt replica, not trusted (the old read path
-    /// only `debug_assert`ed the announced length, so release builds
-    /// accepted truncated or over-long streams).
+    /// One connection-level attempt against one replica: each verified
+    /// payload is copied to its place in `out`. Any length disagreement —
+    /// announced vs requested, or delivered vs announced — is treated as
+    /// a corrupt replica, not trusted (the old read path only
+    /// `debug_assert`ed the announced length, so release builds accepted
+    /// truncated or over-long streams).
     fn fetch_once(
         &self,
         lb: &LocatedBlock,
         target: &DatanodeInfo,
         offset: u64,
-        len: u64,
-    ) -> DfsResult<Vec<u8>> {
+        out: &mut [u8],
+    ) -> DfsResult<()> {
+        let len = out.len();
         let csum = ChunkedChecksum::new(self.ctx.config.bytes_per_checksum);
         let mut stream = self.ctx.fabric.connect(&self.ctx.host, &target.addr)?;
         // Reads must never hang on a stalled datanode: every frame of
@@ -479,7 +466,7 @@ impl DfsInputStream {
             &DataOp::ReadBlock {
                 block: lb.block,
                 offset,
-                len,
+                len: len as u64,
             },
         )?;
         let announced = match recv_message::<DataReply>(&mut stream)? {
@@ -487,43 +474,41 @@ impl DfsInputStream {
             DataReply::Error(e) => return Err(DfsError::internal(e)),
             other => return Err(DfsError::internal(format!("unexpected {other:?}"))),
         };
-        if announced != len {
+        if announced != len as u64 {
             return Err(DfsError::internal(format!(
                 "corrupt replica: announced {announced} bytes for a {len}-byte read of block {}",
                 lb.block.id
             )));
         }
-        let mut data = Vec::with_capacity(len as usize);
-        if len > 0 {
-            loop {
-                let pkt: Packet = recv_message(&mut stream)?;
-                if !csum.verify(&pkt.payload, &pkt.checksums) {
-                    return Err(DfsError::ChecksumMismatch {
-                        block: lb.block.id,
-                        seq: pkt.seq,
-                    });
-                }
-                data.extend_from_slice(&pkt.payload);
-                if data.len() as u64 > len {
-                    return Err(DfsError::internal(format!(
-                        "corrupt replica: {} bytes delivered of {len} announced for block {}",
-                        data.len(),
-                        lb.block.id
-                    )));
-                }
-                if pkt.last_in_block {
-                    break;
-                }
+        let mut filled = 0usize;
+        let delivered = |n: usize| {
+            DfsError::internal(format!(
+                "corrupt replica: {n} bytes delivered of {len} announced for block {}",
+                lb.block.id
+            ))
+        };
+        loop {
+            let pkt: Packet = recv_message(&mut stream)?;
+            if !csum.verify(&pkt.payload, &pkt.checksums) {
+                return Err(DfsError::ChecksumMismatch {
+                    block: lb.block.id,
+                    seq: pkt.seq,
+                });
+            }
+            let end = filled + pkt.payload.len();
+            if end > len {
+                return Err(delivered(end));
+            }
+            out[filled..end].copy_from_slice(&pkt.payload);
+            filled = end;
+            if pkt.last_in_block {
+                break;
             }
         }
-        if data.len() as u64 != len {
-            return Err(DfsError::internal(format!(
-                "corrupt replica: {} bytes delivered of {len} announced for block {}",
-                data.len(),
-                lb.block.id
-            )));
+        if filled != len {
+            return Err(delivered(filled));
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Tells the namenode a replica is corrupt (it drops it from

@@ -24,7 +24,7 @@ use smarth_core::error::{DfsError, DfsResult};
 use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, PipelineId, SpanId, TraceId};
 use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
 use smarth_core::proto::{AckKind, DataOp, DatanodeInfo, Packet, PipelineAck, WriteBlockHeader};
-use smarth_core::wire::send_message;
+use smarth_core::wire::{send_message, send_packet};
 use smarth_fabric::{Fabric, WriteHalf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -224,7 +224,7 @@ impl Pipeline {
         self.shared.sent.lock().push(pkt.clone());
         self.obs.metrics().packets_sent.inc();
         self.obs.metrics().packets_in_flight.inc();
-        send_message(&mut self.write, &pkt)
+        send_packet(&mut self.write, &pkt)
     }
 
     /// Bytes of the block sent so far (lock-free — the speed heartbeat

@@ -30,6 +30,7 @@
 //! over any `io`-like byte channel via the [`FrameIo`] trait.
 
 use crate::error::{DfsError, DfsResult};
+use crate::proto::Packet;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum accepted frame body, a defence against corrupt length prefixes.
@@ -470,38 +471,66 @@ pub trait FrameIo {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()>;
     /// Reads exactly `buf.len()` bytes or fails.
     fn read_exact(&mut self, buf: &mut [u8]) -> DfsResult<()>;
-    /// Writes all of a shared buffer; a transport that queues `Bytes`
-    /// takes slices of it instead of copies.
-    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
-        self.write_all(buf)
+    /// Writes `head` then `body` as one message. A transport that queues
+    /// `Bytes` takes slices of `body` instead of copies, and one that
+    /// wakes its peer per queued piece sends a small pair as one piece.
+    fn write_vectored(&mut self, head: &[u8], body: &Bytes) -> DfsResult<()> {
+        self.write_all(head)?;
+        self.write_all(body)
     }
+    /// Appends exactly `len` bytes to `buf` or fails; a transport that
+    /// holds the bytes already appends them without zeroing first.
+    fn read_append(&mut self, buf: &mut Vec<u8>, len: usize) -> DfsResult<()> {
+        let at = buf.len();
+        buf.resize(at + len, 0);
+        self.read_exact(&mut buf[at..])
+    }
+}
+
+fn check_frame_len(len: usize) -> DfsResult<()> {
+    if len > MAX_FRAME {
+        return Err(DfsError::codec(format!("frame too large: {len}")));
+    }
+    Ok(())
 }
 
 /// Writes one length-prefixed frame.
 pub fn write_frame(io: &mut impl FrameIo, body: &Bytes) -> DfsResult<()> {
-    if body.len() > MAX_FRAME {
-        return Err(DfsError::codec(format!("frame too large: {}", body.len())));
-    }
-    io.write_all(&(body.len() as u32).to_le_bytes())?;
-    io.write_bytes(body)
+    check_frame_len(body.len())?;
+    io.write_vectored(&(body.len() as u32).to_le_bytes(), body)
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one length-prefixed frame: the one copy a hop makes of it.
 pub fn read_frame(io: &mut impl FrameIo) -> DfsResult<Bytes> {
     let mut len_buf = [0u8; 4];
     io.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(DfsError::codec(format!("frame length {len} exceeds cap")));
-    }
-    let mut body = vec![0u8; len];
-    io.read_exact(&mut body)?;
+    check_frame_len(len)?;
+    let mut body = Vec::with_capacity(len);
+    io.read_append(&mut body, len)?;
     Ok(Bytes::from(body))
 }
 
 /// Convenience: encode a message and send it as one frame.
 pub fn send_message<M: Wire>(io: &mut impl FrameIo, msg: &M) -> DfsResult<()> {
     write_frame(io, &msg.to_bytes())
+}
+
+/// Sends a packet as the frame [`send_message`] would send, without
+/// building it: the frame length and every field before the payload go
+/// into one small buffer, and the payload follows as the `Bytes` it is.
+pub fn send_packet(io: &mut impl FrameIo, pkt: &Packet) -> DfsResult<()> {
+    let head_len = 8 + 8 + 1 + 4 + 4 * pkt.checksums.len() + 4;
+    check_frame_len(head_len + pkt.payload.len())?;
+    let mut head = WireWriter::with_capacity(4 + head_len);
+    head.put_u32((head_len + pkt.payload.len()) as u32);
+    pkt.seq.encode(&mut head);
+    pkt.offset_in_block.encode(&mut head);
+    pkt.last_in_block.encode(&mut head);
+    pkt.checksums.encode(&mut head);
+    head.put_u32(pkt.payload.len() as u32);
+    debug_assert_eq!(head.len(), 4 + head_len);
+    io.write_vectored(&head.finish(), &pkt.payload)
 }
 
 /// Convenience: read one frame and decode it as `M`.
@@ -720,14 +749,49 @@ mod tests {
         assert!(read_frame(&mut pipe).is_err(), "no fourth frame");
     }
 
+    /// The transports' defaults: a vectored write is head then body, an
+    /// appending read leaves what the `Vec` already held alone.
     #[test]
-    fn write_bytes_defaults_to_write_all() {
+    fn vectored_write_and_appending_read_default_to_the_plain_ones() {
         let body = Bytes::from((0u8..=255).collect::<Vec<u8>>()).slice(3..200);
-        let (mut by_slice, mut by_bytes) = (MemPipe::new(), MemPipe::new());
-        by_slice.write_all(&body).unwrap();
-        by_bytes.write_bytes(&body).unwrap();
-        assert_eq!(by_bytes.data, by_slice.data);
-        assert_eq!(by_bytes.data, &body[..]);
+        let mut pipe = MemPipe::new();
+        pipe.write_vectored(b"head", &body).unwrap();
+        let sent = [b"head", &body[..]].concat();
+        assert_eq!(pipe.data, sent);
+        let mut got = b"kept".to_vec();
+        pipe.read_append(&mut got, sent.len()).unwrap();
+        assert_eq!(got, [&b"kept"[..], &sent].concat());
+        assert!(pipe.read_append(&mut got, 1).is_err(), "pipe is drained");
+    }
+
+    /// The copy-free packet writer puts on the wire exactly the frame the
+    /// generic codec builds, whatever the payload and checksum count.
+    #[test]
+    fn send_packet_emits_the_frame_send_message_would() {
+        use testing::{SampleRng, SeedableRng, WireSample};
+        let mut rng = SampleRng::seed_from_u64(23);
+        let mut sampled: Vec<Packet> = (0..64).map(|_| Packet::sample(&mut rng)).collect();
+        sampled.push(Packet {
+            seq: 9,
+            offset_in_block: 1 << 20,
+            last_in_block: true,
+            checksums: vec![],
+            payload: Bytes::new(),
+        });
+        sampled.push(Packet {
+            seq: 0,
+            offset_in_block: 0,
+            last_in_block: false,
+            checksums: (0..128).collect(),
+            payload: Bytes::from(vec![0xA5; 64 * 1024]).slice(7..),
+        });
+        for pkt in &sampled {
+            let (mut generic, mut copy_free) = (MemPipe::new(), MemPipe::new());
+            write_frame(&mut generic, &pkt.to_bytes()).unwrap();
+            send_packet(&mut copy_free, pkt).unwrap();
+            assert_eq!(copy_free.data, generic.data, "{pkt:?}");
+            assert_eq!(&recv_message::<Packet>(&mut copy_free).unwrap(), pkt);
+        }
     }
 
     #[test]

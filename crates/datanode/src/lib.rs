@@ -218,7 +218,7 @@ mod tests {
         assert!(finalized);
         assert_eq!(info.len, 40_000);
         assert_eq!(
-            store.read(BlockId(1), GenStamp::INITIAL, 0, 40_000).unwrap(),
+            store.read(BlockId(1), GenStamp::INITIAL, 0, 40_000).unwrap().concat(),
             data
         );
     }
@@ -239,7 +239,8 @@ mod tests {
             assert_eq!(
                 dn.store()
                     .read(BlockId(7), GenStamp::INITIAL, 0, data.len() as u64)
-                    .unwrap(),
+                    .unwrap()
+                    .concat(),
                 data
             );
         }
@@ -356,6 +357,59 @@ mod tests {
             Some(0),
             "every-hop mode must report corruption at the first hop, got {ack:?}"
         );
+        // Refused before it was relayed: the mirror holds none of it.
+        let (mirror, _) = cluster.datanodes[1].store().replica_info(BlockId(22)).unwrap();
+        assert_eq!(mirror.len, 0);
+    }
+
+    /// A stage of the write path that cannot get a thread costs the
+    /// client one error ack naming this node — never a panic — and the
+    /// node serves the next block.
+    #[test]
+    fn unstartable_write_stage_answers_an_error_ack_and_the_node_keeps_serving() {
+        let cluster = TestCluster::new(2);
+        let targets = [cluster.info(0), cluster.info(1)];
+        let data = vec![0x3Cu8; 20_000];
+        for (i, stage) in ["dn-forwarder", "dn-flusher", "dn-responder"].into_iter().enumerate() {
+            cluster.datanodes[0].refuse_spawn(Some(stage));
+            let block = ExtendedBlock::new(BlockId(30 + i as u64), GenStamp::INITIAL, 0);
+            let mut stream = cluster.connect_first(&targets);
+            let header = WriteBlockHeader {
+                pipeline: PipelineId(1),
+                client: ClientId(1),
+                block,
+                mode: WriteMode::Hdfs,
+                targets: targets[1..].to_vec(),
+                position: 0,
+                client_buffer: cluster.config.datanode_client_buffer.as_u64(),
+                trace: TraceId::INVALID,
+                span: SpanId::INVALID,
+            };
+            send_message(&mut stream, &DataOp::WriteBlock(header)).unwrap();
+            let ack: PipelineAck = recv_message(&mut stream).unwrap();
+            assert_eq!(ack.first_error(), Some(0), "{stage}: {ack:?}");
+
+            cluster.datanodes[0].refuse_spawn(None);
+            let retry = ExtendedBlock::new(block.id, GenStamp(2), 0);
+            let (acks, _) = write_block(&cluster, &targets, retry, &data, WriteMode::Hdfs);
+            assert!(acks.iter().all(|a| a.all_success()), "{stage}: retry must succeed");
+        }
+    }
+
+    /// A connection the accept loop cannot get a thread for is dropped;
+    /// the loop itself keeps accepting.
+    #[test]
+    fn unstartable_xceiver_drops_that_connection_only() {
+        let cluster = TestCluster::new(1);
+        let probe = |cluster: &TestCluster| {
+            let mut stream = cluster.connect_first(&[cluster.info(0)]);
+            send_message(&mut stream, &DataOp::GetReplicaInfo { block: BlockId(1) })?;
+            recv_message::<DataReply>(&mut stream)
+        };
+        cluster.datanodes[0].refuse_spawn(Some("dn-xceiver"));
+        assert!(probe(&cluster).is_err(), "the refused connection is closed");
+        cluster.datanodes[0].refuse_spawn(None);
+        assert!(matches!(probe(&cluster), Ok(DataReply::ReplicaInfo { block: None, .. })));
     }
 
     #[test]

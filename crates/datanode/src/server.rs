@@ -7,31 +7,46 @@
 //! stages instead of sitting behind a serial loop):
 //!
 //! * the **receiver** (the connection's own thread) only drains the
-//!   upstream socket: it reads packets, verifies CRC-32C where
-//!   `DfsConfig::verify_checksums_at` says this hop must (tail-only by
-//!   default, like real HDFS), hands the packet to the forwarder *first*
-//!   and then fans it into the bounded staging queue;
+//!   upstream socket: it reads each packet's frame, decodes it, verifies
+//!   CRC-32C where `DfsConfig::verify_checksums_at` says this hop must
+//!   (tail-only by default, like real HDFS), hands the frame to the
+//!   forwarder *first* and then fans the packet into the bounded staging
+//!   queue;
 //! * the **flusher** drains the staging queue: pays the disk token
 //!   bucket, appends to the [`BlockStore`], finalizes on the last packet
 //!   and signals the responder. The staging queue is sized from
 //!   `DfsConfig::datanode_client_buffer` (§IV-C) and tracked by the
 //!   `datanode_buffered_bytes` / `datanode_staging_packets` gauges, so
 //!   a slow disk backpressures the socket only once the buffer is full;
-//! * the **forwarder** streams packets to the next datanode through a
+//! * the **forwarder** relays frames to the next datanode through a
 //!   bounded queue (one whole block on the *first* node, a few packets
 //!   elsewhere), tracked by the `datanode_forward_bytes` gauge;
 //! * the **responder** merges the downstream ack stream with this node's
 //!   own status and sends the combined ack upstream.
 //!
+//! A byte is copied once on its way through a node (§II step 3: the
+//! datanode "stores the packet and passes it on"): out of the socket
+//! into the frame. The decoded packet's payload is a slice of that
+//! frame; the forwarder writes the same frame to the mirror as it is,
+//! and the flusher hands the store that same slice. The receiver still
+//! decodes and checks *before* it relays: a malformed frame, or with
+//! `EveryHop` a corrupt one, stops here and never reaches the mirror.
+//! Reads go out the same way — packets that are slices of the stored
+//! segments, written by the copy-free [`send_packet`].
+//!
 //! Flush-stage errors (disk full, store failure mid-block) surface as
 //! error acks from the flusher, so clients classify them exactly like
-//! the old serial path did (`RecoveryCause::DatanodeError`).
+//! the old serial path did (`RecoveryCause::DatanodeError`); a stage
+//! that cannot get a thread is answered the same way, and a connection
+//! the accept loop cannot get a thread for is dropped — neither takes
+//! the node down.
 //!
 //! In SMARTH mode the *first* node additionally emits the
 //! FIRST_NODE_FINISH ack (FNFA) the moment the last packet of the block
 //! is durably stored (§III-A), unblocking the client's next pipeline.
 
 use crate::store::BlockStore;
+use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use smarth_core::checksum::ChunkedChecksum;
@@ -44,7 +59,7 @@ use smarth_core::proto::{
     AckKind, AckStatus, DataOp, DataReply, DatanodeRequest, DatanodeResponse, DatanodeTelemetry,
     Packet, PipelineAck, WriteBlockHeader,
 };
-use smarth_core::wire::{recv_message, send_message};
+use smarth_core::wire::{read_frame, recv_message, send_message, send_packet, write_frame, Wire};
 use smarth_fabric::{Fabric, FabricStream, ReadHalf, StopSignal, TokenBucket, WriteHalf};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -147,9 +162,30 @@ struct DnInner {
     local: DnLocalStats,
     /// Ticked by the heartbeat loop; serves `DataOp::GetTelemetry`.
     sampler: Arc<Sampler>,
+    /// Fault injection: the thread name [`DnInner::spawn`] refuses.
+    #[cfg(test)]
+    refuse_spawn: Mutex<Option<&'static str>>,
 }
 
 impl DnInner {
+    /// Starts one thread of the serving path. Running out of threads is
+    /// an error the caller answers on the wire, never a panic: the node
+    /// keeps serving what it can.
+    fn spawn<T: Send + 'static>(
+        &self,
+        name: &'static str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> DfsResult<JoinHandle<T>> {
+        #[cfg(test)]
+        if *self.refuse_spawn.lock() == Some(name) {
+            return Err(DfsError::internal(format!("spawn {name}: refused by test")));
+        }
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(f)
+            .map_err(|e| DfsError::internal(format!("spawn {name}: {e}")))
+    }
+
     fn notify_block_received(&self, block: smarth_core::ids::ExtendedBlock) {
         // Best effort: if the namenode is unreachable the replica is
         // still durable; the next block report would reconcile (and in
@@ -229,6 +265,8 @@ impl DataNode {
             obs,
             local: DnLocalStats::default(),
             sampler,
+            #[cfg(test)]
+            refuse_spawn: Mutex::new(None),
         });
         let stop = Arc::new(StopSignal::new());
         let mut threads = Vec::new();
@@ -246,11 +284,13 @@ impl DataNode {
                             if stop.is_stopped() {
                                 break;
                             }
-                            let inner = Arc::clone(&inner);
-                            std::thread::Builder::new()
-                                .name("dn-xceiver".into())
-                                .spawn(move || handle_connection(inner, stream))
-                                .expect("spawn xceiver");
+                            // Out of threads: this connection is dropped
+                            // (its peer sees it close and fails over or
+                            // recovers) and the loop keeps accepting.
+                            let conn = Arc::clone(&inner);
+                            let _ = inner.spawn("dn-xceiver", move || {
+                                handle_connection(conn, stream)
+                            });
                         }
                     })
                     .expect("spawn dn accept"),
@@ -337,11 +377,6 @@ impl DataNode {
         &self.inner.sampler
     }
 
-    /// This node's own live buffer levels (what heartbeats piggyback).
-    pub fn local_telemetry(&self) -> DatanodeTelemetry {
-        self.inner.local.snapshot()
-    }
-
     /// Fault injection for read-path tests: every packet this node
     /// serves for `block` has its payload corrupted *after* checksums
     /// are computed, so the copy looks fine locally but fails the
@@ -350,9 +385,11 @@ impl DataNode {
         self.inner.read_corruption.lock().insert(block);
     }
 
-    /// Lifts [`Self::inject_read_corruption`] for `block`.
-    pub fn heal_read_corruption(&self, block: BlockId) {
-        self.inner.read_corruption.lock().remove(&block);
+    /// Fault injection for the spawn-failure tests: [`DnInner::spawn`]
+    /// refuses threads of this name until `None` lifts it.
+    #[cfg(test)]
+    pub(crate) fn refuse_spawn(&self, name: Option<&'static str>) {
+        *self.inner.refuse_spawn.lock() = name;
     }
 
     /// Tells the server threads to stop, without waiting for them: the
@@ -456,10 +493,25 @@ fn handle_connection(dn: Arc<DnInner>, mut stream: FabricStream) {
 /// `(seq, last_in_block)` handed from the receiver to the responder.
 type AckSignal = (u64, bool);
 
+/// A validated packet frame on its way to the mirror: the frame body as
+/// it arrived, and its payload length for the buffer gauges.
+type Relay = (Bytes, u64);
+
 /// Sends an ack upstream under the shared writer lock.
 fn send_ack(up: &Mutex<WriteHalf>, ack: &PipelineAck) -> DfsResult<()> {
     let mut w = up.lock();
     send_message(&mut *w, ack)
+}
+
+/// This node's refusal of packet `seq` (or, at `seq` 0 before any packet,
+/// of the whole transfer).
+fn error_ack(seq: u64) -> PipelineAck {
+    PipelineAck {
+        kind: AckKind::Packet,
+        seq,
+        batch: 1,
+        statuses: vec![AckStatus::Error],
+    }
 }
 
 fn handle_write(
@@ -520,7 +572,7 @@ fn run_write_threads(
         .max(packet)
         .div_ceil(packet) as usize;
 
-    let (fwd_tx, fwd_rx): (Sender<Packet>, Receiver<Packet>) = bounded(queue_packets);
+    let (fwd_tx, fwd_rx): (Sender<Relay>, Receiver<Relay>) = bounded(queue_packets);
     let (flush_tx, flush_rx): (Sender<Packet>, Receiver<Packet>) = bounded(staging_packets);
     let (ack_tx, ack_rx): (Sender<AckSignal>, Receiver<AckSignal>) = unbounded();
 
@@ -529,30 +581,20 @@ fn run_write_threads(
         None => (None, None),
     };
 
-    // Forwarder: pumps packets to the next datanode.
+    // Forwarder: relays each frame to the next datanode as it arrived.
     let forwarder = mirror_write.map(|mut m_write| {
-        let dn = Arc::clone(dn);
-        std::thread::Builder::new()
-            .name("dn-forwarder".into())
-            .spawn(move || {
-                for pkt in fwd_rx.iter() {
-                    let n = pkt.payload.len() as u64;
-                    let sent = send_message(&mut m_write, &pkt);
-                    dn.obs.metrics().datanode_forward_bytes.sub(n);
-                    DnLocalStats::sub(&dn.local.forward_bytes, n);
-                    if sent.is_err() {
-                        // Drain so the receiver never blocks on a dead
-                        // mirror; the responder reports the error.
-                        for pkt in fwd_rx.iter() {
-                            let n = pkt.payload.len() as u64;
-                            dn.obs.metrics().datanode_forward_bytes.sub(n);
-                            DnLocalStats::sub(&dn.local.forward_bytes, n);
-                        }
-                        break;
-                    }
-                }
-            })
-            .expect("spawn forwarder")
+        let node = Arc::clone(dn);
+        dn.spawn("dn-forwarder", move || {
+            let mut mirror_alive = true;
+            for (frame, n) in fwd_rx.iter() {
+                // Past a dead mirror the queue is only drained, so the
+                // receiver never blocks on it; the responder reports the
+                // error.
+                mirror_alive = mirror_alive && write_frame(&mut m_write, &frame).is_ok();
+                node.obs.metrics().datanode_forward_bytes.sub(n);
+                DnLocalStats::sub(&node.local.forward_bytes, n);
+            }
+        })
     });
 
     // Flusher: drains the staging queue into the disk model and the
@@ -562,47 +604,36 @@ fn run_write_threads(
     // recovery classifies it as a datanode error, exactly like the old
     // serial path.
     let flusher = {
-        let dn = Arc::clone(dn);
+        let node = Arc::clone(dn);
         let header = header.clone();
         let up_write = Arc::clone(&up_write);
-        std::thread::Builder::new()
-            .name("dn-flusher".into())
-            .spawn(move || -> DfsResult<()> {
-                let metrics_drop = |pkt: &Packet| {
-                    let m = dn.obs.metrics();
-                    m.datanode_buffered_bytes.sub(pkt.payload.len() as u64);
-                    m.datanode_staging_packets.sub(1);
-                    DnLocalStats::sub(&dn.local.buffered_bytes, pkt.payload.len() as u64);
-                    DnLocalStats::sub(&dn.local.staging_packets, 1);
-                };
-                for pkt in flush_rx.iter() {
-                    let flushed = flush_packet(&dn, &header, &up_write, &pkt);
-                    metrics_drop(&pkt);
-                    if let Err(e) = flushed {
-                        let _ = send_ack(
-                            &up_write,
-                            &PipelineAck {
-                                kind: AckKind::Packet,
-                                seq: pkt.seq,
-                                batch: 1,
-                                statuses: vec![AckStatus::Error],
-                            },
-                        );
-                        // Unblock the receiver: drain whatever is staged.
-                        for pkt in flush_rx.iter() {
-                            metrics_drop(&pkt);
-                        }
-                        return Err(e);
+        dn.spawn("dn-flusher", move || -> DfsResult<()> {
+            let metrics_drop = |pkt: &Packet| {
+                let m = node.obs.metrics();
+                m.datanode_buffered_bytes.sub(pkt.payload.len() as u64);
+                m.datanode_staging_packets.sub(1);
+                DnLocalStats::sub(&node.local.buffered_bytes, pkt.payload.len() as u64);
+                DnLocalStats::sub(&node.local.staging_packets, 1);
+            };
+            for pkt in flush_rx.iter() {
+                let flushed = flush_packet(&node, &header, &up_write, &pkt);
+                metrics_drop(&pkt);
+                if let Err(e) = flushed {
+                    let _ = send_ack(&up_write, &error_ack(pkt.seq));
+                    // Unblock the receiver: drain whatever is staged.
+                    for pkt in flush_rx.iter() {
+                        metrics_drop(&pkt);
                     }
-                    let last = pkt.last_in_block;
-                    ack_tx.send((pkt.seq, last)).ok();
-                    if last {
-                        break;
-                    }
+                    return Err(e);
                 }
-                Ok(())
-            })
-            .expect("spawn flusher")
+                let last = pkt.last_in_block;
+                ack_tx.send((pkt.seq, last)).ok();
+                if last {
+                    break;
+                }
+            }
+            Ok(())
+        })
     };
 
     // Responder: merges downstream acks with our own success and relays
@@ -614,74 +645,81 @@ fn run_write_threads(
     let responder = {
         let up_write = Arc::clone(&up_write);
         let mut mirror_read = mirror_read;
-        std::thread::Builder::new()
-            .name("dn-responder".into())
-            .spawn(move || {
-                // Highest seq the mirror has cumulatively acked, plus
-                // the statuses of its latest frame. The mirror batches
-                // independently, so its frame boundaries need not match
-                // ours — only coverage matters.
-                let mut mirror_covered: Option<u64> = None;
-                let mut mirror_statuses: Vec<AckStatus> = Vec::new();
-                // Reused across frames: taken into each outgoing ack and
-                // reclaimed after the send, so the per-frame hot path
-                // allocates nothing once warm.
-                let mut statuses: Vec<AckStatus> = Vec::new();
-                loop {
-                    let (first_seq, first_last) = match ack_rx.recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    };
-                    let mut seq = first_seq;
-                    let mut last = first_last;
-                    let mut batch = 1u64;
-                    while !last {
-                        match ack_rx.try_recv() {
-                            Ok((s, l)) => {
-                                seq = s;
-                                last = l;
-                                batch += 1;
-                            }
-                            Err(_) => break,
+        dn.spawn("dn-responder", move || {
+            // Highest seq the mirror has cumulatively acked, plus
+            // the statuses of its latest frame. The mirror batches
+            // independently, so its frame boundaries need not match
+            // ours — only coverage matters.
+            let mut mirror_covered: Option<u64> = None;
+            let mut mirror_statuses: Vec<AckStatus> = Vec::new();
+            // Reused across frames: taken into each outgoing ack and
+            // reclaimed after the send, so the per-frame hot path
+            // allocates nothing once warm.
+            let mut statuses: Vec<AckStatus> = Vec::new();
+            loop {
+                let (first_seq, first_last) = match ack_rx.recv() {
+                    Ok(s) => s,
+                    Err(_) => break,
+                };
+                let mut seq = first_seq;
+                let mut last = first_last;
+                let mut batch = 1u64;
+                while !last {
+                    match ack_rx.try_recv() {
+                        Ok((s, l)) => {
+                            seq = s;
+                            last = l;
+                            batch += 1;
                         }
+                        Err(_) => break,
                     }
-                    if mirror_read.is_some() {
-                        let mr = mirror_read.as_mut().expect("checked above");
-                        while mirror_covered.is_none_or(|c| c < seq) {
-                            match recv_message::<PipelineAck>(mr) {
-                                Ok(ack) => {
-                                    mirror_covered = Some(ack.seq);
-                                    let errored = ack.first_error().is_some();
-                                    mirror_statuses = ack.statuses;
-                                    if errored {
-                                        break;
-                                    }
-                                }
-                                Err(_) => {
-                                    mirror_statuses = vec![AckStatus::Error];
+                }
+                if mirror_read.is_some() {
+                    let mr = mirror_read.as_mut().expect("checked above");
+                    while mirror_covered.is_none_or(|c| c < seq) {
+                        match recv_message::<PipelineAck>(mr) {
+                            Ok(ack) => {
+                                mirror_covered = Some(ack.seq);
+                                let errored = ack.first_error().is_some();
+                                mirror_statuses = ack.statuses;
+                                if errored {
                                     break;
                                 }
                             }
+                            Err(_) => {
+                                mirror_statuses = vec![AckStatus::Error];
+                                break;
+                            }
                         }
                     }
-                    statuses.clear();
-                    statuses.push(AckStatus::Success);
-                    statuses.extend_from_slice(&mirror_statuses);
-                    let ack = PipelineAck {
-                        kind: AckKind::Packet,
-                        seq,
-                        batch,
-                        statuses: std::mem::take(&mut statuses),
-                    };
-                    let sent = send_ack(&up_write, &ack);
-                    statuses = ack.statuses;
-                    if sent.is_err() || last {
-                        break;
-                    }
                 }
-            })
-            .expect("spawn responder")
+                statuses.clear();
+                statuses.push(AckStatus::Success);
+                statuses.extend_from_slice(&mirror_statuses);
+                let ack = PipelineAck {
+                    kind: AckKind::Packet,
+                    seq,
+                    batch,
+                    statuses: std::mem::take(&mut statuses),
+                };
+                let sent = send_ack(&up_write, &ack);
+                statuses = ack.statuses;
+                if sent.is_err() || last {
+                    break;
+                }
+            }
+        })
     };
+
+    // Out of threads for a stage: one error ack, so the client classifies
+    // the block as a datanode error, and straight to the wind-down, where
+    // the stages that did start end with their queues.
+    let unstarted = forwarder
+        .as_ref()
+        .and_then(|f| f.as_ref().err())
+        .or(flusher.as_ref().err())
+        .or(responder.as_ref().err())
+        .cloned();
 
     // Receiver loop (this thread): drain the socket, forward, stage.
     let verify_here = match dn.config.verify_checksums_at {
@@ -691,8 +729,16 @@ fn run_write_threads(
         VerifyChecksumsAt::TailOnly => !has_mirror,
     };
     let result: DfsResult<()> = (|| {
+        if let Some(e) = unstarted {
+            let _ = send_ack(&up_write, &error_ack(0));
+            return Err(e);
+        }
         loop {
-            let pkt: Packet = recv_message(&mut up_read)?;
+            // The frame is decoded and checked here and then relayed as
+            // it is: `pkt.payload` is a slice of `frame`, and the mirror
+            // and the store get handles on that one buffer.
+            let frame = read_frame(&mut up_read)?;
+            let pkt = Packet::from_bytes(frame.clone())?;
             // Verify before ack/store (§II step 3: "verifies the packet's
             // checksum") — on the hops the config says must pay for it.
             if verify_here
@@ -701,29 +747,22 @@ fn run_write_threads(
                     .first_corrupt_chunk(&pkt.payload, &pkt.checksums)
                     .is_some()
             {
-                let _ = send_ack(
-                    &up_write,
-                    &PipelineAck {
-                        kind: AckKind::Packet,
-                        seq: pkt.seq,
-                        batch: 1,
-                        statuses: vec![AckStatus::Error],
-                    },
-                );
+                let _ = send_ack(&up_write, &error_ack(pkt.seq));
                 return Err(DfsError::ChecksumMismatch {
                     block: block.id,
                     seq: pkt.seq,
                 });
             }
+            let last = pkt.last_in_block;
+            let n = pkt.payload.len() as u64;
             if has_mirror {
                 // Forward *before* the local flush so downstream
                 // replication is never gated on this node's disk. A
                 // closed forwarder means the mirror died; the responder
                 // reports it via error acks, we just stop forwarding.
-                let n = pkt.payload.len() as u64;
                 dn.obs.metrics().datanode_forward_bytes.add(n);
                 DnLocalStats::add(&dn.local.forward_bytes, n);
-                if fwd_tx.send(pkt.clone()).is_err() {
+                if fwd_tx.send((frame, n)).is_err() {
                     dn.obs.metrics().datanode_forward_bytes.sub(n);
                     DnLocalStats::sub(&dn.local.forward_bytes, n);
                 }
@@ -731,8 +770,6 @@ fn run_write_threads(
             // Stage for the flusher. Accounting happens before the send:
             // the bounded queue blocks here once the §IV-C buffer is
             // full, and that backlog is what backpressures the socket.
-            let last = pkt.last_in_block;
-            let n = pkt.payload.len() as u64;
             let m = dn.obs.metrics();
             m.datanode_buffered_bytes.add(n);
             m.datanode_staging_packets.add(1);
@@ -759,13 +796,16 @@ fn run_write_threads(
     // staged packets and the forwarder finish streaming to the mirror.
     drop(fwd_tx);
     drop(flush_tx);
-    let flush_result = flusher.join().unwrap_or_else(|_| {
-        Err(DfsError::internal("flusher thread panicked"))
+    let flush_result = flusher.map_or(Ok(()), |f| {
+        f.join()
+            .unwrap_or_else(|_| Err(DfsError::internal("flusher thread panicked")))
     });
-    if let Some(f) = forwarder {
+    if let Some(Ok(f)) = forwarder {
         let _ = f.join();
     }
-    let _ = responder.join();
+    if let Ok(r) = responder {
+        let _ = r.join();
+    }
     // A flush failure is the root cause (the receiver usually dies
     // second, with a derived connection error) — report it first.
     match flush_result {
@@ -790,7 +830,7 @@ fn flush_packet(
         .acquire(pkt.payload.len())
         .map_err(|_| DfsError::connection_lost("datanode stopping"))?;
     dn.store
-        .write_packet(block.id, block.gen, pkt.offset_in_block, &pkt.payload)?;
+        .append(block.id, block.gen, pkt.offset_in_block, pkt.payload.clone())?;
     if pkt.last_in_block {
         let final_len = pkt.offset_in_block + pkt.payload.len() as u64;
         let finalized = dn.store.finalize(block.id, block.gen, final_len)?;
@@ -821,6 +861,9 @@ fn flush_packet(
     Ok(())
 }
 
+/// Serves a range of a finalized replica as packets of at most
+/// `packet_size`, each a slice of one stored segment — a packet never
+/// spans two, so nothing is joined or copied on the way out.
 fn handle_read(
     dn: &Arc<DnInner>,
     block: smarth_core::ids::ExtendedBlock,
@@ -828,51 +871,45 @@ fn handle_read(
     len: u64,
     mut stream: FabricStream,
 ) -> DfsResult<()> {
-    let data = match dn.store.read(block.id, block.gen, offset, len) {
-        Ok(d) => d,
+    let segments = match dn.store.read(block.id, block.gen, offset, len) {
+        Ok(s) => s,
         Err(e) => {
             let _ = send_message(&mut stream, &DataReply::Error(e.to_string()));
             return Err(e);
         }
     };
-    send_message(
-        &mut stream,
-        &DataReply::ReadOk {
-            len: data.len() as u64,
-        },
-    )?;
+    send_message(&mut stream, &DataReply::ReadOk { len })?;
     let chunk = dn.config.packet_size.as_u64().max(1) as usize;
-    let total = data.len();
-    let payload = bytes::Bytes::from(data);
     let corrupt = dn.read_corruption.lock().contains(&block.id);
-    let mut seq = 0u64;
-    let mut sent = 0usize;
-    loop {
-        let n = chunk.min(total - sent);
-        let mut part = payload.slice(sent..sent + n);
-        let last = sent + n >= total;
+    // An empty range is still answered with one (empty) last packet.
+    let parts = segments
+        .iter()
+        .flat_map(|seg| {
+            (0..seg.len())
+                .step_by(chunk)
+                .map(move |at| seg.slice(at..seg.len().min(at + chunk)))
+        })
+        .chain((len == 0).then(Bytes::new));
+    let mut sent = 0u64;
+    for (seq, mut part) in parts.enumerate() {
         let checksums = dn.checksum.compute(&part);
-        if corrupt && n > 0 {
+        if corrupt && !part.is_empty() {
             // Injected fault: flip a bit after checksumming, so the
             // frame self-reports as clean and only the reader's verify
             // can catch it.
             let mut bytes = part.to_vec();
             bytes[0] ^= 0x80;
-            part = bytes::Bytes::from(bytes);
+            part = Bytes::from(bytes);
         }
         let pkt = Packet {
-            seq,
-            offset_in_block: offset + sent as u64,
-            last_in_block: last,
+            seq: seq as u64,
+            offset_in_block: offset + sent,
+            last_in_block: sent + part.len() as u64 >= len,
             checksums,
             payload: part,
         };
-        send_message(&mut stream, &pkt)?;
-        sent += n;
-        seq += 1;
-        if last {
-            break;
-        }
+        sent += pkt.payload.len() as u64;
+        send_packet(&mut stream, &pkt)?;
     }
     Ok(())
 }

@@ -10,6 +10,12 @@
 //! Each chunk carries a `ready_at` timestamp (`enqueue time + latency`);
 //! readers do not see bytes before that instant, modelling one-way
 //! propagation delay.
+//!
+//! Reading is one loop ([`ByteChannel::read_pieces`]) with an optional
+//! deadline; it fills a slice or appends to a `Vec` the caller sized, so
+//! reassembling a frame out of chunks — the "NIC to memory" copy, the
+//! one copy a hop makes of a byte — writes each byte once, into memory
+//! nobody zeroed first.
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -92,65 +98,52 @@ impl ByteChannel {
     /// Fills `buf` completely, blocking for data and latency. Errors on
     /// EOF-before-filled or a broken channel.
     pub fn read_exact(&self, buf: &mut [u8]) -> DfsResult<()> {
+        self.read_deadline(buf, None)
+    }
+
+    /// [`read_exact`](Self::read_exact) that gives up with
+    /// [`DfsError::Timeout`] once `deadline` passes without the buffer
+    /// filling. This is what lets a reader abandon a stalled datanode
+    /// (throttled to a trickle, not dead — the channel never breaks) and
+    /// fail over to another replica.
+    pub fn read_deadline(&self, buf: &mut [u8], deadline: Option<Instant>) -> DfsResult<()> {
         let mut filled = 0;
+        self.read_pieces(buf.len(), deadline, |piece| {
+            buf[filled..filled + piece.len()].copy_from_slice(piece);
+            filled += piece.len();
+        })
+    }
+
+    /// Appends the next `len` bytes to `buf` — into capacity the caller
+    /// reserved, so nothing is zeroed first and what `buf` held stays.
+    pub fn read_append(
+        &self,
+        buf: &mut Vec<u8>,
+        len: usize,
+        deadline: Option<Instant>,
+    ) -> DfsResult<()> {
+        self.read_pieces(len, deadline, |piece| buf.extend_from_slice(piece))
+    }
+
+    /// The one read loop: hands the next `len` bytes to `sink` piece by
+    /// piece as chunks become ready, blocking for data and latency.
+    fn read_pieces(
+        &self,
+        len: usize,
+        deadline: Option<Instant>,
+        mut sink: impl FnMut(&[u8]),
+    ) -> DfsResult<()> {
+        let mut taken = 0;
         let mut st = self.state.lock();
-        while filled < buf.len() {
+        while taken < len {
             if let Some(reason) = &st.broken {
                 return Err(DfsError::connection_lost(reason.clone()));
             }
             // Take from the partially consumed front chunk first.
             if let Some(front) = st.front.take() {
-                let n = front.len().min(buf.len() - filled);
-                buf[filled..filled + n].copy_from_slice(&front[..n]);
-                filled += n;
-                st.buffered -= n;
-                if n < front.len() {
-                    st.front = Some(front.slice(n..));
-                }
-                self.writable.notify_all();
-                continue;
-            }
-            match st.queue.front() {
-                Some((ready, _)) => {
-                    let now = Instant::now();
-                    if *ready <= now {
-                        let (_, chunk) = st.queue.pop_front().expect("front checked");
-                        st.front = Some(chunk);
-                    } else {
-                        let wait = *ready - now;
-                        self.readable.wait_for(&mut st, wait);
-                    }
-                }
-                None => {
-                    if st.write_closed {
-                        return Err(DfsError::connection_lost(format!(
-                            "eof after {filled} of {} bytes",
-                            buf.len()
-                        )));
-                    }
-                    self.readable.wait(&mut st);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`read_exact`](Self::read_exact), but gives up with
-    /// [`DfsError::Timeout`] once `deadline` passes without the buffer
-    /// filling. This is what lets a reader abandon a stalled datanode
-    /// (throttled to a trickle, not dead — the channel never breaks) and
-    /// fail over to another replica.
-    pub fn read_exact_deadline(&self, buf: &mut [u8], deadline: Instant) -> DfsResult<()> {
-        let mut filled = 0;
-        let mut st = self.state.lock();
-        while filled < buf.len() {
-            if let Some(reason) = &st.broken {
-                return Err(DfsError::connection_lost(reason.clone()));
-            }
-            if let Some(front) = st.front.take() {
-                let n = front.len().min(buf.len() - filled);
-                buf[filled..filled + n].copy_from_slice(&front[..n]);
-                filled += n;
+                let n = front.len().min(len - taken);
+                sink(&front[..n]);
+                taken += n;
                 st.buffered -= n;
                 if n < front.len() {
                     st.front = Some(front.slice(n..));
@@ -159,31 +152,31 @@ impl ByteChannel {
                 continue;
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|d| now >= d) {
                 return Err(DfsError::Timeout(format!(
-                    "read deadline after {filled} of {} bytes",
-                    buf.len()
+                    "read deadline after {taken} of {len} bytes"
                 )));
             }
-            match st.queue.front() {
-                Some((ready, _)) => {
-                    if *ready <= now {
-                        let (_, chunk) = st.queue.pop_front().expect("front checked");
-                        st.front = Some(chunk);
-                    } else {
-                        let wait = (*ready - now).min(deadline - now);
-                        self.readable.wait_for(&mut st, wait);
-                    }
+            // Sleep until the head chunk's latency has passed, or for new
+            // data, but never past the deadline.
+            let wait = match st.queue.front() {
+                Some((ready, _)) if *ready <= now => {
+                    st.front = st.queue.pop_front().map(|(_, chunk)| chunk);
+                    continue;
                 }
-                None => {
-                    if st.write_closed {
-                        return Err(DfsError::connection_lost(format!(
-                            "eof after {filled} of {} bytes",
-                            buf.len()
-                        )));
-                    }
-                    self.readable.wait_for(&mut st, deadline - now);
+                Some((ready, _)) => Some(*ready - now),
+                None if st.write_closed => {
+                    return Err(DfsError::connection_lost(format!(
+                        "eof after {taken} of {len} bytes"
+                    )));
                 }
+                None => None,
+            };
+            match wait.into_iter().chain(deadline.map(|d| d - now)).min() {
+                Some(wait) => {
+                    self.readable.wait_for(&mut st, wait);
+                }
+                None => self.readable.wait(&mut st),
             }
         }
         Ok(())
@@ -311,7 +304,7 @@ mod tests {
         let mut buf = [0u8; 8];
         let start = Instant::now();
         let err = c
-            .read_exact_deadline(&mut buf, start + Duration::from_millis(60))
+            .read_deadline(&mut buf, Some(start + Duration::from_millis(60)))
             .unwrap_err();
         assert!(matches!(err, DfsError::Timeout(_)), "got {err:?}");
         assert!(start.elapsed() >= Duration::from_millis(50));
@@ -331,10 +324,27 @@ mod tests {
             c2.push(Bytes::from_static(b"late")).unwrap();
         });
         let mut buf = [0u8; 4];
-        c.read_exact_deadline(&mut buf, Instant::now() + Duration::from_secs(2))
+        c.read_deadline(&mut buf, Some(Instant::now() + Duration::from_secs(2)))
             .unwrap();
         assert_eq!(&buf, b"late");
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn append_leaves_earlier_bytes_of_the_vec_untouched() {
+        let c = chan(1024);
+        c.push(Bytes::from_static(b"abc")).unwrap();
+        c.push(Bytes::from_static(b"defgh")).unwrap();
+        let mut got = b"kept:".to_vec();
+        got.reserve(6);
+        c.read_append(&mut got, 6, None).unwrap();
+        assert_eq!(got, b"kept:abcdef");
+        // A deadline that passes mid-append keeps what did arrive.
+        let err = c
+            .read_append(&mut got, 4, Some(Instant::now() + Duration::from_millis(30)))
+            .unwrap_err();
+        assert!(matches!(err, DfsError::Timeout(_)), "got {err:?}");
+        assert_eq!(got, b"kept:abcdefgh");
     }
 
     #[test]

@@ -149,10 +149,6 @@ impl Fabric {
         }
     }
 
-    pub fn host_rack(&self, name: &str) -> Option<String> {
-        self.inner.hosts.lock().get(name).map(|h| h.rack.clone())
-    }
-
     pub fn is_alive(&self, name: &str) -> bool {
         self.inner
             .hosts
@@ -342,11 +338,6 @@ impl Fabric {
         self.inner.partitions.lock().remove(&pair_key(a, b));
     }
 
-    /// True while `a` and `b` are partitioned (diagnostics/tests).
-    pub fn is_partitioned(&self, a: &str, b: &str) -> bool {
-        self.inner.partitions.lock().contains(&pair_key(a, b))
-    }
-
     /// Tears down the whole fabric: breaks every stream and removes every
     /// listener so blocked threads exit.
     pub fn shutdown(&self) {
@@ -486,6 +477,9 @@ impl FrameIo for ReadHalf {
     fn read_exact(&mut self, buf: &mut [u8]) -> DfsResult<()> {
         self.inn.read_exact(buf)
     }
+    fn read_append(&mut self, buf: &mut Vec<u8>, len: usize) -> DfsResult<()> {
+        self.inn.read_append(buf, len, None)
+    }
 }
 
 impl Drop for ReadHalf {
@@ -512,32 +506,43 @@ impl WriteHalf {
     }
 }
 
-/// Pays the path's buckets and queues `buf` towards the peer, one
-/// `chunk_size` slice of it at a time.
+/// Pays the path's buckets and queues `head` then `body` towards the
+/// peer, `chunk_size` bytes at a time. The reader is woken once per
+/// queued chunk, so a pair that fits one chunk goes as one (a small
+/// packet, an ack, an RPC); a larger body goes as slices of itself.
 fn shaped_write(
     out: &ByteChannel,
     buckets: &[Arc<TokenBucket>],
     chunk_size: usize,
-    buf: &Bytes,
+    head: &[u8],
+    body: &Bytes,
 ) -> DfsResult<()> {
-    for at in (0..buf.len()).step_by(chunk_size) {
-        let chunk = buf.slice(at..buf.len().min(at + chunk_size));
-        for bucket in buckets {
-            bucket
-                .acquire(chunk.len())
-                .map_err(|_| DfsError::connection_lost("path bucket closed"))?;
+    let queue = |buf: &Bytes| -> DfsResult<()> {
+        for at in (0..buf.len()).step_by(chunk_size) {
+            let chunk = buf.slice(at..buf.len().min(at + chunk_size));
+            for bucket in buckets {
+                bucket
+                    .acquire(chunk.len())
+                    .map_err(|_| DfsError::connection_lost("path bucket closed"))?;
+            }
+            out.push(chunk)?;
         }
-        out.push(chunk)?;
+        Ok(())
+    };
+    if head.len() + body.len() <= chunk_size {
+        queue(&Bytes::from([head, body].concat()))
+    } else {
+        queue(&Bytes::copy_from_slice(head))?;
+        queue(body)
     }
-    Ok(())
 }
 
 impl FrameIo for WriteHalf {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()> {
-        self.write_bytes(&Bytes::copy_from_slice(buf))
+        self.write_vectored(buf, &Bytes::new())
     }
-    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
-        shaped_write(&self.out, &self.out_buckets, self.chunk, buf)
+    fn write_vectored(&mut self, head: &[u8], body: &Bytes) -> DfsResult<()> {
+        shaped_write(&self.out, &self.out_buckets, self.chunk, head, body)
     }
     fn read_exact(&mut self, _buf: &mut [u8]) -> DfsResult<()> {
         Err(DfsError::internal("read on write half"))
@@ -552,17 +557,16 @@ impl Drop for WriteHalf {
 
 impl FrameIo for FabricStream {
     fn write_all(&mut self, buf: &[u8]) -> DfsResult<()> {
-        self.write_bytes(&Bytes::copy_from_slice(buf))
+        self.write_vectored(buf, &Bytes::new())
     }
-    fn write_bytes(&mut self, buf: &Bytes) -> DfsResult<()> {
-        shaped_write(&self.out, &self.out_buckets, self.chunk, buf)
+    fn write_vectored(&mut self, head: &[u8], body: &Bytes) -> DfsResult<()> {
+        shaped_write(&self.out, &self.out_buckets, self.chunk, head, body)
     }
-
     fn read_exact(&mut self, buf: &mut [u8]) -> DfsResult<()> {
-        match self.read_deadline {
-            Some(deadline) => self.inn.read_exact_deadline(buf, deadline),
-            None => self.inn.read_exact(buf),
-        }
+        self.inn.read_deadline(buf, self.read_deadline)
+    }
+    fn read_append(&mut self, buf: &mut Vec<u8>, len: usize) -> DfsResult<()> {
+        self.inn.read_append(buf, len, self.read_deadline)
     }
 }
 

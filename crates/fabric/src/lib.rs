@@ -120,6 +120,24 @@ mod tests {
         assert!(secs < 0.6, "throttle far too strict: {secs}s");
     }
 
+    /// A head and a body arrive as their concatenation whether the pair
+    /// fits one chunk (queued as one), just does not, or spans many.
+    #[test]
+    fn vectored_writes_arrive_as_head_then_body_at_any_size() {
+        let f = small_fabric();
+        let listener = f.listen("b:7").unwrap();
+        let mut tx = f.connect("a", "b:7").unwrap();
+        let mut rx = listener.accept().unwrap();
+        let head = [0xEEu8; 9];
+        for body_len in [0, 1, 4096 - 9, 4096 - 8, 3 * 4096 + 5] {
+            let body: bytes::Bytes = (0..body_len).map(|i| i as u8).collect::<Vec<u8>>().into();
+            tx.write_vectored(&head, &body).unwrap();
+            let mut got = Vec::with_capacity(head.len() + body_len);
+            rx.read_append(&mut got, head.len() + body_len).unwrap();
+            assert_eq!(got, [&head[..], &body[..]].concat(), "body of {body_len}");
+        }
+    }
+
     #[test]
     fn cross_rack_throttle_only_hits_cross_rack_flows() {
         let f = Fabric::new(FabricConfig {

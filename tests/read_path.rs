@@ -39,6 +39,17 @@ fn hosts_by_id(cluster: &MiniCluster) -> HashMap<DatanodeId, String> {
         .collect()
 }
 
+/// The reason of every source switch recorded so far, in order.
+fn switch_reasons(sink: &RingBufferSink) -> Vec<String> {
+    sink.snapshot()
+        .iter()
+        .filter_map(|r| match &r.event {
+            ObsEvent::SourceSwitched { reason, .. } => Some(reason.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn striped_reads_return_written_bytes_with_full_admission() {
     let sink = RingBufferSink::new(65_536);
@@ -53,10 +64,24 @@ fn striped_reads_return_written_bytes_with_full_admission() {
 
     assert_eq!(client.get("/read/plain.bin").unwrap(), data);
 
-    // pread across a block boundary returns exactly the slice.
-    let (off, len) = (block - 1234, 5678u64);
-    let got = client.get_range("/read/plain.bin", off, len).unwrap();
-    assert_eq!(got, &data[off as usize..(off + len) as usize]);
+    // pread returns exactly the slice wherever it starts and ends: across
+    // a block boundary, across the stripe cuts inside a block (a third of
+    // a block each, give or take the speed weights), over several blocks,
+    // the uneven tail, a single byte, nothing.
+    let total = data.len() as u64;
+    for (off, len) in [
+        (block - 1234, 5678),
+        (block / 3 - 20_000, 40_000),
+        (block + 2 * block / 3 - 20_000, 40_000),
+        (block / 2, 2 * block),
+        (7, total - 7),
+        (3 * block - 1, 10_002),
+        (2 * block, 1),
+        (block, 0),
+    ] {
+        let got = client.get_range("/read/plain.bin", off, len).unwrap();
+        assert_eq!(got, &data[off as usize..(off + len) as usize], "{len} bytes at {off}");
+    }
 
     cluster.shutdown();
     let report = TraceAssembler::assemble(&sink.snapshot());
@@ -207,14 +232,7 @@ fn stalled_source_fails_over_within_the_read_timeout() {
         "read should fail over, not crawl: took {elapsed:?}"
     );
 
-    let reasons: Vec<String> = sink
-        .snapshot()
-        .iter()
-        .filter_map(|r| match &r.event {
-            ObsEvent::SourceSwitched { reason, .. } => Some(reason.clone()),
-            _ => None,
-        })
-        .collect();
+    let reasons = switch_reasons(&sink);
     assert!(
         reasons.iter().any(|r| r == "timeout"),
         "expected a timeout-driven source switch, saw {reasons:?}"
@@ -264,18 +282,37 @@ fn corrupt_replicas_are_reported_and_dropped_from_locations() {
     assert!(!after.contains(&bad), "corrupt replica still served: {after:?}");
     assert_eq!(after.len(), 2);
 
-    let reasons: Vec<String> = sink
-        .snapshot()
-        .iter()
-        .filter_map(|r| match &r.event {
-            ObsEvent::SourceSwitched { reason, .. } => Some(reason.clone()),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        reasons.iter().any(|r| r == "checksum"),
-        "expected a checksum-driven source switch, saw {reasons:?}"
-    );
+    // Only the stripe planned on the corrupt copy switched, once: its
+    // slice of the result was filled again from the next source.
+    assert_eq!(switch_reasons(&sink), ["checksum"]);
+    cluster.shutdown();
+}
+
+/// A source that delivers the first packet of its stripe and then stalls
+/// past the deadline has written into the stripe's slice of the result;
+/// the failover fills that slice again from its start, so the read ends
+/// with exact bytes after exactly one switch.
+#[test]
+fn source_stalling_midway_leaves_no_trace_in_the_result() {
+    let sink = RingBufferSink::new(65_536);
+    let obs = Obs::new(sink.clone());
+    let mut config = DfsConfig::test_scale();
+    config.read_timeout = SimDuration::from_secs_f64(0.6);
+    let block = config.block_size.as_u64() as usize;
+    let cluster = MiniCluster::start_with_obs(&small_spec(3), config, 33, obs).unwrap();
+    let client = cluster.client().unwrap();
+    let data = random_data(0xAC, block);
+    client.put("/read/midway.bin", &data, WriteMode::Smarth).unwrap();
+
+    // ≈ 26 KiB per timeout window: one 16 KiB packet of the ~87 KiB
+    // stripe arrives in time, the second cannot.
+    let stalled = cluster.datanode_hosts()[0].clone();
+    cluster
+        .throttle_host(&stalled, Some(Bandwidth::mbps(0.36)))
+        .unwrap();
+
+    assert_eq!(client.get("/read/midway.bin").unwrap(), data);
+    assert_eq!(switch_reasons(&sink), ["timeout"]);
     cluster.shutdown();
 }
 
