@@ -4,11 +4,14 @@
 //! speed-aware placement, local re-sort); this module gives reads the
 //! same first-class citizenship:
 //!
-//! * **Striped reads** — each block read is split into up to
-//!   [`DfsConfig::read_stripes`](smarth_core::config::DfsConfig) byte
-//!   ranges fetched in parallel from different replicas, sized by the
-//!   client's observed per-datanode speeds (§III-B turned around to
-//!   drive source selection instead of placement).
+//! * **Striped reads** — each block read is split into
+//!   [`DfsConfig::stripes_for`](smarth_core::config::DfsConfig::stripes_for)
+//!   byte ranges (as many as there are packets to move, up to
+//!   `read_stripes` and the replica count) fetched in parallel from
+//!   different replicas, sized by the client's observed per-datanode
+//!   speeds (§III-B turned around to drive source selection instead of
+//!   placement). A single job — one window, or one stripe — runs on the
+//!   thread that asked for it.
 //! * **Source ordering** — the namenode pre-orders each block's replica
 //!   set by the requesting client's speed registry; the client refines
 //!   that with its own fresher [`ClientSpeedTracker`] observations via
@@ -95,14 +98,9 @@ pub struct DfsInputStream {
 
 impl DfsInputStream {
     pub(crate) fn open(ctx: Arc<ClientCtx>, path: &str) -> DfsResult<Self> {
-        let info = ctx
-            .rpc
-            .file_info(path)?
-            .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
-        if info.is_dir {
-            return Err(DfsError::IsADirectory(path.to_string()));
-        }
-        let blocks = ctx.rpc.block_locations(ctx.id, path)?;
+        // One trip: the length and the blocks are one view of the file, so
+        // an overwrite landing during the open cannot make them disagree.
+        let (info, blocks) = ctx.rpc.block_locations(ctx.id, path)?;
         Ok(Self {
             ctx,
             path: path.to_string(),
@@ -214,6 +212,10 @@ impl DfsInputStream {
         // scope (which joins every worker) unwinds promptly instead of
         // waiting out each remaining window's full failover loop.
         let cancel = AtomicBool::new(false);
+        if let [(bi, off, _)] = *windows {
+            self.read_block_striped(&self.blocks[bi], off, &mut out, &cancel)?;
+            return Ok(out);
+        }
         std::thread::scope(|s| -> DfsResult<()> {
             let cancel = &cancel;
             let mut rest = &mut out[..];
@@ -285,15 +287,18 @@ impl DfsInputStream {
         self.ctx.tracker.lock().sort_descending(&mut order);
         sort_infos_by(&mut targets, &order);
 
-        let stripes = self.ctx.config.read_stripes.clamp(1, targets.len());
-        let cuts = self.stripe_cuts(&targets, stripes, len);
+        let stripes = self.ctx.config.stripes_for(targets.len(), len);
         self.ctx.obs.emit(ObsEvent::ReadStarted {
             client: self.ctx.id,
             block: lb.block.id,
             sources: targets.iter().map(|t| t.id).collect(),
             stripes: stripes as u64,
         });
+        if stripes == 1 {
+            return self.fetch_stripe(lb, &targets, 0, offset, out, cancel);
+        }
 
+        let cuts = self.stripe_cuts(&targets, stripes, len);
         std::thread::scope(|s| {
             let targets = &targets;
             let mut rest = out;

@@ -319,12 +319,18 @@ impl NamenodeClient {
         }
     }
 
-    pub fn block_locations(&self, client: ClientId, path: &str) -> DfsResult<Vec<LocatedBlock>> {
+    /// Opens a file for reading in one trip: its status and its located
+    /// blocks, as one consistent view.
+    pub fn block_locations(
+        &self,
+        client: ClientId,
+        path: &str,
+    ) -> DfsResult<(FileStatus, Vec<LocatedBlock>)> {
         match self.call(&ClientRequest::GetBlockLocations {
             client,
             path: path.to_string(),
         })? {
-            ClientResponse::BlockLocations { blocks } => Ok(blocks),
+            ClientResponse::BlockLocations { status, blocks } => Ok((status, blocks)),
             other => Err(unexpected(other)),
         }
     }
@@ -400,7 +406,9 @@ fn remote_error(msg: String) -> DfsError {
     } else if msg.contains("already exists") {
         DfsError::AlreadyExists(msg)
     } else if msg.contains("not found") {
-        DfsError::NotFound(msg)
+        DfsError::NotFound(after(&msg, "path not found: "))
+    } else if msg.contains("is a directory") {
+        DfsError::IsADirectory(after(&msg, "is a directory: "))
     } else if msg.contains("placement failed") {
         // The counts are embedded in the message; callers only branch on
         // the variant.
@@ -423,6 +431,12 @@ fn remote_error(msg: String) -> DfsError {
     }
 }
 
+/// What follows `prefix` in `msg` — the path a remote `Display` put
+/// there, so the rebuilt error prints as the original did — or all of it.
+fn after(msg: &str, prefix: &str) -> String {
+    msg.split_once(prefix).map_or(msg, |(_, rest)| rest).to_string()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,7 +453,11 @@ mod tests {
         ));
         assert!(matches!(
             remote_error("path not found: /x".into()),
-            DfsError::NotFound(_)
+            DfsError::NotFound(p) if p == "/x"
+        ));
+        assert!(matches!(
+            remote_error("is a directory: /x".into()),
+            DfsError::IsADirectory(p) if p == "/x"
         ));
         assert!(matches!(
             remote_error("placement failed: wanted 3 datanodes, 1 available".into()),

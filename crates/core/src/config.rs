@@ -164,8 +164,8 @@ pub struct DfsConfig {
     /// hanging the reader forever.
     pub read_timeout: SimDuration,
     /// Maximum number of parallel range stripes one block read is split
-    /// into. Clamped to the block's replica count at run time; 1 restores
-    /// the sequential single-source read.
+    /// into ([`Self::stripes_for`] is the count a given read gets); 1
+    /// restores the sequential single-source read.
     pub read_stripes: usize,
     /// How many blocks beyond the one being consumed the input stream
     /// prefetches (bounded readahead). 0 disables readahead.
@@ -295,6 +295,17 @@ impl DfsConfig {
             return n.max(1);
         }
         (active_datanodes / self.replication.max(1)).max(1)
+    }
+
+    /// How many parallel range stripes a read of `len` bytes of one block
+    /// with `replicas` sources is split into: as many as there are
+    /// packets to move, up to `read_stripes` and the replica count, and at
+    /// least one. A range shorter than a packet gains no bandwidth from a
+    /// second source and pays a connection and a thread for it. Both
+    /// engines call this, so they announce the same count.
+    pub fn stripes_for(&self, replicas: usize, len: u64) -> usize {
+        let packets = ByteSize(len).div_ceil(self.packet_size);
+        (self.read_stripes.min(replicas) as u64).min(packets).max(1) as usize
     }
 
     /// Sanity checks; call after hand-building a config.
@@ -776,6 +787,29 @@ mod tests {
         let test = DfsConfig::test_scale();
         assert!(test.read_timeout < paper.read_timeout, "tests fail fast");
         assert_eq!(test.read_stripes, 3);
+    }
+
+    #[test]
+    fn stripe_count_follows_packets_replicas_and_the_knob() {
+        let c = DfsConfig::test_scale();
+        let p = c.packet_size.as_u64();
+        // (len, [stripes with 1, 2, 3 replicas])
+        for (len, want) in [
+            (0, [1, 1, 1]),
+            (1, [1, 1, 1]),
+            (p, [1, 1, 1]),
+            (p + 1, [1, 2, 2]),
+            (3 * p, [1, 2, 3]),
+            (c.block_size.as_u64(), [1, 2, 3]),
+        ] {
+            for replicas in 1..=3 {
+                assert_eq!(c.stripes_for(replicas, len), want[replicas - 1], "{len} B, {replicas} replicas");
+            }
+        }
+        // More replicas than `read_stripes` do not add stripes; no
+        // replicas still count one (the caller reports the empty set).
+        assert_eq!(c.stripes_for(5, 10 * p), 3);
+        assert_eq!(c.stripes_for(0, 10 * p), 1);
     }
 
     #[test]

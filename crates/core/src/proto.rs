@@ -190,7 +190,8 @@ wire_enum! {
         /// §III-B: the 3-second heartbeat piggybacking observed speeds.
         8 => ReportSpeeds { client: ClientId, records: Vec<SpeedRecord> },
         9 => GetFileInfo { path: String },
-        /// Read path: block list plus replica locations. Carries the client
+        /// Read path: the file's status and its block list with replica
+        /// locations, one consistent view in one trip. Carries the client
         /// id so the namenode can order each block's sources by that
         /// client's observed speeds (§III-B applied to reads).
         10 => GetBlockLocations { client: ClientId, path: String },
@@ -262,7 +263,7 @@ wire_enum! {
         7 => RecoveryStamp { new_gen: GenStamp },
         8 => SpeedsAck,
         9 => FileInfo(Option<FileStatus>),
-        10 => BlockLocations { blocks: Vec<LocatedBlock> },
+        10 => BlockLocations { status: FileStatus, blocks: Vec<LocatedBlock> },
         11 => Listing { entries: Vec<FileStatus> },
         12 => Deleted { existed: bool },
         13 => BadReplicaAck,
@@ -598,7 +599,7 @@ mod tests {
             "ClientResponse::SpeedsAck" => ClientResponse::SpeedsAck,
             "ClientResponse::FileInfo" => ClientResponse::FileInfo(Some(status.clone())),
             "ClientResponse::FileInfo.none" => ClientResponse::FileInfo(None),
-            "ClientResponse::BlockLocations" => ClientResponse::BlockLocations { blocks: vec![located] },
+            "ClientResponse::BlockLocations" => ClientResponse::BlockLocations { status: status.clone(), blocks: vec![located] },
             "ClientResponse::Listing" => ClientResponse::Listing { entries: vec![status] },
             "ClientResponse::Deleted" => ClientResponse::Deleted { existed: true },
             "ClientResponse::Renamed" => ClientResponse::Renamed,

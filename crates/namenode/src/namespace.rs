@@ -390,7 +390,7 @@ impl FsNamespace {
         Ok(self.file_ref(file)?.replication)
     }
 
-    fn status_of(&self, id: FileId) -> Option<FileStatus> {
+    pub(crate) fn status_of(&self, id: FileId) -> Option<FileStatus> {
         match self.inodes.get(&id)? {
             INode::File(meta) => Some(FileStatus {
                 file_id: id,

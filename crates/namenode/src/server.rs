@@ -602,13 +602,21 @@ impl NameNodeState {
             )),
             ClientRequest::GetBlockLocations { client, path } => {
                 // A file's blocks always live in its own shard, so one
-                // shard's namespace + block map suffice.
+                // shard's namespace + block map suffice. The status and
+                // the block list come from one hold of the namespace
+                // lock: the length a reader is told is the length of the
+                // blocks it is told, whatever an overwrite does next.
                 let shard = self.shard_for_path(&path);
                 let ns = shard.namespace.lock();
                 let file = ns.resolve_file(&path)?;
+                let status = ns.status_of(file).expect("resolved under this lock");
                 let blocks = ns.blocks_of(file)?;
-                drop(ns);
+                // Namespace, then block map (rename's order), and the
+                // first is let go only once the second is held: an
+                // overwrite retires these blocks after its own turn in
+                // the namespace, so it now waits for this reply.
                 let bm = shard.blocks.lock();
+                drop(ns);
                 let dns = self.datanodes.read();
                 let mut speeds = self.speeds.write();
                 speeds.age(Obs::now_us());
@@ -632,7 +640,7 @@ impl NameNodeState {
                         LocatedBlock::untraced(b, dns.infos(&ids))
                     })
                     .collect();
-                Ok(ClientResponse::BlockLocations { blocks: located })
+                Ok(ClientResponse::BlockLocations { status, blocks: located })
             }
             ClientRequest::ReportBadReplica {
                 client,
@@ -1189,12 +1197,56 @@ mod tests {
             client,
             path: "/a/b.bin".into(),
         }) {
-            ClientResponse::BlockLocations { blocks } => {
+            ClientResponse::BlockLocations { blocks, .. } => {
                 assert_eq!(blocks.len(), 2);
                 assert_eq!(blocks[0].targets.len(), 3);
                 assert!(blocks[1].targets.is_empty(), "no blockReceived for block 2");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// One reply, one view: the status a reader opens with describes the
+    /// blocks that came with it, at every stage of a file's life.
+    #[test]
+    fn block_locations_status_len_is_the_sum_of_its_blocks() {
+        let (st, _dns) = state_with_datanodes(9);
+        let client = register_client(&st);
+        let open = |path: &str| match st.handle_client_request(ClientRequest::GetBlockLocations {
+            client,
+            path: path.into(),
+        }) {
+            ClientResponse::BlockLocations { status, blocks } => {
+                assert_eq!(status.len, blocks.iter().map(|b| b.block.len).sum::<u64>(), "{path}");
+                assert!(!status.is_dir);
+                (status, blocks.len())
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        // Under construction: one committed block, one still open.
+        let file = create(&st, client, "/v/f.bin", WriteMode::Smarth);
+        let first = add_block(&st, client, file);
+        let done = ExtendedBlock::new(first.block.id, first.block.gen, 700);
+        let commit = ClientRequest::AddBlock { client, file_id: file, previous: Some(done), excluded: vec![] };
+        let ClientResponse::BlockAllocated(second) = st.handle_client_request(commit) else {
+            panic!("second block refused")
+        };
+        let (status, blocks) = open("/v/f.bin");
+        assert_eq!((status.file_id, status.len, status.complete, blocks), (file, 700, false, 2));
+        // Complete.
+        let last = Some(ExtendedBlock::new(second.block.id, second.block.gen, 41));
+        st.handle_client_request(ClientRequest::Complete { client, file_id: file, last });
+        let (status, _) = open("/v/f.bin");
+        assert_eq!((status.len, status.complete), (741, true));
+        // Empty.
+        let empty = create(&st, client, "/v/empty.bin", WriteMode::Hdfs);
+        st.handle_client_request(ClientRequest::Complete { client, file_id: empty, last: None });
+        let (status, blocks) = open("/v/empty.bin");
+        assert_eq!((status.file_id, status.len, status.complete, blocks), (empty, 0, true, 0));
+        // What is not a file is an error the client can type.
+        for (path, says) in [("/v", "is a directory"), ("/v/ghost", "not found")] {
+            let req = ClientRequest::GetBlockLocations { client, path: path.into() };
+            assert!(matches!(st.handle_client_request(req), ClientResponse::Error(m) if m.contains(says)));
         }
     }
 
@@ -1254,7 +1306,7 @@ mod tests {
             client,
             path: "/t.bin".into(),
         }) {
-            ClientResponse::BlockLocations { blocks } => {
+            ClientResponse::BlockLocations { blocks, .. } => {
                 assert!(blocks.iter().all(|b| b.trace_ctx().is_none()));
             }
             other => panic!("unexpected {other:?}"),
@@ -1626,7 +1678,7 @@ mod tests {
                 client,
                 path: "/ord.bin".into(),
             }) {
-                ClientResponse::BlockLocations { blocks } => {
+                ClientResponse::BlockLocations { blocks, .. } => {
                     blocks[0].targets.iter().map(|t| t.id).collect()
                 }
                 other => panic!("unexpected {other:?}"),
@@ -1730,7 +1782,7 @@ mod tests {
             client,
             path: cross.clone(),
         }) {
-            ClientResponse::BlockLocations { blocks } => {
+            ClientResponse::BlockLocations { blocks, .. } => {
                 assert_eq!(blocks.len(), 1);
                 assert_eq!(blocks[0].block.id, done.id);
                 assert_eq!(blocks[0].targets.len(), 3, "replicas lost in the move");

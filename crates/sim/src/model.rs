@@ -76,7 +76,7 @@ pub struct SimScenario {
     pub warmup_uploads: u32,
     /// After the measured upload commits, read the file back with the
     /// client's striped-read admission (one `ReadStarted` per block,
-    /// `read_stripes` range stripes across its replica set) so read
+    /// `stripes_for` range stripes across its replica set) so read
     /// events join the same virtual-time stream the emulator emits.
     pub read_back: bool,
 }
@@ -938,8 +938,8 @@ impl Sim {
     }
 
     /// Virtual-time twin of `DfsInputStream::read_all`: after the upload
-    /// commits, the client fetches every block back as `read_stripes`
-    /// range stripes across its replica set, sources ordered
+    /// commits, the client fetches every block back as `stripes_for`
+    /// range stripes (the rule the emulator calls too), sources ordered
     /// fastest-first by the registry exactly like the namenode orders
     /// `GetBlockLocations`. Stripes within a block run concurrently on
     /// the modeled NICs (source disk → source egress → client ingress);
@@ -966,7 +966,7 @@ impl Sim {
                     .partial_cmp(&known.get(a))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            let stripes = self.config.read_stripes.clamp(1, sources.len());
+            let stripes = self.config.stripes_for(sources.len(), bytes);
             self.obs.emit_virtual(
                 t.0 / 1_000,
                 ObsEvent::ReadStarted {

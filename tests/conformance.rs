@@ -108,14 +108,20 @@ fn engines_conform_on_reads() {
     // The read preset: put + full read-back on both engines. Beyond the
     // write-path bands, every paired block must show identical read
     // admission — same span count, same announced stripes, same bytes.
+    // The tail block is shorter than a packet: both engines take its
+    // stripe count from `DfsConfig::stripes_for` and announce one.
     let (emulator, sim) =
-        paired_reports_with_read_back(InstanceType::Medium, 2 * 1024 * 1024, 0xBEAD, true);
+        paired_reports_with_read_back(InstanceType::Medium, 2 * 1024 * 1024 + 5_000, 0xBEAD, true);
     let a = TraceDigest::from_report(&emulator);
     let b = TraceDigest::from_report(&sim);
     assert!(
         a.blocks.iter().all(|x| x.reads == 1 && x.read_stripes >= 1),
         "emulator digest must carry one read span per block"
     );
+    for digest in [&a, &b] {
+        let stripes: Vec<u64> = digest.blocks.iter().map(|x| x.read_stripes).collect();
+        assert_eq!(stripes, [3, 3, 3, 3, 3, 3, 3, 3, 1]);
+    }
     assert!(
         a.blocks.iter().all(|x| x.read_bytes == x.bytes),
         "each block must be read back in full"

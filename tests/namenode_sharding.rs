@@ -234,7 +234,7 @@ fn concurrent_hammer_agrees_with_serial_oracle() {
                 client,
                 path: path.clone(),
             }) {
-                ClientResponse::BlockLocations { blocks } => {
+                ClientResponse::BlockLocations { blocks, .. } => {
                     assert_eq!(blocks.len(), 1, "{path} block count");
                     assert_eq!(blocks[0].targets.len(), 3, "{path} lost replicas");
                 }

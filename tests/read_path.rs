@@ -12,6 +12,7 @@ use smarth::core::{
     ClusterSpec, DatanodeId, DfsConfig, DfsError, HostRole, InstanceType, SimDuration, WriteMode,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The homogeneous paper cluster trimmed to `dns` datanodes — read
@@ -93,10 +94,11 @@ fn striped_reads_return_written_bytes_with_full_admission() {
         .filter_map(|tl| tl.reads.first())
         .collect();
     assert_eq!(full_reads.len(), 4, "one read span per block");
-    for span in &full_reads {
+    for (i, span) in full_reads.iter().enumerate() {
         assert_eq!(span.sources.len(), 3, "planned over the replica set");
-        assert_eq!(span.stripes, 3);
-        assert_eq!(span.stripes_fetched, 3);
+        // The tail is shorter than a packet: one stripe moves it.
+        let stripes = if i < 3 { 3 } else { 1 };
+        assert_eq!((span.stripes, span.stripes_fetched), (stripes, stripes));
         assert_eq!(span.source_switches, 0, "healthy reads never switch");
     }
     let read_bytes: u64 = full_reads.iter().map(|s| s.bytes).sum();
@@ -131,6 +133,114 @@ fn reads_past_eof_are_a_typed_out_of_range_error() {
         &data[99_990..]
     );
     cluster.shutdown();
+}
+
+#[test]
+fn opening_what_is_not_a_file_is_a_typed_error() {
+    let cluster = MiniCluster::start(&small_spec(3), DfsConfig::test_scale(), 12).unwrap();
+    let client = cluster.client().unwrap();
+    client.put("/typed/dir/f.bin", &random_data(4, 100), WriteMode::Hdfs).unwrap();
+    let attempts = |path: &str| {
+        [
+            client.open(path).err(),
+            client.get(path).err(),
+            client.get_range(path, 0, 1).err(),
+            client.get_salvage(path).err(),
+        ]
+    };
+    for e in attempts("/typed/ghost.bin") {
+        assert!(matches!(&e, Some(DfsError::NotFound(p)) if p == "/typed/ghost.bin"), "{e:?}");
+    }
+    for e in attempts("/typed/dir") {
+        assert!(matches!(&e, Some(DfsError::IsADirectory(p)) if p == "/typed/dir"), "{e:?}");
+    }
+    cluster.shutdown();
+}
+
+/// Before the length and the blocks came in one reply, an overwrite
+/// landing between the two trips of `open` failed the read with
+/// `Internal("blocks cover … bytes, expected …")`.
+#[test]
+fn get_racing_an_overwrite_sees_one_file_or_none() {
+    let cluster = MiniCluster::start(&small_spec(3), DfsConfig::test_scale(), 41).unwrap();
+    let (writer, reader) = (cluster.client().unwrap(), cluster.client().unwrap());
+    let versions = [random_data(5, 3_000), random_data(6, 9_000)];
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..120 {
+                if i % 4 == 3 {
+                    writer.delete("/race/f").unwrap();
+                }
+                let mut f = writer.create_with("/race/f", WriteMode::Smarth, 3, true).unwrap();
+                f.write(&versions[i % 2]).unwrap();
+                f.close().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let mut whole = 0;
+        while !done.load(Ordering::SeqCst) {
+            match reader.get("/race/f") {
+                Ok(got) if versions.contains(&got) => whole += 1,
+                // A file still being written shows its committed prefix:
+                // of a one-block file, nothing.
+                Ok(got) if got.is_empty() => {}
+                Err(DfsError::NotFound(_)) => {}
+                other => panic!("torn read: {:?}", other.map(|b| b.len())),
+            }
+        }
+        assert!(whole > 0, "the reader never saw a finished file");
+    });
+    cluster.shutdown();
+}
+
+/// The fixed cost of a read, counted: one namenode trip, one datanode
+/// connection, no stripe beyond the packets there are to move.
+#[test]
+fn sub_packet_get_costs_one_namenode_trip_and_one_stripe() {
+    let sink = RingBufferSink::new(4_096);
+    let mut config = DfsConfig::test_scale();
+    // No speed report may fall into the counted window.
+    config.heartbeat_interval = SimDuration::from_secs(3);
+    let packet = config.packet_size.as_u64() as usize;
+    let cluster =
+        MiniCluster::start_with_obs(&small_spec(3), config, 43, Obs::new(sink.clone())).unwrap();
+    let client = cluster.client().unwrap();
+    // (bytes, stripes a full read of it announces)
+    let files = [(4_096, 1), (2 * packet, 2), (3 * packet, 3), (packet + 1, 2)];
+    for (bytes, _) in files {
+        let data = random_data(bytes as u64, bytes);
+        client.put(&format!("/cost/{bytes}"), &data, WriteMode::Smarth).unwrap();
+    }
+    let metrics = cluster.obs().metrics();
+    let before = metrics.namenode_client_rpcs.get();
+    let got = client.get("/cost/4096").unwrap();
+    assert_eq!(metrics.namenode_client_rpcs.get() - before, 1, "open is one trip");
+    assert_eq!(got, random_data(4_096, 4_096));
+    assert_eq!(metrics.client_read_inflight_stripes.high_water(), 1);
+    for (bytes, _) in &files[1..] {
+        client.get(&format!("/cost/{bytes}")).unwrap();
+    }
+    cluster.shutdown();
+
+    let events = sink.snapshot();
+    let announced: Vec<u64> = events
+        .iter()
+        .filter_map(|r| match &r.event {
+            ObsEvent::ReadStarted { stripes, .. } => Some(*stripes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(announced, files.map(|(_, stripes)| stripes));
+    let fetched: Vec<(u64, u64)> = events
+        .iter()
+        .filter_map(|r| match &r.event {
+            ObsEvent::StripeFetched { offset, bytes, .. } => Some((*offset, *bytes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(fetched[0], (0, 4_096), "one stripe covers the small file");
+    assert_eq!(fetched.len() as u64, announced.iter().sum::<u64>());
 }
 
 #[test]
