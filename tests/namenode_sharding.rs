@@ -118,18 +118,30 @@ fn concurrent_hammer_agrees_with_serial_oracle() {
     let deadline = Duration::from_secs(120);
 
     let stop_renamer = Arc::new(AtomicBool::new(false));
+    let hops = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(Barrier::new(WORKERS + 1));
 
     let mut handles = Vec::new();
     for w in 0..WORKERS {
         let st = Arc::clone(&st);
         let barrier = Arc::clone(&barrier);
+        let hops = Arc::clone(&hops);
         handles.push(std::thread::spawn(move || {
             let client = register_client(&st);
             let vol = format!("/hammer{w}");
             let mut oracle = VolumeOracle::default();
             barrier.wait();
             for op in 0..OPS {
+                // The rival is not left to the scheduler: worker 0 stands
+                // still mid-run until one more rename has gone through (or
+                // the deadline, should the renamer have died).
+                let seen = hops.load(Ordering::SeqCst);
+                while w == 0 && op == OPS / 2 && hops.load(Ordering::SeqCst) == seen {
+                    if started.elapsed() >= deadline {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
                 let path = format!("{vol}/f{}", op % 7);
                 match op % 3 {
                     // create+complete (every third op deletes below, so
@@ -174,7 +186,7 @@ fn concurrent_hammer_agrees_with_serial_oracle() {
     // full root listings, concurrent with everything above.
     let renamer = {
         let st = Arc::clone(&st);
-        let stop = Arc::clone(&stop_renamer);
+        let (stop, hop_count) = (Arc::clone(&stop_renamer), Arc::clone(&hops));
         std::thread::spawn(move || {
             let client = register_client(&st);
             let mut at = "/renames-a/ball.bin".to_string();
@@ -194,6 +206,7 @@ fn concurrent_hammer_agrees_with_serial_oracle() {
                     other => panic!("rename {at} -> {next}: {other:?}"),
                 }
                 hops += 1;
+                hop_count.store(hops, Ordering::SeqCst);
                 match st.handle_client_request(ClientRequest::List { path: "/".into() }) {
                     ClientResponse::Listing { entries } => {
                         assert!(!entries.is_empty(), "root listing went empty mid-run");
