@@ -29,7 +29,7 @@ use smarth_bench::figures::{self, FigureOpts};
 use smarth_bench::report::Table;
 use smarth_cluster::soak::{self, SoakConfig};
 use smarth_cluster::{random_data, MiniCluster};
-use smarth_core::conformance::{diff_reports, ToleranceBands};
+use smarth_core::conformance::diff_reports;
 use smarth_core::obs::{Obs, RingBufferSink};
 use smarth_core::trace::{write_chrome_trace, TraceAssembler, TraceReport};
 use smarth_core::units::{Bandwidth, ByteSize};
@@ -120,7 +120,7 @@ fn run_conformance(out_dir: &std::path::Path, quick: bool) {
                 std::process::exit(1);
             }
         };
-        let verdict = diff_reports(&id, &emulator, &sim, ToleranceBands::default());
+        let verdict = diff_reports(&id, &emulator, &sim);
         print!("{}", verdict.render());
         let epath = out_dir.join(format!("{id}.emulator.trace.json"));
         let spath = out_dir.join(format!("{id}.sim.trace.json"));

@@ -362,7 +362,7 @@ pub fn ablations(opts: FigureOpts) -> Vec<Table> {
         )
     };
 
-    // 1. FNFA on/off.
+    // 1. FNFA on/off: without the FNFA's early open, the cap-1 run.
     let mut fnfa = Table::new(
         "ablation_fnfa",
         "FNFA pipelining on/off (small cluster, 50 Mbps cross-rack)",
@@ -370,7 +370,7 @@ pub fn ablations(opts: FigureOpts) -> Vec<Table> {
     );
     let full = simulate_upload(&base()).upload_secs;
     let mut no_fnfa_s = base();
-    no_fnfa_s.flags.fnfa_pipelining = false;
+    no_fnfa_s.config.max_pipelines_override = Some(1);
     let no_fnfa = simulate_upload(&no_fnfa_s).upload_secs;
     fnfa.row(vec!["SMARTH (FNFA)".into(), secs(full)]);
     fnfa.row(vec!["no FNFA (full-pipeline ack)".into(), secs(no_fnfa)]);
@@ -412,9 +412,9 @@ pub fn ablations(opts: FigureOpts) -> Vec<Table> {
             Some(Bandwidth::mbps(100.0)),
             WriteMode::Smarth,
         );
-        client_bound.flags.first_node_buffer = Some(ByteSize::mib(mib));
+        client_bound.config.datanode_client_buffer = ByteSize::mib(mib);
         let mut drain_bound = base();
-        drain_bound.flags.first_node_buffer = Some(ByteSize::mib(mib));
+        drain_bound.config.datanode_client_buffer = ByteSize::mib(mib);
         buffer.row(vec![
             format!("{mib}MiB"),
             secs(simulate_upload(&client_bound).upload_secs),
@@ -437,7 +437,7 @@ pub fn ablations(opts: FigureOpts) -> Vec<Table> {
             Bandwidth::mbps(50.0),
             WriteMode::Smarth,
         );
-        s.flags.local_opt = on;
+        s.config.local_opt_enabled = on;
         s
     };
     for (label, on) in [("with exploration", true), ("sort only", false)] {

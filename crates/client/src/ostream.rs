@@ -387,7 +387,7 @@ impl DfsOutputStream {
 
         let mut targets = located.targets;
         // Algorithm 2: client-side re-sort plus ε-exploration.
-        if self.mode == WriteMode::Smarth && self.ctx.config.local_opt_enabled {
+        if self.ctx.config.runs_local_opt(self.mode) {
             let tracker = self.ctx.tracker.lock();
             let mut rng = self.ctx.rng.lock();
             if let LocalOptOutcome::Explored { swapped_index } = local_optimize(

@@ -35,7 +35,7 @@
 
 use smarth_cluster::soak::{self, SoakConfig};
 use smarth_cluster::{random_data, replay, MiniCluster};
-use smarth_core::conformance::{diff_digests, ToleranceBands, TraceDigest};
+use smarth_core::conformance::{diff_digests, TraceDigest};
 use smarth_core::obs::telemetry::{SloTracker, TelemetrySeries};
 use smarth_core::obs::{Obs, RingBufferSink};
 use smarth_core::trace::{write_chrome_trace, TraceAssembler};
@@ -334,7 +334,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         .unwrap_or_else(|| p.to_string())
                 };
                 let id = format!("{}-vs-{}", stem(a_path), stem(b_path));
-                let verdict = diff_digests(&id, &a, &b, ToleranceBands::default());
+                let verdict = diff_digests(&id, &a, &b);
                 print!("{}", verdict.render());
                 let path = verdict.save(std::path::Path::new("results"))?;
                 println!("saved {}", path.display());

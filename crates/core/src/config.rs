@@ -11,6 +11,10 @@
 
 use crate::units::{Bandwidth, ByteSize, SimDuration};
 
+/// Packets a pipeline hop past the first may hold between receiving and
+/// forwarding them ([`DfsConfig::forward_window`]).
+const FORWARD_WINDOW_PACKETS: u64 = 4;
+
 /// Which write protocol a client uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteMode {
@@ -306,6 +310,32 @@ impl DfsConfig {
     pub fn stripes_for(&self, replicas: usize, len: u64) -> usize {
         let packets = ByteSize(len).div_ceil(self.packet_size);
         (self.read_stripes.min(replicas) as u64).min(packets).max(1) as usize
+    }
+
+    /// Whether a write in `mode` runs Algorithm 2, the client-side
+    /// re-sort with ε-exploration: SMARTH writes only, and only while
+    /// `local_opt_enabled`. Both engines ask this.
+    pub fn runs_local_opt(&self, mode: WriteMode) -> bool {
+        mode == WriteMode::Smarth && self.local_opt_enabled
+    }
+
+    /// §IV-C forward window, in bytes, of the node at `position` in a
+    /// pipeline: the first node holds the client's whole buffer
+    /// (`client_buffer`, one block by default) in either write mode, and
+    /// every later hop a few packets. The datanode sizes its forward
+    /// queue by it and the simulator its per-hop credit.
+    pub fn forward_window(&self, position: usize, client_buffer: u64) -> u64 {
+        if position == 0 {
+            client_buffer
+        } else {
+            FORWARD_WINDOW_PACKETS * self.packet_size.as_u64()
+        }
+    }
+
+    /// A byte budget as a queue length: the packets it holds, rounded up,
+    /// and at least one.
+    pub fn packets_in(&self, bytes: u64) -> usize {
+        bytes.max(1).div_ceil(self.packet_size.as_u64().max(1)) as usize
     }
 
     /// Sanity checks; call after hand-building a config.
@@ -700,6 +730,36 @@ mod tests {
         let mut o = c.clone();
         o.max_pipelines_override = Some(2);
         assert_eq!(o.max_pipelines(9), 2);
+    }
+
+    #[test]
+    fn local_opt_runs_in_smarth_mode_while_enabled() {
+        let mut c = DfsConfig::test_scale();
+        assert!(c.runs_local_opt(WriteMode::Smarth));
+        assert!(!c.runs_local_opt(WriteMode::Hdfs));
+        c.local_opt_enabled = false;
+        assert!(!c.runs_local_opt(WriteMode::Smarth));
+    }
+
+    #[test]
+    fn forward_window_is_the_client_buffer_on_the_first_hop_only() {
+        // (config, first-hop packets, later-hop packets): the datanode's
+        // forward-queue lengths at both scales.
+        for (c, first, later) in [
+            (DfsConfig::test_scale(), 16, 4),
+            (DfsConfig::paper_scale(), 1024, 4),
+        ] {
+            let buffer = c.datanode_client_buffer.as_u64();
+            assert_eq!(c.forward_window(0, buffer), buffer);
+            assert_eq!(c.packets_in(c.forward_window(0, buffer)), first);
+            for position in 1..3 {
+                assert_eq!(c.forward_window(position, buffer), 4 * c.packet_size.as_u64());
+                assert_eq!(c.packets_in(c.forward_window(position, buffer)), later);
+            }
+            // A sub-packet (or empty) budget still queues one packet.
+            assert_eq!(c.packets_in(c.forward_window(0, 1)), 1);
+            assert_eq!(c.packets_in(0), 1);
+        }
     }
 
     #[test]

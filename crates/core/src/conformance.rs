@@ -16,9 +16,9 @@
 //!   latency by the report's own mean pipeline span and keeps ratios.
 //! * [`diff_digests`]/[`diff_reports`] join two digests block-by-block
 //!   — matched by upload index and payload size, because block ids are
-//!   minted independently per engine — and score each metric against a
-//!   configurable [`ToleranceBands`], producing a machine-readable
-//!   [`DiffVerdict`] (`results/<id>.diff.json`).
+//!   minted independently per engine — and score each metric against
+//!   its fixed band, producing a machine-readable [`DiffVerdict`]
+//!   (`results/<id>.diff.json`).
 //!
 //! The digest also rides inside every Chrome trace's `otherData`
 //! (see [`to_chrome_trace`](crate::trace::to_chrome_trace)), so any two
@@ -28,10 +28,25 @@
 use crate::json::{ObjectBuilder, Value};
 use crate::trace::TraceReport;
 
-/// Dimensionless bucket ladder (upper bounds, in units of "mean
-/// pipeline span") for the FNFA→next-allocation gap-ratio distribution;
-/// one overflow bucket follows the last bound.
-const GAP_RATIO_BUCKETS: &[f64] = &[0.05, 0.15, 0.35, 0.75, 1.5];
+// Tolerance bands. Count metrics pass when `|a-b| <= abs + frac *
+// max(a,b)`; ratio metrics compare against a plain absolute band; the
+// committed-block count, payload sizes and read admission must match
+// exactly. Calibrated on the paired emulator/DES runs of
+// `tests/conformance.rs` (single client, small files, test-scale
+// config): observed divergences there are gap-ratio mean ≤ 0.10 and hop
+// residency ≤ 0.23, and the bands sit ~2x above that to absorb scheduler
+// noise on loaded hosts without admitting structural drift.
+/// Allowed |Δ| in total FNFA count.
+const FNFA_COUNT_ABS: u64 = 1;
+/// Band on the mean FNFA→allocation gap ratio difference.
+const FNFA_GAP_RATIO: f64 = 0.45;
+/// Band on the mean |Δ| of paired per-hop residency fractions.
+const HOP_RESIDENCY: f64 = 0.45;
+/// Overlap-pair count band: `abs + frac * max(a,b)`.
+const OVERLAP_ABS: u64 = 2;
+const OVERLAP_FRAC: f64 = 0.40;
+/// Allowed |Δ| in peak concurrent pipelines.
+const MAX_CONCURRENT_ABS: u64 = 1;
 
 /// One block's engine-comparable signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,24 +187,6 @@ impl TraceDigest {
         }
     }
 
-    /// Normalized gap-ratio histogram over [`GAP_RATIO_BUCKETS`] (+1
-    /// overflow bucket); empty-sample digests get a zero vector.
-    fn gap_ratio_distribution(&self) -> Vec<f64> {
-        let mut counts = vec![0u64; GAP_RATIO_BUCKETS.len() + 1];
-        for r in &self.fnfa_gap_ratios {
-            let slot = GAP_RATIO_BUCKETS
-                .iter()
-                .position(|b| r <= b)
-                .unwrap_or(GAP_RATIO_BUCKETS.len());
-            counts[slot] += 1;
-        }
-        let total = self.fnfa_gap_ratios.len() as f64;
-        counts
-            .iter()
-            .map(|&c| if total > 0.0 { c as f64 / total } else { 0.0 })
-            .collect()
-    }
-
     pub fn to_json(&self) -> Value {
         let blocks = self
             .blocks
@@ -295,91 +292,6 @@ impl TraceDigest {
     }
 }
 
-/// Per-metric tolerance bands for [`diff_digests`]. Count metrics pass
-/// when `|a-b| <= abs + frac * max(a,b)`; ratio metrics compare against
-/// a plain absolute band. Defaults are calibrated on the paired
-/// emulator/DES runs of `tests/conformance.rs` (single client, small
-/// files, test-scale config) — widen them for noisier workloads.
-#[derive(Debug, Clone)]
-pub struct ToleranceBands {
-    /// Committed-block counts must match exactly (structural).
-    pub committed_exact: bool,
-    /// Allowed |Δ| in total FNFA count.
-    pub fnfa_count_abs: u64,
-    /// Band on the mean FNFA→allocation gap ratio difference.
-    pub fnfa_gap_ratio: f64,
-    /// Band on the total-variation distance between gap-ratio
-    /// distributions (0 = identical, 1 = disjoint).
-    pub latency_distance: f64,
-    /// Band on the mean |Δ| of paired per-hop residency fractions.
-    pub hop_residency: f64,
-    /// Overlap-pair count band: `abs + frac * max(a,b)`.
-    pub overlap_abs: u64,
-    pub overlap_frac: f64,
-    /// Allowed |Δ| in peak concurrent pipelines.
-    pub max_concurrent_abs: u64,
-}
-
-impl Default for ToleranceBands {
-    fn default() -> Self {
-        ToleranceBands {
-            committed_exact: true,
-            fnfa_count_abs: 1,
-            // Observed paired-run divergences (fast machine): gap-ratio
-            // mean ≤ 0.10, hop residency ≤ 0.23. Bands sit ~2x above
-            // that to absorb scheduler noise on loaded CI hosts without
-            // admitting structural drift.
-            fnfa_gap_ratio: 0.45,
-            // The DES allocates the next block the instant the FNFA
-            // lands, so its gap ratios are all ~0 while the emulator's
-            // carry real scheduling latency: cross-engine TV over the
-            // bucketed gap distribution reduces to "fraction of
-            // emulator gaps above the first bucket edge", which is
-            // load-dependent. The default band is TV's own maximum —
-            // informational for emulator↔DES diffs; tighten it for
-            // same-engine (build-vs-build) regression diffs where the
-            // distributions are genuinely comparable.
-            latency_distance: 1.0,
-            hop_residency: 0.45,
-            overlap_abs: 2,
-            overlap_frac: 0.40,
-            max_concurrent_abs: 1,
-        }
-    }
-}
-
-impl ToleranceBands {
-    /// Tight bands for **same-engine** (build-vs-build) regression
-    /// diffs, where both digests come from the same engine on the same
-    /// preset and the distributions are genuinely comparable. The
-    /// cross-engine default leaves `latency_distance` at TV's own
-    /// maximum because the DES's gap ratios are structurally ~0; build
-    /// vs build there is no such excuse, so drift past these bands is a
-    /// real scheduling regression (`tests/namenode_sharding.rs` holds
-    /// 1 shard against 8 to them).
-    pub fn same_engine() -> Self {
-        ToleranceBands {
-            latency_distance: 0.35,
-            fnfa_gap_ratio: 0.30,
-            hop_residency: 0.30,
-            ..ToleranceBands::default()
-        }
-    }
-
-    pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("committed_exact", self.committed_exact)
-            .field("fnfa_count_abs", self.fnfa_count_abs)
-            .field("fnfa_gap_ratio", self.fnfa_gap_ratio)
-            .field("latency_distance", self.latency_distance)
-            .field("hop_residency", self.hop_residency)
-            .field("overlap_abs", self.overlap_abs)
-            .field("overlap_frac", self.overlap_frac)
-            .field("max_concurrent_abs", self.max_concurrent_abs)
-            .build()
-    }
-}
-
 /// One compared quantity inside a [`DiffVerdict`].
 #[derive(Debug, Clone)]
 pub struct MetricDiff {
@@ -435,7 +347,6 @@ pub struct DiffVerdict {
     pub id: String,
     pub engine_a: &'static str,
     pub engine_b: &'static str,
-    pub bands: ToleranceBands,
     pub metrics: Vec<MetricDiff>,
     pub pass: bool,
 }
@@ -451,7 +362,6 @@ impl DiffVerdict {
             .field("pass", self.pass)
             .field("engine_a", self.engine_a)
             .field("engine_b", self.engine_b)
-            .field("bands", self.bands.to_json())
             .field(
                 "metrics",
                 Value::Array(self.metrics.iter().map(MetricDiff::to_json).collect()),
@@ -495,32 +405,18 @@ impl DiffVerdict {
     }
 }
 
-/// Total-variation distance between two normalized histograms.
-fn total_variation(a: &[f64], b: &[f64]) -> f64 {
-    0.5 * a
-        .iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .sum::<f64>()
-}
-
-/// Joins two digests block-by-block and scores every metric against
-/// `bands`. Block pairing is positional (upload index); a payload-size
+/// Joins two digests block-by-block and scores every metric against its
+/// band. Block pairing is positional (upload index); a payload-size
 /// mismatch at any position is a structural failure, because it means
 /// the engines did not run the same workload.
-pub fn diff_digests(
-    id: &str,
-    a: &TraceDigest,
-    b: &TraceDigest,
-    bands: ToleranceBands,
-) -> DiffVerdict {
+pub fn diff_digests(id: &str, a: &TraceDigest, b: &TraceDigest) -> DiffVerdict {
     let mut metrics = Vec::new();
 
     metrics.push(MetricDiff::counts(
         "committed_blocks",
         a.committed_blocks(),
         b.committed_blocks(),
-        if bands.committed_exact { 0 } else { u64::MAX },
+        0,
         0.0,
     ));
 
@@ -561,32 +457,14 @@ pub fn diff_digests(
         "fnfa_count",
         a.fnfa_count,
         b.fnfa_count,
-        bands.fnfa_count_abs,
+        FNFA_COUNT_ABS,
         0.0,
     ));
     metrics.push(MetricDiff::ratios(
         "fnfa_gap_ratio_mean",
         a.mean_gap_ratio(),
         b.mean_gap_ratio(),
-        bands.fnfa_gap_ratio,
-    ));
-    // Total variation over an n-sample histogram quantizes to k/n, so
-    // with only a handful of FNFA gaps a single straddled bucket edge
-    // saturates the distance at 1.0 even when the means agree. Below
-    // MIN_TV_SAMPLES paired gaps the distance is reported but the band
-    // is informational (tolerance 1.0 = TV's own maximum).
-    const MIN_TV_SAMPLES: usize = 8;
-    let gap_support = a.fnfa_gap_ratios.len().min(b.fnfa_gap_ratios.len());
-    let latency_tolerance = if gap_support < MIN_TV_SAMPLES {
-        1.0
-    } else {
-        bands.latency_distance
-    };
-    metrics.push(MetricDiff::ratios(
-        "latency_distance",
-        0.0,
-        total_variation(&a.gap_ratio_distribution(), &b.gap_ratio_distribution()),
-        latency_tolerance,
+        FNFA_GAP_RATIO,
     ));
 
     // Mean |Δ| of per-hop residency fractions over paired blocks,
@@ -607,21 +485,21 @@ pub fn diff_digests(
         "hop_residency",
         0.0,
         hop_divergence,
-        bands.hop_residency,
+        HOP_RESIDENCY,
     ));
 
     metrics.push(MetricDiff::counts(
         "overlap_pairs",
         a.overlap_pairs,
         b.overlap_pairs,
-        bands.overlap_abs,
-        bands.overlap_frac,
+        OVERLAP_ABS,
+        OVERLAP_FRAC,
     ));
     metrics.push(MetricDiff::counts(
         "max_concurrent",
         a.max_concurrent,
         b.max_concurrent,
-        bands.max_concurrent_abs,
+        MAX_CONCURRENT_ABS,
         0.0,
     ));
 
@@ -630,24 +508,17 @@ pub fn diff_digests(
         id: id.to_string(),
         engine_a: a.engine,
         engine_b: b.engine,
-        bands,
         metrics,
         pass,
     }
 }
 
 /// [`diff_digests`] over two assembled reports.
-pub fn diff_reports(
-    id: &str,
-    a: &TraceReport,
-    b: &TraceReport,
-    bands: ToleranceBands,
-) -> DiffVerdict {
+pub fn diff_reports(id: &str, a: &TraceReport, b: &TraceReport) -> DiffVerdict {
     diff_digests(
         id,
         &TraceDigest::from_report(a),
         &TraceDigest::from_report(b),
-        bands,
     )
 }
 
@@ -711,7 +582,7 @@ mod tests {
                 assert!((rx - ry).abs() < 0.01, "residency {rx} vs {ry}");
             }
         }
-        let verdict = diff_digests("scale", &fast, &slow, ToleranceBands::default());
+        let verdict = diff_digests("scale", &fast, &slow);
         assert!(verdict.pass, "{}", verdict.render());
     }
 
@@ -719,13 +590,13 @@ mod tests {
     fn diff_fails_on_structural_divergence() {
         let a = TraceDigest::from_report(&TraceAssembler::assemble(&stream(1, true, 0)));
         // Same stream minus the second block's close: one fewer
-        // committed block — must fail no matter how wide the bands.
+        // committed block — a structural failure no band absorbs.
         let mut events = stream(1, false, 0);
         events.retain(
             |r| !matches!(&r.event, ObsEvent::PipelineClosed { block, .. } if block.0 == 201),
         );
         let b = TraceDigest::from_report(&TraceAssembler::assemble(&events));
-        let verdict = diff_digests("structural", &a, &b, ToleranceBands::default());
+        let verdict = diff_digests("structural", &a, &b);
         assert!(!verdict.pass);
         assert!(verdict.failures().iter().any(|m| m.name == "committed_blocks"));
     }
@@ -740,7 +611,7 @@ mod tests {
             }
         }
         let b = TraceDigest::from_report(&TraceAssembler::assemble(&events));
-        let verdict = diff_digests("payload", &a, &b, ToleranceBands::default());
+        let verdict = diff_digests("payload", &a, &b);
         assert!(!verdict.pass);
         assert!(verdict
             .failures()
@@ -793,7 +664,7 @@ mod tests {
 
         let b_events = stream(1, false, 0);
         let b = TraceDigest::from_report(&TraceAssembler::assemble(&b_events));
-        let verdict = diff_digests("read-miss", &a, &b, ToleranceBands::default());
+        let verdict = diff_digests("read-miss", &a, &b);
         assert!(!verdict.pass);
         assert!(verdict
             .failures()
@@ -803,7 +674,7 @@ mod tests {
         let mut b_events = stream(1, false, 0);
         append_read(&mut b_events, BlockId(101), false);
         let b = TraceDigest::from_report(&TraceAssembler::assemble(&b_events));
-        let verdict = diff_digests("read-match", &a, &b, ToleranceBands::default());
+        let verdict = diff_digests("read-match", &a, &b);
         assert!(verdict.pass, "{}", verdict.render());
     }
 
@@ -814,7 +685,7 @@ mod tests {
             .unwrap();
         assert_eq!(d, back);
         // A digest diffed against its own round trip is exact.
-        let verdict = diff_digests("roundtrip", &d, &back, ToleranceBands::default());
+        let verdict = diff_digests("roundtrip", &d, &back);
         assert!(verdict.pass);
         assert!(verdict.metrics.iter().all(|m| m.divergence == 0.0));
     }
@@ -823,7 +694,7 @@ mod tests {
     fn verdict_json_is_machine_readable() {
         let a = TraceDigest::from_report(&TraceAssembler::assemble(&stream(1, true, 0)));
         let b = TraceDigest::from_report(&TraceAssembler::assemble(&stream(7, false, 12)));
-        let verdict = diff_digests("json", &a, &b, ToleranceBands::default());
+        let verdict = diff_digests("json", &a, &b);
         let v = crate::json::parse(&verdict.to_json().to_string_pretty()).unwrap();
         assert_eq!(v.get("id").as_str(), Some("json"));
         assert_eq!(v.get("pass").as_bool(), Some(verdict.pass));
@@ -834,6 +705,6 @@ mod tests {
             assert!(m.get("divergence").as_f64().is_some());
             assert!(m.get("pass").as_bool().is_some());
         }
-        assert!(v.get("bands").get("hop_residency").as_f64().is_some());
+        assert!(metrics.iter().all(|m| m.get("tolerance").as_f64().is_some()));
     }
 }

@@ -38,7 +38,7 @@ pub use config::{
     ClusterSpec, DfsConfig, HostRole, HostSpec, InstanceType, VerifyChecksumsAt, WriteMode,
 };
 pub use conformance::{
-    diff_digests, diff_reports, BlockDigest, DiffVerdict, MetricDiff, ToleranceBands, TraceDigest,
+    diff_digests, diff_reports, BlockDigest, DiffVerdict, MetricDiff, TraceDigest,
 };
 pub use error::{DfsError, DfsResult};
 pub use obs::{

@@ -15,9 +15,14 @@
 //! Both return pipelines of **distinct** datanodes and honour an exclusion
 //! list (dead nodes, nodes already busy in one of the client's active
 //! SMARTH pipelines — the §IV-C buffer-overflow rule).
+//!
+//! [`place_block`] picks between them by write mode. It is the one place
+//! both engines allocate through.
 
+use crate::config::WriteMode;
 use crate::error::{DfsError, DfsResult};
-use crate::ids::{ClientId, DatanodeId};
+use crate::ids::{BlockId, ClientId, DatanodeId};
+use crate::obs::{ObsEvent, SpeedObservation};
 use crate::speed::NamenodeSpeedRegistry;
 use crate::topology::NetworkTopology;
 use rand::Rng;
@@ -171,6 +176,75 @@ pub fn smarth_placement(
     finish_pipeline(topo, rng, &mut targets, replication, exclude)?;
     debug_assert_distinct(&targets);
     Ok(targets)
+}
+
+/// One block's targets and how they were chosen: what
+/// [`ObsEvent::PlacementDecision`] reports.
+#[derive(Debug, Clone)]
+pub struct Placement {
+    pub targets: Vec<DatanodeId>,
+    /// `"smarth"` (Algorithm 1) or `"hdfs"` (the stock policy).
+    pub policy: &'static str,
+    /// The client's speed records in force when Algorithm 1 ran; empty
+    /// for the stock policy.
+    pub speeds_consulted: Vec<SpeedObservation>,
+}
+
+impl Placement {
+    /// The `PlacementDecision` event for `client`'s `block`.
+    pub fn decision(self, client: ClientId, block: BlockId) -> ObsEvent {
+        ObsEvent::PlacementDecision {
+            client,
+            block,
+            policy: self.policy,
+            chosen: self.targets,
+            speeds_consulted: self.speeds_consulted,
+        }
+    }
+}
+
+/// Places one block of a file written in `mode`: Algorithm 1 for SMARTH,
+/// the stock policy for HDFS. The namenode's `addBlock` and the
+/// simulator's block open both call this, so for the same RNG state they
+/// draw the same targets.
+#[allow(clippy::too_many_arguments)]
+pub fn place_block(
+    mode: WriteMode,
+    topo: &NetworkTopology,
+    registry: &NamenodeSpeedRegistry,
+    rng: &mut impl Rng,
+    locality: &ClientLocality,
+    replication: usize,
+    active_datanodes: usize,
+    exclude: &[DatanodeId],
+) -> DfsResult<Placement> {
+    Ok(match mode {
+        WriteMode::Hdfs => Placement {
+            targets: default_placement(topo, rng, locality, replication, exclude)?,
+            policy: "hdfs",
+            speeds_consulted: Vec::new(),
+        },
+        WriteMode::Smarth => Placement {
+            targets: smarth_placement(
+                topo,
+                registry,
+                rng,
+                locality,
+                replication,
+                active_datanodes,
+                exclude,
+            )?,
+            policy: "smarth",
+            speeds_consulted: registry
+                .records_for(locality.client)
+                .into_iter()
+                .map(|(datanode, bytes_per_sec)| SpeedObservation {
+                    datanode,
+                    bytes_per_sec,
+                })
+                .collect(),
+        },
+    })
 }
 
 /// Replacement targets for pipeline recovery (Algorithm 3 line 10): picks
@@ -421,6 +495,59 @@ mod tests {
         }
         let all: Vec<DatanodeId> = (0..9).map(dn).collect();
         assert!(replacement_targets(&t, &mut r, &all, &[], 1).is_err());
+    }
+
+    #[test]
+    fn place_block_follows_the_mode_draw_for_draw() {
+        use rand::RngCore;
+        let t = topo();
+        let busy = [dn(2)];
+        // Each mode against the policy it must reduce to, from one seed:
+        // same targets, and the RNG left in the same state after.
+        let cases: [(WriteMode, NamenodeSpeedRegistry, &str); 3] = [
+            (WriteMode::Hdfs, registry_with_speeds(&[(4, 100.0)]), "hdfs"),
+            (WriteMode::Smarth, NamenodeSpeedRegistry::new(), "smarth"),
+            (WriteMode::Smarth, registry_with_speeds(&[(4, 100.0), (7, 50.0)]), "smarth"),
+        ];
+        for (mode, reg, label) in cases {
+            let (mut placed_rng, mut direct_rng) = (rng(), rng());
+            for _ in 0..20 {
+                let placed =
+                    place_block(mode, &t, &reg, &mut placed_rng, &locality(), 3, 9, &busy).unwrap();
+                let direct = match mode {
+                    WriteMode::Hdfs => {
+                        default_placement(&t, &mut direct_rng, &locality(), 3, &busy).unwrap()
+                    }
+                    WriteMode::Smarth => {
+                        smarth_placement(&t, &reg, &mut direct_rng, &locality(), 3, 9, &busy)
+                            .unwrap()
+                    }
+                };
+                assert_eq!(placed.targets, direct);
+                assert_eq!(placed.policy, label);
+                // HDFS consults no speeds; SMARTH reports every record.
+                let consulted: Vec<(DatanodeId, f64)> = placed
+                    .speeds_consulted
+                    .iter()
+                    .map(|s| (s.datanode, s.bytes_per_sec))
+                    .collect();
+                let records = reg.records_for(ClientId(1));
+                assert_eq!(consulted, if label == "hdfs" { Vec::new() } else { records });
+            }
+            assert_eq!(placed_rng.next_u64(), direct_rng.next_u64(), "{label}: draws diverged");
+        }
+        // The event reports the placement as chosen.
+        let reg = registry_with_speeds(&[(4, 100.0)]);
+        let placed =
+            place_block(WriteMode::Smarth, &t, &reg, &mut rng(), &locality(), 3, 9, &[]).unwrap();
+        match placed.clone().decision(ClientId(1), BlockId(9)) {
+            ObsEvent::PlacementDecision { client, block, policy, chosen, speeds_consulted } => {
+                assert_eq!((client, block, policy), (ClientId(1), BlockId(9), "smarth"));
+                assert_eq!(chosen, placed.targets);
+                assert_eq!(speeds_consulted, placed.speeds_consulted);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -234,6 +234,24 @@ impl NamenodeSpeedRegistry {
             .unwrap_or_default()
     }
 
+    /// §III-B applied to reads: orders a block's replica `sources`
+    /// fastest-first by what `client` has reported. Sources with no
+    /// record keep their relative order after every known one (a stable
+    /// sort), so tied sources stay in the order they were given. The
+    /// namenode's `GetBlockLocations` and the simulator's read phase both
+    /// call this.
+    pub fn order_by_speed(&self, client: ClientId, sources: &mut [DatanodeId]) {
+        let Some(table) = self.per_client.get(&client) else {
+            return;
+        };
+        let speed = |dn: &DatanodeId| table.get(dn).map(|e| e.bytes_per_sec);
+        sources.sort_by(|a, b| {
+            speed(b)
+                .partial_cmp(&speed(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+    }
+
     /// Forgets a dead datanode everywhere so it can't be recommended.
     pub fn forget_datanode(&mut self, dn: DatanodeId) {
         for table in self.per_client.values_mut() {
@@ -336,6 +354,34 @@ mod tests {
         assert_eq!(reg.top_n(c, 3, &[dn(1), dn(4)], &[]), vec![dn(4), dn(1)]);
         // Another client has no records.
         assert!(reg.top_n(ClientId(2), 2, &alive, &[]).is_empty());
+    }
+
+    #[test]
+    fn read_order_is_fastest_first_with_unknown_sources_last() {
+        let c = ClientId(1);
+        let mut reg = NamenodeSpeedRegistry::new();
+        // No records at all: the order is left as given.
+        let mut sources = vec![dn(5), dn(1), dn(3)];
+        reg.order_by_speed(c, &mut sources);
+        assert_eq!(sources, vec![dn(5), dn(1), dn(3)]);
+
+        reg.ingest(
+            c,
+            &[
+                SpeedRecord { datanode: dn(1), bytes_per_sec: 10.0, samples: 1 },
+                SpeedRecord { datanode: dn(2), bytes_per_sec: 30.0, samples: 1 },
+                SpeedRecord { datanode: dn(3), bytes_per_sec: 10.0, samples: 1 },
+            ],
+        );
+        // Unknown dn6 and dn4 go last in their given order; the tied
+        // dn3/dn1 keep theirs too.
+        let mut sources = vec![dn(6), dn(3), dn(4), dn(1), dn(2)];
+        reg.order_by_speed(c, &mut sources);
+        assert_eq!(sources, vec![dn(2), dn(3), dn(1), dn(6), dn(4)]);
+        // Another client's view is its own: nothing known, nothing moves.
+        let mut sources = vec![dn(1), dn(2)];
+        reg.order_by_speed(ClientId(2), &mut sources);
+        assert_eq!(sources, vec![dn(1), dn(2)]);
     }
 
     #[test]

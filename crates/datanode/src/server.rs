@@ -19,7 +19,8 @@
 //!   `datanode_buffered_bytes` / `datanode_staging_packets` gauges, so
 //!   a slow disk backpressures the socket only once the buffer is full;
 //! * the **forwarder** relays frames to the next datanode through a
-//!   bounded queue (one whole block on the *first* node, a few packets
+//!   bounded queue of `DfsConfig::forward_window` bytes (the client's
+//!   buffer, one whole block, on the *first* node and a few packets
 //!   elsewhere), tracked by the `datanode_forward_bytes` gauge;
 //! * the **responder** merges the downstream ack stream with this node's
 //!   own status and sends the combined ack upstream.
@@ -557,20 +558,11 @@ fn run_write_threads(
 ) -> DfsResult<()> {
     let block = header.block;
     let has_mirror = mirror.is_some();
-    let packet = dn.config.packet_size.as_u64().max(1);
-    let queue_packets = if header.position == 0 {
-        header.client_buffer.max(packet).div_ceil(packet) as usize
-    } else {
-        4
-    }
-    .max(1);
+    let config = &dn.config;
+    let queue_packets =
+        config.packets_in(config.forward_window(header.position as usize, header.client_buffer));
     // Staging between receive and flush: the §IV-C buffer, in packets.
-    let staging_packets = dn
-        .config
-        .datanode_client_buffer
-        .as_u64()
-        .max(packet)
-        .div_ceil(packet) as usize;
+    let staging_packets = config.packets_in(config.datanode_client_buffer.as_u64());
 
     let (fwd_tx, fwd_rx): (Sender<Relay>, Receiver<Relay>) = bounded(queue_packets);
     let (flush_tx, flush_rx): (Sender<Packet>, Receiver<Packet>) = bounded(staging_packets);

@@ -19,10 +19,8 @@ use smarth_core::ids::{
 };
 use smarth_core::shard::{shard_of_path, volume_of};
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
-use smarth_core::obs::{Obs, ObsEvent, SpeedObservation, TraceCtx};
-use smarth_core::placement::{
-    default_placement, replacement_targets, smarth_placement, ClientLocality,
-};
+use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
+use smarth_core::placement::{place_block, replacement_targets, ClientLocality};
 use smarth_core::proto::{
     ClientRequest, ClientResponse, DatanodeRequest, DatanodeResponse, LocatedBlock,
 };
@@ -295,48 +293,30 @@ impl NameNodeState {
         let locality = self.locality_of(client);
 
         let dns = self.datanodes.read();
-        let alive = dns.alive();
-        let topo = dns.topology();
         let mut rng = self.rng.lock();
-        let (policy, target_ids, speeds_consulted) = match mode {
-            WriteMode::Hdfs => (
-                "hdfs",
-                default_placement(topo, &mut *rng, &locality, replication, excluded)?,
-                Vec::new(),
-            ),
-            WriteMode::Smarth => {
-                // Write lock: ageing the registry mutates it even on
-                // this read-mostly path.
-                let mut speeds = self.speeds.write();
-                speeds.age(Obs::now_us());
-                let chosen = smarth_placement(
-                    topo,
-                    &speeds,
-                    &mut *rng,
-                    &locality,
-                    replication,
-                    alive.len(),
-                    excluded,
-                )?;
-                let consulted = speeds
-                    .records_for(client)
-                    .into_iter()
-                    .map(|(datanode, bytes_per_sec)| SpeedObservation {
-                        datanode,
-                        bytes_per_sec,
-                    })
-                    .collect();
-                ("smarth", chosen, consulted)
-            }
-        };
+        // Write lock: ageing the registry mutates it even on this
+        // read-mostly path.
+        let mut speeds = self.speeds.write();
+        speeds.age(Obs::now_us());
+        let placement = place_block(
+            mode,
+            dns.topology(),
+            &speeds,
+            &mut *rng,
+            &locality,
+            replication,
+            dns.alive().len(),
+            excluded,
+        )?;
+        drop(speeds);
         drop(rng);
-        let targets = dns.infos(&target_ids);
-        if targets.len() != target_ids.len() {
+        let targets = dns.infos(&placement.targets);
+        if targets.len() != placement.targets.len() {
             return Err(DfsError::internal("placement returned unknown datanode"));
         }
         drop(dns);
 
-        let block = shard.blocks.lock().allocate(file_id, &target_ids);
+        let block = shard.blocks.lock().allocate(file_id, &placement.targets);
         self.block_shards.write().insert(block.id, shard_idx);
         shard.namespace.lock().append_block(client, file_id, block)?;
         if mode == WriteMode::Smarth {
@@ -348,13 +328,7 @@ impl NameNodeState {
         let span = SpanId(self.trace_ids.allocate());
         self.obs.emit_traced(
             TraceCtx::new(trace, span),
-            ObsEvent::PlacementDecision {
-                client,
-                block: block.id,
-                policy,
-                chosen: target_ids,
-                speeds_consulted,
-            },
+            placement.decision(client, block.id),
         );
         Ok(LocatedBlock {
             block,
@@ -620,26 +594,18 @@ impl NameNodeState {
                 let dns = self.datanodes.read();
                 let mut speeds = self.speeds.write();
                 speeds.age(Obs::now_us());
-                let known: HashMap<DatanodeId, f64> =
-                    speeds.records_for(client).into_iter().collect();
-                drop(speeds);
                 let located = blocks
                     .into_iter()
                     .map(|b| {
-                        let mut ids = bm.locations(b.id);
                         // §III-B applied to reads: sources this client has
-                        // observed go fastest-first; unknown-speed replicas
-                        // keep their id order after them (stable sort,
-                        // None < Some).
-                        ids.sort_by(|x, y| {
-                            known
-                                .get(y)
-                                .partial_cmp(&known.get(x))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        });
+                        // observed go fastest-first, the rest after them
+                        // in id order.
+                        let mut ids = bm.locations(b.id);
+                        speeds.order_by_speed(client, &mut ids);
                         LocatedBlock::untraced(b, dns.infos(&ids))
                     })
                     .collect();
+                drop(speeds);
                 Ok(ClientResponse::BlockLocations { status, blocks: located })
             }
             ClientRequest::ReportBadReplica {

@@ -17,7 +17,7 @@ pub mod server;
 
 pub use model::{
     simulate_upload, simulate_upload_with_obs, simulate_upload_with_telemetry, PipelineTrace,
-    ProtocolFlags, SimResult, SimScenario,
+    SimResult, SimScenario,
 };
 pub use server::RateServer;
 
@@ -380,9 +380,10 @@ mod tests {
 
     #[test]
     fn ablation_fnfa_is_the_key_mechanism() {
-        // Disable only the FNFA pipelining: SMARTH degenerates to
-        // roughly HDFS-with-smart-placement, losing most of the gain in
-        // the two-rack scenario (where placement matters little because
+        // Cap SMARTH at one pipeline: the FNFA can no longer open the
+        // next block early, so SMARTH degenerates to roughly
+        // HDFS-with-smart-placement and loses most of the gain in the
+        // two-rack scenario (where placement matters little because
         // every pipeline crosses racks anyway).
         let base = two_rack(
             InstanceType::Small,
@@ -391,13 +392,31 @@ mod tests {
             WriteMode::Smarth,
         );
         let full = simulate_upload(&base).upload_secs;
-        let mut noflags = base.clone();
-        noflags.flags.fnfa_pipelining = false;
-        let crippled = simulate_upload(&noflags).upload_secs;
+        let mut one_pipeline = base.clone();
+        one_pipeline.config.max_pipelines_override = Some(1);
+        let capped = simulate_upload(&one_pipeline);
+        assert_eq!(capped.max_concurrent_pipelines, 1);
         assert!(
-            crippled > full * 1.5,
-            "removing FNFA must hurt badly: full {full:.0}s vs no-FNFA {crippled:.0}s"
+            capped.upload_secs > full * 1.5,
+            "removing FNFA overlap must hurt badly: full {full:.0}s vs one pipeline {:.0}s",
+            capped.upload_secs
         );
+    }
+
+    #[test]
+    fn local_opt_off_in_the_config_explores_nothing() {
+        // The simulator reads the emulator's knob: with Algorithm 2
+        // disabled a SMARTH upload makes no exploration swap.
+        let mut s = contention(
+            InstanceType::Small,
+            gib(1),
+            3,
+            Bandwidth::mbps(50.0),
+            WriteMode::Smarth,
+        );
+        assert!(simulate_upload(&s).explored_swaps > 0, "the default explores");
+        s.config.local_opt_enabled = false;
+        assert_eq!(simulate_upload(&s).explored_swaps, 0);
     }
 
     #[test]

@@ -1,15 +1,24 @@
 //! The discrete-event model of one file upload, at full paper scale.
 //!
-//! The simulator replays the exact protocol state machines of the real
+//! The simulator replays the protocol state machines of the real
 //! implementation — packet-granular store-and-forward pipelines, per-hop
 //! forward buffers with credit backpressure (§IV-C), in-order ack
 //! aggregation, FNFA-triggered pipelining (§III-A), speed tracking with
-//! 3-second heartbeat flushes (§III-B) and the placement algorithms of
-//! §III-B/C (shared *code* with the real namenode/client via
-//! `smarth-core`) — over [`RateServer`]s standing in for NICs, `tc` pair
-//! shapers and disks. Virtual time makes an 8 GB upload over a
-//! 50 Mbps-throttled cluster take milliseconds of wall time and produce
-//! bit-identical results for a given seed.
+//! 3-second heartbeat flushes (§III-B) — over [`RateServer`]s standing in
+//! for NICs, `tc` pair shapers and disks. Virtual time makes an 8 GB
+//! upload over a 50 Mbps-throttled cluster take milliseconds of wall time
+//! and produce bit-identical results for a given seed.
+//!
+//! A run is steered by the knobs the emulator reads and no others: the
+//! scenario's [`WriteMode`] (FNFA pipelining and speed-aware placement)
+//! and its [`DfsConfig`]. The decisions both engines make are
+//! `smarth-core` calls both make: placement by mode
+//! ([`place_block`]), whether Algorithm 2 runs
+//! ([`DfsConfig::runs_local_opt`]), the §IV-C forward window
+//! ([`DfsConfig::forward_window`]), the read-source order
+//! ([`NamenodeSpeedRegistry::order_by_speed`]) and the read stripe count
+//! ([`DfsConfig::stripes_for`]). The pipeline-count gate, the wait for a
+//! full-width pipeline and the FNFA→`T_n` timing are still written here.
 
 use crate::server::RateServer;
 use rand::SeedableRng;
@@ -18,8 +27,8 @@ use smarth_core::config::{ClusterSpec, DfsConfig, HostRole, WriteMode};
 use smarth_core::ids::{BlockId, ClientId, DatanodeId, SpanId, TraceId};
 use smarth_core::localopt::{local_optimize, LocalOptOutcome};
 use smarth_core::obs::telemetry::Sampler;
-use smarth_core::obs::{Obs, ObsEvent, SpeedObservation, TraceCtx};
-use smarth_core::placement::{default_placement, smarth_placement, ClientLocality};
+use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
+use smarth_core::placement::{place_block, ClientLocality};
 use smarth_core::proto::DatanodeInfo;
 use smarth_core::speed::{ClientSpeedTracker, NamenodeSpeedRegistry};
 use smarth_core::topology::{NetworkTopology, TopologyNode};
@@ -27,48 +36,14 @@ use smarth_core::units::{Bandwidth, ByteSize, SimDuration, SimInstant};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
-/// Which protocol features are active — [`WriteMode`] decomposed into
-/// its mechanisms so ablations can toggle them independently.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtocolFlags {
-    /// §III-A: allocate the next block on FNFA instead of waiting for
-    /// the full pipeline ack (the asynchronous multi-pipeline transfer).
-    pub fnfa_pipelining: bool,
-    /// Algorithm 1: speed-aware first-datanode selection at the namenode.
-    pub smart_placement: bool,
-    /// Algorithm 2: client-side re-sort + ε-exploration.
-    pub local_opt: bool,
-    /// §IV-C: first-datanode forward buffer. `None` uses the config's
-    /// `datanode_client_buffer` in SMARTH-style modes and the small
-    /// store-and-forward window in HDFS mode.
-    pub first_node_buffer: Option<ByteSize>,
-}
-
-impl ProtocolFlags {
-    pub fn for_mode(mode: WriteMode) -> Self {
-        match mode {
-            WriteMode::Hdfs => Self {
-                fnfa_pipelining: false,
-                smart_placement: false,
-                local_opt: false,
-                first_node_buffer: None,
-            },
-            WriteMode::Smarth => Self {
-                fnfa_pipelining: true,
-                smart_placement: true,
-                local_opt: true,
-                first_node_buffer: None,
-            },
-        }
-    }
-}
-
 /// One upload experiment.
 #[derive(Debug, Clone)]
 pub struct SimScenario {
     pub spec: ClusterSpec,
+    /// The write protocol. With `config` it is every knob the run reads:
+    /// the same ones the emulator reads.
+    pub mode: WriteMode,
     pub config: DfsConfig,
-    pub flags: ProtocolFlags,
     pub file_size: ByteSize,
     pub seed: u64,
     /// Uploads run back to back before the measured one, to warm the
@@ -85,8 +60,8 @@ impl SimScenario {
     pub fn new(spec: ClusterSpec, config: DfsConfig, mode: WriteMode, file_size: ByteSize) -> Self {
         Self {
             spec,
+            mode,
             config,
-            flags: ProtocolFlags::for_mode(mode),
             file_size,
             seed: 42,
             warmup_uploads: 1,
@@ -131,7 +106,7 @@ pub struct PipelineTrace {
 // Events
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// Client attempts to transmit the next packet of its sending pipe.
     ClientSend { pipe: usize },
@@ -155,6 +130,57 @@ enum Ev {
     Fnfa { pipe: usize },
     /// Client tries to open the next block.
     TryOpen,
+}
+
+/// Bit widths of an [`Ev`]'s fields in its packed form (the kind takes
+/// the top 4 bits); `simulate_upload` refuses a scenario that does not fit.
+const PIPE_BITS: u32 = 24;
+const HOP_BITS: u32 = 8;
+const PKT_BITS: u32 = 28;
+
+impl Ev {
+    /// The event as one `u64`, which keeps a heap entry at 24 bytes. The
+    /// heap is the simulator's hot loop, and a first hop that buffers a
+    /// whole block keeps a block's worth of packet events in it.
+    fn pack(self) -> u64 {
+        let (kind, pipe, hop, pkt) = match self {
+            Ev::ClientSend { pipe } => (0, pipe, 0, 0),
+            Ev::Arrive { pipe, hop, pkt } => (1, pipe, hop, pkt),
+            Ev::Forward { pipe, hop } => (2, pipe, hop, 0),
+            Ev::EgressFree { pipe, hop } => (3, pipe, hop, 0),
+            Ev::ForwardDone { pipe, hop, pkt } => (4, pipe, hop, pkt),
+            Ev::Stored { pipe, hop, pkt } => (5, pipe, hop, pkt),
+            Ev::AckDown { pipe, hop, pkt } => (6, pipe, hop, pkt),
+            Ev::AckClient { pipe, pkt } => (7, pipe, 0, pkt),
+            Ev::Fnfa { pipe } => (8, pipe, 0, 0),
+            Ev::TryOpen => (9, 0, 0, 0),
+        };
+        let packed = kind << (PIPE_BITS + HOP_BITS + PKT_BITS)
+            | (pipe as u64) << (HOP_BITS + PKT_BITS)
+            | (hop as u64) << PKT_BITS
+            | pkt;
+        debug_assert_eq!(Ev::unpack(packed), self);
+        packed
+    }
+
+    fn unpack(v: u64) -> Ev {
+        let field = |shift: u32, bits: u32| v >> shift & ((1 << bits) - 1);
+        let pipe = field(HOP_BITS + PKT_BITS, PIPE_BITS) as usize;
+        let hop = field(PKT_BITS, HOP_BITS) as usize;
+        let pkt = field(0, PKT_BITS);
+        match v >> (PIPE_BITS + HOP_BITS + PKT_BITS) {
+            0 => Ev::ClientSend { pipe },
+            1 => Ev::Arrive { pipe, hop, pkt },
+            2 => Ev::Forward { pipe, hop },
+            3 => Ev::EgressFree { pipe, hop },
+            4 => Ev::ForwardDone { pipe, hop, pkt },
+            5 => Ev::Stored { pipe, hop, pkt },
+            6 => Ev::AckDown { pipe, hop, pkt },
+            7 => Ev::AckClient { pipe, pkt },
+            8 => Ev::Fnfa { pipe },
+            _ => Ev::TryOpen,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +248,7 @@ impl Pipe {
 
 struct Sim {
     now: SimInstant,
-    heap: BinaryHeap<Reverse<(SimInstant, u64, Ev)>>,
+    heap: BinaryHeap<Reverse<(SimInstant, u64, u64)>>,
     seq: u64,
     hosts: Vec<Host>,
     client_host: usize,
@@ -230,8 +256,8 @@ struct Sim {
     pairs: HashMap<(usize, usize), RateServer>,
     cross_rack: Option<Bandwidth>,
     latency: SimDuration,
+    mode: WriteMode,
     config: DfsConfig,
-    flags: ProtocolFlags,
     pipes: Vec<Pipe>,
     // client protocol state
     sending: Option<usize>,
@@ -239,18 +265,8 @@ struct Sim {
     next_block: u64,
     /// Monotonic allocation counters, mirroring the namenode's block and
     /// trace id generators (satisfies "real BlockIds in the simulator").
-    /// Like the sharded namenode's generators these are shared across
-    /// shards, which is exactly why digests are invariant in
-    /// `namenode_shards`.
     next_block_id: u64,
     next_trace_id: u64,
-    /// Shard count mirrored from `DfsConfig::namenode_shards`, and the
-    /// per-shard metadata-op tally the sharded namenode would see. The
-    /// modeled upload has one virtual path ([`SIM_UPLOAD_PATH`]), so
-    /// all of its allocations land on that path's shard — the DES twin
-    /// of "a single-volume client serializes on one shard".
-    nn_shards: usize,
-    shard_allocs: Vec<u64>,
     /// Virtual timestamp of the latest FNFA, consumed by the next
     /// allocation — the §III-A overlap latency, same as the real client.
     last_fnfa_vt: Option<u64>,
@@ -284,14 +300,10 @@ struct Sim {
 
 const CLIENT: ClientId = ClientId(1);
 
-/// The virtual namespace path of the modeled upload — what the sharded
-/// namenode would route by.
-const SIM_UPLOAD_PATH: &str = "/sim/upload.bin";
-
 impl Sim {
     fn schedule(&mut self, at: SimInstant, ev: Ev) {
         self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, ev)));
+        self.heap.push(Reverse((at, self.seq, ev.pack())));
     }
 
     fn schedule_now(&mut self, ev: Ev) {
@@ -305,22 +317,11 @@ impl Sim {
         self.now.0 / 1_000
     }
 
+    /// The §IV-C forward window of pipeline position `hop`, the same
+    /// rule the emulator's datanode sizes its forward queue by.
     fn buffer_of(&self, hop: usize) -> u64 {
-        if hop == 0 {
-            match self.flags.first_node_buffer {
-                Some(b) => b.as_u64(),
-                None => {
-                    if self.flags.fnfa_pipelining {
-                        self.config.datanode_client_buffer.as_u64()
-                    } else {
-                        // Stock HDFS: shallow store-and-forward window.
-                        4 * self.config.packet_size.as_u64()
-                    }
-                }
-            }
-        } else {
-            4 * self.config.packet_size.as_u64()
-        }
+        self.config
+            .forward_window(hop, self.config.datanode_client_buffer.as_u64())
     }
 
     /// Reserves the server chain from `src` to `dst` (egress → optional
@@ -558,7 +559,7 @@ impl Sim {
                 },
             );
         }
-        if hop == 0 && is_last_pkt && self.flags.fnfa_pipelining {
+        if hop == 0 && is_last_pkt && self.mode == WriteMode::Smarth {
             let at = self.now + self.latency;
             let p = &self.pipes[pipe];
             let (block, ctx, datanode) = (p.block, p.ctx, p.target_ids[0]);
@@ -689,7 +690,7 @@ impl Sim {
         if self.sending.is_some() || self.next_block >= self.total_blocks {
             return;
         }
-        if self.flags.fnfa_pipelining {
+        if self.mode == WriteMode::Smarth {
             let max = self.config.max_pipelines(self.dn_hosts.len());
             if self.active_count >= max {
                 return; // a completion event will retry
@@ -712,33 +713,30 @@ impl Sim {
             local_datanode: None,
         };
         let replication = self.config.replication;
-        let placement = if self.flags.smart_placement {
-            smarth_placement(
-                &self.topo,
-                &self.registry,
-                &mut self.rng,
-                &locality,
-                replication,
-                self.dn_hosts.len(),
-                &busy,
-            )
-        } else {
-            default_placement(&self.topo, &mut self.rng, &locality, replication, &busy)
-        };
-        let Ok(target_ids) = placement else {
+        let Ok(placement) = place_block(
+            self.mode,
+            &self.topo,
+            &self.registry,
+            &mut self.rng,
+            &locality,
+            replication,
+            self.dn_hosts.len(),
+            &busy,
+        ) else {
             return; // all nodes busy; retry on next completion
         };
-        if target_ids.len() < replication && self.active_count > 0 {
+        if placement.targets.len() < replication && self.active_count > 0 {
             // Short pipeline caused by our own busy set (§IV-C): wait
             // for a pipeline to drain instead of under-replicating.
             return;
         }
-        let mut target_infos: Vec<DatanodeInfo> = target_ids
+        let mut target_infos: Vec<DatanodeInfo> = placement
+            .targets
             .iter()
             .map(|id| self.infos[id.raw() as usize].clone())
             .collect();
         let mut explored_swap = None;
-        if self.flags.local_opt {
+        if self.config.runs_local_opt(self.mode) {
             if let LocalOptOutcome::Explored { swapped_index } = local_optimize(
                 &mut target_infos,
                 &self.tracker,
@@ -767,7 +765,6 @@ impl Sim {
         let last_packet_size = block_bytes - packet_size * (packets - 1);
         let ppb = self.config.packets_per_block();
 
-        let n_hops = hosts.len();
         let hops = hosts
             .iter()
             .map(|&host| Hop {
@@ -782,7 +779,6 @@ impl Sim {
                 waiting_credit: false,
             })
             .collect();
-        let _ = n_hops;
 
         // Namenode RPC (T_n) before the first packet can leave. The
         // block id and causal trace are minted here, exactly where the
@@ -791,12 +787,6 @@ impl Sim {
         let pipe_idx = self.pipes.len();
         let block = BlockId(self.next_block_id);
         self.next_block_id += 1;
-        // Route the allocation through the mirrored shard map. Ids come
-        // from the shared counters above, so the digest is identical
-        // for any shard count — the tally just records which shard the
-        // traffic serialized on.
-        let shard = smarth_core::shard::shard_of_path(SIM_UPLOAD_PATH, self.nn_shards);
-        self.shard_allocs[shard] += 1;
         let ctx = TraceCtx::new(
             TraceId(self.next_trace_id),
             SpanId(self.next_trace_id + 1),
@@ -834,32 +824,11 @@ impl Sim {
                 .fnfa_to_allocation_us
                 .observe(at.saturating_sub(fnfa_at));
         }
-        let (policy, speeds_consulted) = if self.flags.smart_placement {
+        if self.mode == WriteMode::Smarth {
             self.obs.metrics().speed_aware_placements.inc();
-            let consulted = self
-                .registry
-                .records_for(CLIENT)
-                .into_iter()
-                .map(|(datanode, bytes_per_sec)| SpeedObservation {
-                    datanode,
-                    bytes_per_sec,
-                })
-                .collect();
-            ("smarth", consulted)
-        } else {
-            ("hdfs", Vec::new())
-        };
-        self.obs.emit_virtual_traced(
-            at,
-            ctx,
-            ObsEvent::PlacementDecision {
-                client: CLIENT,
-                block,
-                policy,
-                chosen: target_ids,
-                speeds_consulted,
-            },
-        );
+        }
+        self.obs
+            .emit_virtual_traced(at, ctx, placement.decision(CLIENT, block));
         let final_ids = self.pipes[pipe_idx].target_ids.clone();
         self.obs.emit_virtual_traced(
             at,
@@ -894,7 +863,8 @@ impl Sim {
     fn run(&mut self) {
         self.schedule_now(Ev::TryOpen);
         let mut guard: u64 = 0;
-        while let Some(Reverse((at, _, ev))) = self.heap.pop() {
+        while let Some(Reverse((at, _, packed))) = self.heap.pop() {
+            let ev = Ev::unpack(packed);
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             let vt = self.now.0 / 1_000;
@@ -951,21 +921,14 @@ impl Sim {
             .finished_at
             .expect("read phase follows a completed upload")
             + self.config.namenode_rpc_cost;
-        let known: HashMap<DatanodeId, f64> =
-            self.registry.records_for(CLIENT).into_iter().collect();
         for pipe in 0..self.pipes.len() {
             let (block, bytes, mut sources) = {
                 let p = &self.pipes[pipe];
                 (p.block, p.block_bytes, p.target_ids.clone())
             };
-            // Fastest-first, unknown-speed sources last; stable like the
-            // namenode's sort so tied sources keep pipeline order.
-            sources.sort_by(|a, b| {
-                known
-                    .get(b)
-                    .partial_cmp(&known.get(a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            // Fastest-first, unknown-speed sources last in pipeline
+            // order: the namenode's `GetBlockLocations` order.
+            self.registry.order_by_speed(CLIENT, &mut sources);
             let stripes = self.config.stripes_for(sources.len(), bytes);
             self.obs.emit_virtual(
                 t.0 / 1_000,
@@ -1053,6 +1016,13 @@ fn simulate_upload_inner(
         scenario.file_size.as_u64() > 0,
         "file size must be positive"
     );
+    let config = &scenario.config;
+    assert!(
+        scenario.file_size.div_ceil(config.block_size) < 1 << PIPE_BITS
+            && config.packets_per_block() < 1 << PKT_BITS
+            && config.replication < 1 << HOP_BITS,
+        "scenario too large for the simulator's event encoding"
+    );
 
     // Build the static cluster view once; speed state persists across
     // warm-up uploads like a long-lived client session.
@@ -1128,16 +1098,14 @@ fn simulate_upload_inner(
             pairs: HashMap::new(),
             cross_rack: scenario.spec.cross_rack_throttle,
             latency: scenario.spec.link_latency,
+            mode: scenario.mode,
             config: scenario.config.clone(),
-            flags: scenario.flags,
             pipes: Vec::new(),
             sending: None,
             active_count: 0,
             next_block: 0,
             next_block_id: 1,
             next_trace_id: 1,
-            nn_shards: scenario.config.namenode_shards.max(1),
-            shard_allocs: vec![0; scenario.config.namenode_shards.max(1)],
             last_fnfa_vt: None,
             total_blocks,
             blocks_done: 0,

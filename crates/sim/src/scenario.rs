@@ -1,7 +1,7 @@
 //! Ready-made scenarios for every experiment in §V, parameterized the
 //! way the paper's figures sweep them.
 
-use crate::model::{ProtocolFlags, SimScenario};
+use crate::model::SimScenario;
 use smarth_core::config::{ClusterSpec, DfsConfig, InstanceType, WriteMode};
 use smarth_core::units::{Bandwidth, ByteSize};
 
@@ -41,12 +41,6 @@ pub fn heterogeneous(file_size: ByteSize, mode: WriteMode) -> SimScenario {
         mode,
         file_size,
     )
-}
-
-/// Ablation helper: SMARTH with individual mechanisms toggled.
-pub fn with_flags(mut scenario: SimScenario, flags: ProtocolFlags) -> SimScenario {
-    scenario.flags = flags;
-    scenario
 }
 
 /// The paper's improvement metric between two runs.

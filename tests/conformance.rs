@@ -8,7 +8,7 @@
 //! reproduce its per-window recovery-cause counts exactly.
 
 use smarth::cluster::{random_data, replay, soak, MiniCluster, SoakConfig};
-use smarth::core::conformance::{diff_digests, diff_reports, ToleranceBands, TraceDigest};
+use smarth::core::conformance::{diff_digests, diff_reports, TraceDigest};
 use smarth::core::obs::{Obs, RingBufferSink};
 use smarth::core::trace::{TraceAssembler, TraceReport};
 use smarth::core::units::{Bandwidth, ByteSize};
@@ -89,12 +89,7 @@ fn engines_conform_on_cluster_presets() {
     ];
     for (name, instance, bytes) in presets {
         let (emulator, sim) = paired_reports(instance, bytes, 0xC0F0 + bytes as u64);
-        let verdict = diff_reports(
-            &format!("conformance-{name}"),
-            &emulator,
-            &sim,
-            ToleranceBands::default(),
-        );
+        let verdict = diff_reports(&format!("conformance-{name}"), &emulator, &sim);
         assert!(
             verdict.pass,
             "{name}: engines diverged beyond tolerance\n{}",
@@ -126,7 +121,7 @@ fn engines_conform_on_reads() {
         a.blocks.iter().all(|x| x.read_bytes == x.bytes),
         "each block must be read back in full"
     );
-    let verdict = diff_digests("conformance-read", &a, &b, ToleranceBands::default());
+    let verdict = diff_digests("conformance-read", &a, &b);
     assert!(
         verdict.pass,
         "engines diverged beyond tolerance on the read preset\n{}",
@@ -139,13 +134,13 @@ fn perturbed_report_fails_the_bands() {
     let (emulator, sim) = paired_reports(InstanceType::Large, 1024 * 1024, 99);
     let a = TraceDigest::from_report(&emulator);
     let mut b = TraceDigest::from_report(&sim);
-    let honest = diff_digests("perturb-baseline", &a, &b, ToleranceBands::default());
+    let honest = diff_digests("perturb-baseline", &a, &b);
     assert!(honest.pass, "baseline must pass:\n{}", honest.render());
 
     // Corrupt one block's payload: positional pairing must flag it as a
     // structural mismatch, not absorb it into a ratio band.
     b.blocks[0].bytes *= 2;
-    let verdict = diff_digests("perturb-bytes", &a, &b, ToleranceBands::default());
+    let verdict = diff_digests("perturb-bytes", &a, &b);
     assert!(!verdict.pass, "doubled payload must fail");
     assert!(
         verdict.failures().iter().any(|m| m.name == "block_size_mismatches"),
@@ -157,7 +152,7 @@ fn perturbed_report_fails_the_bands() {
     // must fail.
     b.blocks[0].bytes /= 2; // undo
     b.blocks.pop();
-    let verdict = diff_digests("perturb-missing", &a, &b, ToleranceBands::default());
+    let verdict = diff_digests("perturb-missing", &a, &b);
     assert!(!verdict.pass, "missing block must fail");
 }
 
