@@ -35,17 +35,11 @@ fn simulate_upload(scenario: &SimScenario) -> SimResult {
     simulate_upload_with_obs(scenario, obs)
 }
 
-/// Snapshots the metrics accumulated by every simulation since the last
-/// call, then resets the registry so successive figures don't bleed
-/// into each other.
-pub fn take_run_metrics() -> Value {
-    take_run_artifacts().0
-}
-
-/// Snapshots both the metrics *and* the assembled Chrome trace of the
-/// events recorded since the last call, then resets the registry. The
-/// `figures` binary drops the trace beside each experiment's metrics so
-/// any run can be opened in Perfetto.
+/// Snapshots the metrics and the assembled Chrome trace of the events
+/// recorded since the last call, then resets the registry so successive
+/// figures don't bleed into each other. The `figures` binary drops the
+/// trace beside each experiment's metrics so any run can be opened in
+/// Perfetto.
 pub fn take_run_artifacts() -> (Value, Value) {
     let mut cell = obs_cell().lock().expect("obs cell poisoned");
     let metrics = cell.0.metrics().snapshot();
@@ -488,23 +482,6 @@ pub fn ext_storage(opts: FigureOpts) -> Table {
     }
     t.note("disks at/above the paper's ephemeral-storage class leave both protocols network-bound (upgrading to SSD/RAID changes nothing — a negative result worth knowing); only disks slower than the throttled links (≲25 MiB/s ≈ 200 Mbps) become the bottleneck, compressing SMARTH's advantage because the first datanode can no longer absorb a block at NIC speed");
     t
-}
-
-/// Everything, in paper order.
-pub fn all_figures(opts: FigureOpts) -> Vec<Table> {
-    let mut tables = vec![table1()];
-    tables.extend(fig5(opts));
-    tables.push(fig6(opts));
-    tables.push(fig7(opts));
-    tables.push(fig8(opts));
-    tables.push(fig9(opts));
-    tables.push(fig10(opts));
-    tables.extend(fig11(opts));
-    tables.extend(fig12(opts));
-    tables.push(fig13(opts));
-    tables.extend(ablations(opts));
-    tables.push(ext_storage(opts));
-    tables
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@
 use smarth_cluster::soak::{self, SoakConfig};
 use smarth_cluster::{random_data, replay, MiniCluster};
 use smarth_core::conformance::{diff_digests, TraceDigest};
+use smarth_core::json::Json;
 use smarth_core::obs::telemetry::{SloTracker, TelemetrySeries};
 use smarth_core::obs::{Obs, RingBufferSink};
 use smarth_core::trace::{write_chrome_trace, TraceAssembler};
@@ -324,7 +325,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let text = std::fs::read_to_string(p)?;
                     let v = smarth_core::json::parse(&text)
                         .map_err(|e| format!("parse {p}: {e:?}"))?;
-                    TraceDigest::from_json(&v).map_err(|e| format!("{p}: {e}").into())
+                    // A Chrome trace carries its digest under `otherData`.
+                    let in_trace = v.get("otherData").get("digest");
+                    let digest = if in_trace.is_null() { &v } else { in_trace };
+                    TraceDigest::from_json(digest).map_err(|e| format!("{p}: {e}").into())
                 };
                 let (a, b) = (load(a_path)?, load(b_path)?);
                 let stem = |p: &str| -> String {

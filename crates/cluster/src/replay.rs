@@ -14,15 +14,11 @@
 //! their timing — the comparison is skipped unless the saved budget is
 //! op-counted.
 
-use crate::soak::{self, SoakConfig, SoakReport};
+use crate::soak::{self, CauseCounts, SoakConfig, SoakReport, WindowStats};
 use smarth_core::error::{DfsError, DfsResult};
 use smarth_core::json::{self, Value};
 use smarth_core::obs::RecoveryCause;
 use std::path::Path;
-
-/// Per-window recovery-cause counts, one slot per
-/// [`RecoveryCause::ALL`] entry.
-type CauseCounts = Vec<u64>;
 
 /// The result of replaying one saved soak report.
 #[derive(Debug)]
@@ -73,8 +69,8 @@ impl ReplayOutcome {
             let fmt = |counts: &CauseCounts| {
                 RecoveryCause::ALL
                     .iter()
-                    .zip(counts)
-                    .filter(|(_, n)| **n > 0)
+                    .zip(counts.0)
+                    .filter(|(_, n)| *n > 0)
                     .map(|(c, n)| format!("{}={n}", c.name()))
                     .collect::<Vec<_>>()
                     .join(" ")
@@ -89,39 +85,15 @@ impl ReplayOutcome {
     }
 }
 
-fn window_causes(windows: &Value) -> DfsResult<Vec<CauseCounts>> {
-    let arr = windows
-        .as_array()
-        .ok_or_else(|| DfsError::internal("soak report: missing `windows` array"))?;
-    arr.iter()
-        .map(|w| {
-            let recov = w.get("recoveries");
-            RecoveryCause::ALL
-                .iter()
-                .map(|c| {
-                    recov.get(c.name()).as_u64().ok_or_else(|| {
-                        DfsError::internal(format!(
-                            "soak report: window missing recovery cause `{}`",
-                            c.name()
-                        ))
-                    })
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Replays a parsed soak report. The fresh run uses the echoed config
 /// verbatim — same seed, same plan, same budget.
 pub fn replay_json(saved: &Value) -> DfsResult<ReplayOutcome> {
-    let cfg = SoakConfig::from_json(saved.get("config")).map_err(DfsError::Internal)?;
-    let saved_windows = window_causes(saved.get("windows"))?;
+    let id: String = json::read(saved, "id")?;
+    let cfg: SoakConfig = json::read(saved, "config")?;
+    let windows: Vec<WindowStats> = json::read(saved, "windows")?;
+    let saved_windows: Vec<CauseCounts> = windows.iter().map(|w| w.recoveries).collect();
     let report = soak::run(&cfg)?;
-    let replayed_windows: Vec<CauseCounts> = report
-        .windows
-        .iter()
-        .map(|w| w.recoveries.to_vec())
-        .collect();
+    let replayed_windows: Vec<CauseCounts> = report.windows.iter().map(|w| w.recoveries).collect();
 
     let comparable = matches!(cfg.budget, soak::Budget::OpsPerClient(_));
     let mut mismatches = Vec::new();
@@ -138,8 +110,8 @@ pub fn replay_json(saved: &Value) -> DfsResult<ReplayOutcome> {
                 let diffs: Vec<String> = RecoveryCause::ALL
                     .iter()
                     .enumerate()
-                    .filter(|(j, _)| a.get(*j) != b.get(*j))
-                    .map(|(j, c)| format!("{} {} → {}", c.name(), a[j], b[j]))
+                    .filter(|(j, _)| a.0[*j] != b.0[*j])
+                    .map(|(j, c)| format!("{} {} → {}", c.name(), a.0[j], b.0[j]))
                     .collect();
                 mismatches.push(format!("window {i}: {}", diffs.join(", ")));
             }
@@ -147,11 +119,7 @@ pub fn replay_json(saved: &Value) -> DfsResult<ReplayOutcome> {
     }
 
     Ok(ReplayOutcome {
-        id: saved
-            .get("id")
-            .as_str()
-            .unwrap_or(&report.id)
-            .to_string(),
+        id,
         seed: report.seed,
         saved: saved_windows,
         replayed: replayed_windows,
@@ -166,6 +134,6 @@ pub fn replay_file(path: &Path) -> DfsResult<ReplayOutcome> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| DfsError::internal(format!("read {}: {e}", path.display())))?;
     let saved = json::parse(&text)
-        .map_err(|e| DfsError::internal(format!("parse {}: {e:?}", path.display())))?;
+        .map_err(|e| DfsError::codec(format!("parse {}: {e}", path.display())))?;
     replay_json(&saved)
 }

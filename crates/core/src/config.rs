@@ -35,6 +35,8 @@ impl WriteMode {
     }
 }
 
+crate::json_enum!(impl Json for WriteMode { "hdfs" => Hdfs, "smarth" => Smarth });
+
 /// Where along the pipeline packet checksums are verified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerifyChecksumsAt {

@@ -25,7 +25,7 @@
 //! previously saved `<id>.trace.json` files can be diffed after the
 //! fact without re-running either engine.
 
-use crate::json::{ObjectBuilder, Value};
+use crate::json::ToJson;
 use crate::trace::TraceReport;
 
 // Tolerance bands. Count metrics pass when `|a-b| <= abs + frac *
@@ -72,11 +72,33 @@ pub struct BlockDigest {
     pub read_bytes: u64,
 }
 
+crate::json_struct!(impl Json for BlockDigest {
+    "index" => index: usize,
+    "bytes" => bytes: u64,
+    "committed" => committed: bool,
+    "targets" => targets: usize,
+    "recoveries" => recoveries: usize,
+    "hop_residency" => hop_residency: Vec<f64>,
+    "reads" => reads: usize,
+    "read_stripes" => read_stripes: u64,
+    "read_bytes" => read_bytes: u64,
+});
+
+/// Which engine produced a trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The discrete-event simulator (virtual time).
+    Sim,
+    /// The threaded emulator (wall-clock time).
+    Emulator,
+}
+
+crate::json_enum!(impl Json for Engine, fn name { "sim" => Sim, "emulator" => Emulator });
+
 /// Engine-comparable summary of one [`TraceReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceDigest {
-    /// `"sim"` for virtual-time streams, `"emulator"` otherwise.
-    pub engine: &'static str,
+    pub engine: Engine,
     pub blocks: Vec<BlockDigest>,
     pub fnfa_count: u64,
     pub overlap_pairs: u64,
@@ -160,7 +182,7 @@ impl TraceDigest {
         }
 
         TraceDigest {
-            engine: if report.virtual_time { "sim" } else { "emulator" },
+            engine: if report.virtual_time { Engine::Sim } else { Engine::Emulator },
             blocks,
             fnfa_count: report.clients.iter().map(|c| c.fnfa_count).sum(),
             overlap_pairs: report.overlap_pairs(),
@@ -186,111 +208,17 @@ impl TraceDigest {
             self.fnfa_gap_ratios.iter().sum::<f64>() / self.fnfa_gap_ratios.len() as f64
         }
     }
-
-    pub fn to_json(&self) -> Value {
-        let blocks = self
-            .blocks
-            .iter()
-            .map(|b| {
-                ObjectBuilder::new()
-                    .field("index", b.index)
-                    .field("bytes", b.bytes)
-                    .field("committed", b.committed)
-                    .field("targets", b.targets)
-                    .field("recoveries", b.recoveries)
-                    .field(
-                        "hop_residency",
-                        Value::Array(b.hop_residency.iter().map(|&r| Value::from(r)).collect()),
-                    )
-                    .field("reads", b.reads)
-                    .field("read_stripes", b.read_stripes)
-                    .field("read_bytes", b.read_bytes)
-                    .build()
-            })
-            .collect();
-        ObjectBuilder::new()
-            .field("engine", self.engine)
-            .field("fnfa_count", self.fnfa_count)
-            .field("overlap_pairs", self.overlap_pairs)
-            .field("max_concurrent", self.max_concurrent)
-            .field("mean_pipeline_span_us", self.mean_pipeline_span_us)
-            .field(
-                "fnfa_gap_ratios",
-                Value::Array(self.fnfa_gap_ratios.iter().map(|&r| Value::from(r)).collect()),
-            )
-            .field("blocks", Value::Array(blocks))
-            .build()
-    }
-
-    /// Parses a digest previously produced by [`to_json`](Self::to_json)
-    /// — either standalone or embedded in a Chrome trace's
-    /// `otherData.digest`.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let v = if !v.get("otherData").get("digest").is_null() {
-            v.get("otherData").get("digest")
-        } else if !v.get("digest").is_null() && v.get("engine").is_null() {
-            v.get("digest")
-        } else {
-            v
-        };
-        let engine = match v.get("engine").as_str() {
-            Some("sim") => "sim",
-            Some("emulator") => "emulator",
-            other => return Err(format!("digest engine missing or unknown: {other:?}")),
-        };
-        let req_u64 = |key: &str| {
-            v.get(key)
-                .as_u64()
-                .ok_or_else(|| format!("digest field {key} missing or not a count"))
-        };
-        let blocks = v
-            .get("blocks")
-            .as_array()
-            .ok_or("digest blocks missing")?
-            .iter()
-            .map(|b| {
-                Ok(BlockDigest {
-                    index: b.get("index").as_u64().ok_or("block index")? as usize,
-                    bytes: b.get("bytes").as_u64().ok_or("block bytes")?,
-                    committed: b.get("committed").as_bool().ok_or("block committed")?,
-                    targets: b.get("targets").as_u64().ok_or("block targets")? as usize,
-                    recoveries: b.get("recoveries").as_u64().ok_or("block recoveries")? as usize,
-                    hop_residency: b
-                        .get("hop_residency")
-                        .as_array()
-                        .ok_or("block hop_residency")?
-                        .iter()
-                        .map(|r| r.as_f64().ok_or("hop residency value"))
-                        .collect::<Result<_, _>>()?,
-                    // Absent in digests saved before the read path
-                    // existed — a write-only workload.
-                    reads: b.get("reads").as_u64().unwrap_or(0) as usize,
-                    read_stripes: b.get("read_stripes").as_u64().unwrap_or(0),
-                    read_bytes: b.get("read_bytes").as_u64().unwrap_or(0),
-                })
-            })
-            .collect::<Result<Vec<_>, &str>>()
-            .map_err(|e| format!("digest block field invalid: {e}"))?;
-        Ok(TraceDigest {
-            engine,
-            blocks,
-            fnfa_count: req_u64("fnfa_count")?,
-            overlap_pairs: req_u64("overlap_pairs")?,
-            max_concurrent: req_u64("max_concurrent")?,
-            mean_pipeline_span_us: v
-                .get("mean_pipeline_span_us")
-                .as_f64()
-                .ok_or("digest mean_pipeline_span_us missing")?,
-            fnfa_gap_ratios: v
-                .get("fnfa_gap_ratios")
-                .as_array()
-                .ok_or("digest fnfa_gap_ratios missing")?
-                .iter()
-                .map(|r| r.as_f64().ok_or("gap ratio value".to_string()))
-                .collect::<Result<_, _>>()?,
-        })
-    }
 }
+
+crate::json_struct!(impl Json for TraceDigest {
+    "engine" => engine: Engine,
+    "fnfa_count" => fnfa_count: u64,
+    "overlap_pairs" => overlap_pairs: u64,
+    "max_concurrent" => max_concurrent: u64,
+    "mean_pipeline_span_us" => mean_pipeline_span_us: f64,
+    "fnfa_gap_ratios" => fnfa_gap_ratios: Vec<f64>,
+    "blocks" => blocks: Vec<BlockDigest>,
+});
 
 /// One compared quantity inside a [`DiffVerdict`].
 #[derive(Debug, Clone)]
@@ -328,25 +256,23 @@ impl MetricDiff {
             tolerance,
         }
     }
-
-    pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("name", self.name)
-            .field("a", self.a)
-            .field("b", self.b)
-            .field("divergence", self.divergence)
-            .field("tolerance", self.tolerance)
-            .field("pass", self.pass)
-            .build()
-    }
 }
+
+crate::json_struct!(impl ToJson for MetricDiff {
+    "name" => name: &'static str,
+    "a" => a: f64,
+    "b" => b: f64,
+    "divergence" => divergence: f64,
+    "tolerance" => tolerance: f64,
+    "pass" => pass: bool,
+});
 
 /// The machine-readable outcome of one cross-engine diff.
 #[derive(Debug, Clone)]
 pub struct DiffVerdict {
     pub id: String,
-    pub engine_a: &'static str,
-    pub engine_b: &'static str,
+    pub engine_a: Engine,
+    pub engine_b: Engine,
     pub metrics: Vec<MetricDiff>,
     pub pass: bool,
 }
@@ -356,26 +282,13 @@ impl DiffVerdict {
         self.metrics.iter().filter(|m| !m.pass).collect()
     }
 
-    pub fn to_json(&self) -> Value {
-        ObjectBuilder::new()
-            .field("id", self.id.as_str())
-            .field("pass", self.pass)
-            .field("engine_a", self.engine_a)
-            .field("engine_b", self.engine_b)
-            .field(
-                "metrics",
-                Value::Array(self.metrics.iter().map(MetricDiff::to_json).collect()),
-            )
-            .build()
-    }
-
     /// Human-readable table, one metric per line.
     pub fn render(&self) -> String {
         let mut out = format!(
             "conformance {} ({} vs {}): {}\n",
             self.id,
-            self.engine_a,
-            self.engine_b,
+            self.engine_a.name(),
+            self.engine_b.name(),
             if self.pass { "PASS" } else { "FAIL" }
         );
         out.push_str(&format!(
@@ -404,6 +317,14 @@ impl DiffVerdict {
         Ok(path)
     }
 }
+
+crate::json_struct!(impl ToJson for DiffVerdict {
+    "id" => id: String,
+    "pass" => pass: bool,
+    "engine_a" => engine_a: Engine,
+    "engine_b" => engine_b: Engine,
+    "metrics" => metrics: Vec<MetricDiff>,
+});
 
 /// Joins two digests block-by-block and scores every metric against its
 /// band. Block pairing is positional (upload index); a payload-size
@@ -526,6 +447,7 @@ pub fn diff_reports(id: &str, a: &TraceReport, b: &TraceReport) -> DiffVerdict {
 mod tests {
     use super::*;
     use crate::ids::{BlockId, ClientId, DatanodeId};
+    use crate::json::Json;
     use crate::obs::{EventRecord, ObsEvent};
     use crate::trace::TraceAssembler;
 
@@ -571,8 +493,8 @@ mod tests {
         // (nearly) the same numbers.
         let fast = TraceDigest::from_report(&TraceAssembler::assemble(&stream(1, true, 0)));
         let slow = TraceDigest::from_report(&TraceAssembler::assemble(&stream(100, false, 0)));
-        assert_eq!(fast.engine, "sim");
-        assert_eq!(slow.engine, "emulator");
+        assert_eq!(fast.engine, Engine::Sim);
+        assert_eq!(slow.engine, Engine::Emulator);
         assert_eq!(fast.committed_blocks(), slow.committed_blocks());
         assert_eq!(fast.overlap_pairs, slow.overlap_pairs);
         assert!(fast.mean_pipeline_span_us < slow.mean_pipeline_span_us);

@@ -4,9 +4,10 @@
 //! clients, packets, pipelines) gets its own newtype so that the compiler
 //! rejects, e.g., passing a packet sequence number where a block id is
 //! expected. All ids are plain `u64`/`u32` wrappers: cheap to copy, hash
-//! and serialize (on the wire an id is its raw integer).
+//! and serialize (on the wire and in JSON an id is its raw integer).
 
 use crate::error::DfsResult;
+use crate::json::{Json, ToJson, Value};
 use crate::wire::{Wire, WireReader, WireWriter};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +46,18 @@ macro_rules! id_newtype {
             }
             fn decode(r: &mut WireReader) -> DfsResult<Self> {
                 <$inner>::decode(r).map(Self)
+            }
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Value {
+                self.0.to_json()
+            }
+        }
+
+        impl Json for $name {
+            fn from_json(v: &Value) -> DfsResult<Self> {
+                <$inner>::from_json(v).map(Self)
             }
         }
 

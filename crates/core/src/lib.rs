@@ -16,6 +16,11 @@
 // The one exception is `checksum::hw`, the SSE4.2 `crc32` instruction.
 #![deny(unsafe_code)]
 
+// Lets `json/golden.rs`, which other crates' tests include too, name
+// this crate the way they do.
+#[cfg(test)]
+extern crate self as smarth_core;
+
 pub mod checksum;
 pub mod config;
 pub mod conformance;

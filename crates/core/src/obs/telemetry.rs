@@ -23,8 +23,8 @@
 //!   `GetTelemetry` RPCs.
 
 use super::{Metrics, RecoveryCause};
-use crate::error::{DfsError, DfsResult};
-use crate::json::{ObjectBuilder, Value};
+use crate::error::DfsResult;
+use crate::json::{Json, ToJson, Value};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -44,24 +44,11 @@ pub enum MetricKind {
     Quantile,
 }
 
-impl MetricKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Quantile => "quantile",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "counter" => Some(MetricKind::Counter),
-            "gauge" => Some(MetricKind::Gauge),
-            "quantile" => Some(MetricKind::Quantile),
-            _ => None,
-        }
-    }
-}
+crate::json_enum!(impl Json for MetricKind {
+    "counter" => Counter,
+    "gauge" => Gauge,
+    "quantile" => Quantile,
+});
 
 /// One sampled column: a stable name, its kind, and how to read it.
 pub struct MetricDesc {
@@ -181,11 +168,6 @@ pub const DESCRIPTORS: &[MetricDesc] = &[
     },
 ];
 
-/// Index of `name` within [`DESCRIPTORS`].
-pub fn descriptor_index(name: &str) -> Option<usize> {
-    DESCRIPTORS.iter().position(|d| d.name == name)
-}
-
 // ---------------------------------------------------------------------------
 // Sampler
 // ---------------------------------------------------------------------------
@@ -268,6 +250,20 @@ pub struct MetricPoint {
     pub value: f64,
 }
 
+/// A point is the pair `[t_us, value]`.
+impl ToJson for MetricPoint {
+    fn to_json(&self) -> Value {
+        (self.t_us, self.value).to_json()
+    }
+}
+
+impl Json for MetricPoint {
+    fn from_json(v: &Value) -> DfsResult<Self> {
+        let (t_us, value) = Json::from_json(v)?;
+        Ok(MetricPoint { t_us, value })
+    }
+}
+
 /// All observations of one metric, plus derived rates for counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
@@ -282,21 +278,9 @@ pub struct MetricSeries {
 }
 
 impl MetricSeries {
-    /// Minimum / maximum rate over the *active region* — the span from
+    /// Indices into `rates` bounding the *active region* — the span from
     /// the first to the last non-zero-rate interval, which excludes the
     /// idle head and tail of a capture. `None` when nothing moved.
-    pub fn active_rate_bounds(&self) -> Option<(f64, f64)> {
-        let (lo, hi) = self.active_span()?;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for p in &self.rates[lo..=hi] {
-            min = min.min(p.value);
-            max = max.max(p.value);
-        }
-        Some((min, max))
-    }
-
-    /// Indices into `rates` bounding the active region.
     pub fn active_span(&self) -> Option<(usize, usize)> {
         let lo = self.rates.iter().position(|p| p.value > 0.0)?;
         let hi = self.rates.iter().rposition(|p| p.value > 0.0)?;
@@ -361,74 +345,25 @@ impl TelemetrySeries {
     pub fn frames_len(&self) -> usize {
         self.series.first().map_or(0, |s| s.points.len())
     }
+}
 
-    pub fn to_json(&self) -> Value {
-        fn points(ps: &[MetricPoint]) -> Value {
-            Value::Array(
-                ps.iter()
-                    .map(|p| Value::Array(vec![Value::from(p.t_us), Value::from(p.value)]))
-                    .collect(),
-            )
-        }
-        Value::Array(
-            self.series
-                .iter()
-                .map(|s| {
-                    ObjectBuilder::new()
-                        .field("name", s.name.as_str())
-                        .field("kind", s.kind.name())
-                        .field("points", points(&s.points))
-                        .field("rates", points(&s.rates))
-                        .build()
-                })
-                .collect(),
-        )
+crate::json_struct!(impl Json for MetricSeries {
+    "name" => name: String,
+    "kind" => kind: MetricKind,
+    "points" => points: Vec<MetricPoint>,
+    "rates" => rates: Vec<MetricPoint>,
+});
+
+/// A series is the bare array of its metrics.
+impl ToJson for TelemetrySeries {
+    fn to_json(&self) -> Value {
+        self.series.to_json()
     }
+}
 
-    pub fn from_json(v: &Value) -> DfsResult<Self> {
-        fn points(v: &Value) -> DfsResult<Vec<MetricPoint>> {
-            v.as_array()
-                .ok_or_else(|| DfsError::codec("telemetry points must be an array"))?
-                .iter()
-                .map(|p| {
-                    let t_us = p
-                        .idx(0)
-                        .as_f64()
-                        .ok_or_else(|| DfsError::codec("telemetry point missing t"))?
-                        as u64;
-                    let value = p
-                        .idx(1)
-                        .as_f64()
-                        .ok_or_else(|| DfsError::codec("telemetry point missing value"))?;
-                    Ok(MetricPoint { t_us, value })
-                })
-                .collect()
-        }
-        let arr = v
-            .as_array()
-            .ok_or_else(|| DfsError::codec("telemetry series must be an array"))?;
-        let series = arr
-            .iter()
-            .map(|s| {
-                let name = s
-                    .get("name")
-                    .as_str()
-                    .ok_or_else(|| DfsError::codec("telemetry series missing name"))?
-                    .to_string();
-                let kind = s
-                    .get("kind")
-                    .as_str()
-                    .and_then(MetricKind::from_name)
-                    .ok_or_else(|| DfsError::codec("telemetry series missing kind"))?;
-                Ok(MetricSeries {
-                    name,
-                    kind,
-                    points: points(s.get("points"))?,
-                    rates: points(s.get("rates"))?,
-                })
-            })
-            .collect::<DfsResult<Vec<_>>>()?;
-        Ok(TelemetrySeries { series })
+impl Json for TelemetrySeries {
+    fn from_json(v: &Value) -> DfsResult<Self> {
+        Ok(TelemetrySeries { series: Json::from_json(v)? })
     }
 }
 
@@ -437,11 +372,12 @@ impl TelemetrySeries {
 // ---------------------------------------------------------------------------
 
 /// What an objective constrains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SloKind {
     /// The metric's rate, as megabits/second, must stay at or above the
     /// target in every interval of the active region (idle head and
     /// tail excluded). For byte counters.
+    #[default]
     ThroughputFloorMbps,
     /// Every non-zero sampled value must stay at or below the target.
     /// For quantile columns (µs).
@@ -451,27 +387,14 @@ pub enum SloKind {
     BurnBudgetPerSec,
 }
 
-impl SloKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            SloKind::ThroughputFloorMbps => "throughput_floor_mbps",
-            SloKind::QuantileCeilingUs => "quantile_ceiling_us",
-            SloKind::BurnBudgetPerSec => "burn_budget_per_sec",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "throughput_floor_mbps" => Some(SloKind::ThroughputFloorMbps),
-            "quantile_ceiling_us" => Some(SloKind::QuantileCeilingUs),
-            "burn_budget_per_sec" => Some(SloKind::BurnBudgetPerSec),
-            _ => None,
-        }
-    }
-}
+crate::json_enum!(impl Json for SloKind, fn name {
+    "throughput_floor_mbps" => ThroughputFloorMbps,
+    "quantile_ceiling_us" => QuantileCeilingUs,
+    "burn_budget_per_sec" => BurnBudgetPerSec,
+});
 
 /// One declarative objective over one metric.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SloObjective {
     pub name: String,
     pub metric: String,
@@ -489,8 +412,15 @@ pub struct SloWindow {
     pub observed: f64,
 }
 
+crate::json_struct!(impl Json for SloWindow {
+    "index" => index: usize,
+    "from_us" => from_us: u64,
+    "to_us" => to_us: u64,
+    "observed" => observed: f64,
+});
+
 /// Outcome of one objective.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SloObjectiveVerdict {
     pub objective: SloObjective,
     pub pass: bool,
@@ -500,6 +430,16 @@ pub struct SloObjectiveVerdict {
     pub violations: Vec<SloWindow>,
 }
 
+crate::json_struct!(impl Json for SloObjectiveVerdict from SloObjectiveVerdict::default(), {
+    "name" => objective.name: String,
+    "metric" => objective.metric: String,
+    "kind" => objective.kind: SloKind,
+    "target" => objective.target: f64,
+    "pass" => pass: bool,
+    "observed" => observed: f64,
+    "violations" => violations: Vec<SloWindow>,
+});
+
 /// Machine-readable outcome of a full evaluation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SloVerdict {
@@ -507,102 +447,12 @@ pub struct SloVerdict {
     pub objectives: Vec<SloObjectiveVerdict>,
 }
 
+crate::json_struct!(impl Json for SloVerdict {
+    "pass" => pass: bool,
+    "objectives" => objectives: Vec<SloObjectiveVerdict>,
+});
+
 impl SloVerdict {
-    pub fn to_json(&self) -> Value {
-        let objectives = self
-            .objectives
-            .iter()
-            .map(|o| {
-                let violations = o
-                    .violations
-                    .iter()
-                    .map(|w| {
-                        ObjectBuilder::new()
-                            .field("index", w.index as u64)
-                            .field("from_us", w.from_us)
-                            .field("to_us", w.to_us)
-                            .field("observed", w.observed)
-                            .build()
-                    })
-                    .collect();
-                ObjectBuilder::new()
-                    .field("name", o.objective.name.as_str())
-                    .field("metric", o.objective.metric.as_str())
-                    .field("kind", o.objective.kind.name())
-                    .field("target", o.objective.target)
-                    .field("pass", o.pass)
-                    .field("observed", o.observed)
-                    .field("violations", Value::Array(violations))
-                    .build()
-            })
-            .collect();
-        ObjectBuilder::new()
-            .field("pass", self.pass)
-            .field("objectives", Value::Array(objectives))
-            .build()
-    }
-
-    pub fn from_json(v: &Value) -> DfsResult<Self> {
-        let objectives = v
-            .get("objectives")
-            .as_array()
-            .ok_or_else(|| DfsError::codec("slo verdict missing objectives"))?
-            .iter()
-            .map(|o| {
-                let field = |k: &str| -> DfsResult<f64> {
-                    o.get(k)
-                        .as_f64()
-                        .ok_or_else(|| DfsError::codec(format!("slo objective missing {k}")))
-                };
-                let kind = o
-                    .get("kind")
-                    .as_str()
-                    .and_then(SloKind::from_name)
-                    .ok_or_else(|| DfsError::codec("slo objective missing kind"))?;
-                let violations = o
-                    .get("violations")
-                    .as_array()
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|w| {
-                        Ok(SloWindow {
-                            index: w.get("index").as_u64().unwrap_or(0) as usize,
-                            from_us: w.get("from_us").as_u64().unwrap_or(0),
-                            to_us: w.get("to_us").as_u64().unwrap_or(0),
-                            observed: w
-                                .get("observed")
-                                .as_f64()
-                                .ok_or_else(|| DfsError::codec("slo window missing observed"))?,
-                        })
-                    })
-                    .collect::<DfsResult<Vec<_>>>()?;
-                Ok(SloObjectiveVerdict {
-                    objective: SloObjective {
-                        name: o
-                            .get("name")
-                            .as_str()
-                            .ok_or_else(|| DfsError::codec("slo objective missing name"))?
-                            .to_string(),
-                        metric: o
-                            .get("metric")
-                            .as_str()
-                            .ok_or_else(|| DfsError::codec("slo objective missing metric"))?
-                            .to_string(),
-                        kind,
-                        target: field("target")?,
-                    },
-                    pass: o.get("pass").as_bool().unwrap_or(false),
-                    observed: field("observed")?,
-                    violations,
-                })
-            })
-            .collect::<DfsResult<Vec<_>>>()?;
-        Ok(SloVerdict {
-            pass: v.get("pass").as_bool().unwrap_or(false),
-            objectives,
-        })
-    }
-
     /// Human-readable table for the shell / soak render.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -259,11 +259,6 @@ impl NamenodeSpeedRegistry {
         }
     }
 
-    /// Forgets a client session.
-    pub fn forget_client(&mut self, client: ClientId) {
-        self.per_client.remove(&client);
-    }
-
     pub fn clients(&self) -> usize {
         self.per_client.len()
     }
@@ -405,9 +400,6 @@ mod tests {
         reg.forget_datanode(dn(1));
         assert!(!reg.has_records_for(ClientId(1)));
         assert!(!reg.has_records_for(ClientId(2)));
-        reg.ingest(ClientId(1), &[SpeedRecord { datanode: dn(2), bytes_per_sec: 1.0, samples: 1 }]);
-        reg.forget_client(ClientId(1));
-        assert!(!reg.has_records_for(ClientId(1)));
     }
 
     #[test]

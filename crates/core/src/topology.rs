@@ -66,14 +66,6 @@ impl NetworkTopology {
         }
     }
 
-    /// Number of distinct racks.
-    pub fn rack_count(&self) -> usize {
-        let mut racks: Vec<&str> = self.nodes.values().map(|n| n.rack.as_str()).collect();
-        racks.sort_unstable();
-        racks.dedup();
-        racks.len()
-    }
-
     pub fn ids(&self) -> impl Iterator<Item = DatanodeId> + '_ {
         self.nodes.keys().copied()
     }
@@ -183,7 +175,6 @@ mod tests {
     fn basic_bookkeeping() {
         let mut t = two_rack_topology();
         assert_eq!(t.len(), 9);
-        assert_eq!(t.rack_count(), 2);
         assert!(t.contains(DatanodeId(0)));
         assert!(t.same_rack(DatanodeId(0), DatanodeId(4)));
         assert!(!t.same_rack(DatanodeId(0), DatanodeId(5)));

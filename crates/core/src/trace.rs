@@ -19,7 +19,7 @@
 //! and the threaded cluster be cross-checked block by block.
 
 use crate::ids::{BlockId, ClientId, DatanodeId, TraceId};
-use crate::json::{ObjectBuilder, Value};
+use crate::json::{ObjectBuilder, ToJson, Value};
 use crate::obs::{EventRecord, Histogram, ObsEvent, RecoveryCause};
 use std::collections::BTreeMap;
 

@@ -62,9 +62,6 @@ impl WireWriter {
     pub fn put_bool(&mut self, v: bool) {
         self.buf.put_u8(v as u8);
     }
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
-    }
     pub fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
     }
@@ -133,11 +130,6 @@ impl WireReader {
             1 => Ok(true),
             other => Err(DfsError::codec(format!("invalid bool byte {other}"))),
         }
-    }
-
-    pub fn get_u16(&mut self) -> DfsResult<u16> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
     }
 
     pub fn get_u32(&mut self) -> DfsResult<u32> {
@@ -686,7 +678,6 @@ mod tests {
         let mut w = WireWriter::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(65535);
         w.put_u32(123_456);
         w.put_u64(u64::MAX);
         w.put_f64(216.5);
@@ -696,7 +687,6 @@ mod tests {
         let mut r = WireReader::new(w.finish());
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 65535);
         assert_eq!(r.get_u32().unwrap(), 123_456);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap(), 216.5);

@@ -54,6 +54,7 @@ use smarth_core::checksum::ChunkedChecksum;
 use smarth_core::config::{DfsConfig, VerifyChecksumsAt, WriteMode};
 use smarth_core::error::{panic_message, DfsError, DfsResult};
 use smarth_core::ids::{BlockId, DatanodeId};
+use smarth_core::json::ToJson;
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
 use smarth_core::obs::{Obs, ObsEvent};
 use smarth_core::proto::{

@@ -18,6 +18,7 @@ use smarth_core::ids::{
     BlockId, ClientId, DatanodeId, ExtendedBlock, FileId, IdGenerator, SpanId, TraceId,
 };
 use smarth_core::shard::{shard_of_path, volume_of};
+use smarth_core::json::ToJson;
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
 use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
 use smarth_core::placement::{place_block, replacement_targets, ClientLocality};

@@ -172,10 +172,13 @@ fn replay_reproduces_recovery_schedule_exactly() {
         "both injected faults must recover something"
     );
 
-    // Round-trip the report through its JSON form — exactly what the
-    // shell's `replay <file>` does after reading the saved file — and
-    // re-run the echoed config verbatim.
-    let outcome = replay::replay_json(&report.to_json()).unwrap();
+    // Save the report and replay the file — exactly what the shell's
+    // `replay <file>` does — so the echoed config is printed, parsed
+    // and re-run verbatim.
+    let dir = std::env::temp_dir().join(format!("smarth-replay-{}", std::process::id()));
+    let path = report.save(&dir).unwrap();
+    let outcome = replay::replay_file(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(outcome.comparable, "op-budgeted profiles compare windows");
     assert!(
         outcome.matches(),

@@ -9,6 +9,7 @@
 use smarth::cluster::soak::{self, SoakConfig};
 use smarth::cluster::{random_data, MiniCluster};
 use smarth::core::config::RetryPolicy;
+use smarth::core::json::{Json, ToJson};
 use smarth::core::obs::{Obs, ObsEvent, RecoveryCause, RingBufferSink};
 use smarth::core::proto::{ClientRequest, ClientResponse};
 use smarth::core::units::Bandwidth;

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use smarth::core::conformance::TraceDigest;
+use smarth::core::json::ToJson;
 use smarth::core::obs::{Obs, RingBufferSink};
 use smarth::core::trace::TraceAssembler;
 use smarth::core::units::{Bandwidth, ByteSize};

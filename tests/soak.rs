@@ -7,6 +7,7 @@
 
 use smarth::cluster::soak::{self, SoakConfig};
 use smarth::cluster::{random_data, replay, MiniCluster};
+use smarth::core::json::{Json, ToJson};
 use smarth::core::obs::RecoveryCause;
 use smarth::core::{ClusterSpec, DfsConfig, WriteMode};
 
@@ -29,7 +30,7 @@ fn deterministic_profile_replays_exactly() {
     assert_eq!(a.violations, Vec::<String>::new(), "\n{}", a.render());
     assert_eq!(b.violations, Vec::<String>::new(), "\n{}", b.render());
 
-    let causes = |r: &soak::SoakReport| -> Vec<[u64; 5]> {
+    let causes = |r: &soak::SoakReport| -> Vec<soak::CauseCounts> {
         r.windows.iter().map(|w| w.recoveries).collect()
     };
     assert_eq!(
@@ -46,19 +47,19 @@ fn deterministic_profile_replays_exactly() {
     // the first — so causes must be attributed distinctly: two
     // connection-lost recoveries plus one nested failure.
     assert_eq!(
-        a.recoveries[slot(RecoveryCause::ConnectionLost)],
+        a.recoveries.0[slot(RecoveryCause::ConnectionLost)],
         2,
         "\n{}",
         a.render()
     );
     assert_eq!(
-        a.recoveries[slot(RecoveryCause::NestedFailure)],
+        a.recoveries.0[slot(RecoveryCause::NestedFailure)],
         1,
         "\n{}",
         a.render()
     );
-    assert_eq!(a.recoveries[slot(RecoveryCause::AckTimeout)], 0);
-    assert_eq!(a.recoveries[slot(RecoveryCause::NamenodeError)], 0);
+    assert_eq!(a.recoveries.0[slot(RecoveryCause::AckTimeout)], 0);
+    assert_eq!(a.recoveries.0[slot(RecoveryCause::NamenodeError)], 0);
 
     // Churn completed and every read-back matched.
     let w = &a.workers[0];
