@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 pub mod model;
+mod queue;
 pub mod scenario;
 pub mod server;
 
@@ -510,6 +511,44 @@ mod tests {
                 w[1].open_secs >= w[0].done_secs - 1e-9,
                 "HDFS pipelines must be serialized"
             );
+        }
+    }
+
+    /// The benchmark's six cases at 256 MiB, each read back: upload and
+    /// read seconds, compared by `f64::to_bits` (each literal is the
+    /// shortest decimal that parses to the recorded bits), recorded
+    /// before the event lanes replaced the single event heap. A change to
+    /// what the DES computes, or an event popped before one due earlier,
+    /// moves these without regenerating the figures. The order of events
+    /// due at one instant moves neither these nor any figure;
+    /// `queue.rs`'s test holds it.
+    #[test]
+    fn des_results_are_pinned_bit_for_bit() {
+        use WriteMode::{Hdfs, Smarth};
+        let (mib, mbps) = (ByteSize::mib(256), Bandwidth::mbps);
+        let golden = [
+            ("two_rack", Hdfs, 21.552454028, 17.814643744),
+            ("two_rack", Smarth, 15.753723474, 19.471652706),
+            ("contention", Hdfs, 43.03328946, 20.74226122),
+            ("contention", Smarth, 15.056972589, 14.059931883),
+            ("heterogeneous", Hdfs, 9.997566864, 9.739721704),
+            ("heterogeneous", Smarth, 6.797009064, 8.329501312),
+        ];
+        let bits = |(name, mode, up, read): (&'static str, WriteMode, f64, f64)| {
+            (name, mode, f64::to_bits(up), f64::to_bits(read))
+        };
+        for case in golden {
+            let (name, mode, _, _) = case;
+            let mut s = match name {
+                "two_rack" => two_rack(InstanceType::Small, mib, Some(mbps(100.0)), mode),
+                "contention" => contention(InstanceType::Medium, mib, 3, mbps(50.0), mode),
+                _ => heterogeneous(mib, mode),
+            };
+            s.read_back = true;
+            let r = simulate_upload(&s);
+            let read = r.read_secs.expect("a read_back scenario reads");
+            let got = (name, mode, r.upload_secs, read);
+            assert_eq!(bits(got), bits(case), "{got:?}");
         }
     }
 

@@ -11,11 +11,13 @@
 # pair (seed, seed+1, ...), parent first on odd pairs and change first on
 # even ones. Prints, per end-to-end metric of BENCHMARK.json: each side's
 # median [quartiles] (exclusive method, as the driver computes them), the
-# change of the median, and in how many pairs the change read better.
+# change of the median, and in how many pairs the change read better. A
+# metric whose two sides printed the same JSON number text in every pair
+# is marked `same n/n`: equal bit for bit, not only to 4 digits.
 # `--work <dir>` keeps sources, builds and every run's JSON there (a
 # second call rebuilds incrementally); without it all of that is removed.
 set -euo pipefail
-usage() { sed -n '2,16p' "$0" >&2; exit 2; }
+usage() { sed -n '2,18p' "$0" >&2; exit 2; }
 root="$(cd "$(dirname "$0")/.." && pwd)"
 [ $# -ge 1 ] || usage
 parent_ref=$1; shift
@@ -109,21 +111,23 @@ awk -v work="$work" -v workload="$workload" -v seed="$seed" -v pairs="$pairs" '
       failed[sides[s]] += field(json, "failed")
       for (m = 1; m <= count; m++) {
         x = field(json, names[m])
-        if (x != "") value[sides[s], names[m], i] = x + 0
+        if (x != "") { value[sides[s], names[m], i] = x + 0; text[sides[s], names[m], i] = x }
       }
     }
     printf "%-20s %-30s %-30s %9s %6s\n", "metric", "parent", "change", "d median", "wins"
     for (m = 1; m <= count; m++) {
       name = names[m]
       if (!summary("parent", name, a) || !summary("change", name, b)) continue
-      wins = both = 0
+      wins = both = same = 0
       for (i = 0; i < pairs; i++) if ((("parent", name, i) in value) && (("change", name, i) in value)) {
         both++
         d = value["change", name, i] - value["parent", name, i]
         if (better[name] == "lower" ? d < 0 : d > 0) wins++
+        if (text["change", name, i] == text["parent", name, i]) same++
       }
       delta = a["median"] ? sprintf("%+.1f %%", 100 * (b["median"] - a["median"]) / a["median"]) : "-"
-      printf "%-20s %-30s %-30s %9s %3d/%d\n", name, a["text"], b["text"], delta, wins, both
+      printf "%-20s %-30s %-30s %9s %3d/%d%s\n", name, a["text"], b["text"], delta, wins, both, \
+        same == both ? sprintf("  same %d/%d", same, both) : ""
     }
     for (s = 1; s <= 2; s++)
       printf "%s: %d of %d operations failed, %d runs without a result\n", sides[s], failed[sides[s]], attempted[sides[s]], broken[sides[s]]
