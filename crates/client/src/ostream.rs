@@ -30,7 +30,7 @@ use crate::client::ClientCtx;
 use crate::pipeline::{Pipeline, PipelineEvent, PipelineEventKind};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use smarth_core::checksum::ChunkedChecksum;
-use smarth_core::config::WriteMode;
+use smarth_core::config::{WriteMode, MAX_RECOVERY_ATTEMPTS};
 use smarth_core::error::{DfsError, DfsResult};
 use smarth_core::ids::{BlockId, DatanodeId, ExtendedBlock, FileId, PipelineId};
 use smarth_core::localopt::{local_optimize, LocalOptOutcome};
@@ -142,10 +142,6 @@ impl DfsOutputStream {
 
     fn event_timeout(&self) -> Duration {
         Duration::from_secs_f64(self.ctx.config.pipeline_event_timeout.as_secs_f64())
-    }
-
-    fn max_recovery_attempts(&self) -> u32 {
-        self.ctx.config.max_recovery_attempts
     }
 
     /// Queues a fully-acked block for a piggybacked commit (see
@@ -346,7 +342,7 @@ impl DfsOutputStream {
                 }
                 Err(e) => {
                     attempts += 1;
-                    if attempts >= self.max_recovery_attempts() {
+                    if attempts >= MAX_RECOVERY_ATTEMPTS {
                         return Err(e);
                     }
                     if let DfsError::NamenodeUnavailable(msg) = &e {
@@ -436,7 +432,7 @@ impl DfsOutputStream {
         e: DfsError,
     ) -> DfsResult<()> {
         let attempt = lost_targets + 1;
-        if !e.is_recoverable() || attempt >= self.max_recovery_attempts() {
+        if !e.is_recoverable() || attempt >= MAX_RECOVERY_ATTEMPTS {
             return Err(e);
         }
         let step = format!(
@@ -629,7 +625,7 @@ impl DfsOutputStream {
                     .map(|c| c.pipeline.id)
                     .or_else(|| self.pending.first().map(|p| p.pipeline.id));
                 match stalled {
-                    Some(pid) if *timeouts <= self.max_recovery_attempts() => {
+                    Some(pid) if *timeouts <= MAX_RECOVERY_ATTEMPTS => {
                         self.recover(pid, None, RecoveryCause::AckTimeout)
                     }
                     _ => Err(e),
@@ -777,12 +773,12 @@ impl DfsOutputStream {
         let mut nested_losses: Vec<DatanodeId> = Vec::new();
         let result: DfsResult<()> = loop {
             attempt += 1;
-            if attempt > self.max_recovery_attempts() {
+            if attempt > MAX_RECOVERY_ATTEMPTS {
                 break Err(DfsError::PipelineUnrecoverable {
                     pipeline: pipeline_id,
                     reason: format!(
                         "gave up after {} attempts",
-                        self.max_recovery_attempts()
+                        MAX_RECOVERY_ATTEMPTS
                     ),
                 });
             }
@@ -1137,7 +1133,7 @@ impl DfsOutputStream {
                 Err(e) => return Err(e),
             }
             attempts += 1;
-            if attempts >= self.max_recovery_attempts() {
+            if attempts >= MAX_RECOVERY_ATTEMPTS {
                 return Err(DfsError::PlacementFailed {
                     wanted: self.replication,
                     available: 0,

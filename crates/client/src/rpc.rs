@@ -112,7 +112,7 @@ impl NamenodeClient {
         x ^= x << 17;
         self.jitter_state.store(x, Ordering::Relaxed);
         let unit = (x >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-        let factor = 1.0 - self.policy.jitter + 2.0 * self.policy.jitter * unit;
+        let factor = 1.0 - RetryPolicy::JITTER + 2.0 * RetryPolicy::JITTER * unit;
         let secs = (base * factor).max(0.0);
         if secs > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(secs));

@@ -295,8 +295,7 @@ mod tests {
     #[test]
     fn heartbeat_expiry_removes_dead_datanode() {
         let mut config = fast_config();
-        config.heartbeat_interval = smarth_core::SimDuration::from_millis(20);
-        config.heartbeat_expiry_multiplier = 4; // 80 ms to death
+        config.heartbeat_interval = smarth_core::SimDuration::from_millis(8); // 80 ms to death
         let spec = quick_spec(4);
         let cluster = MiniCluster::start(&spec, config, 19).unwrap();
         assert_eq!(cluster.namenode_state().alive_datanodes().len(), 4);

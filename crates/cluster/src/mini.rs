@@ -46,11 +46,6 @@ impl MiniCluster {
         obs: Obs,
     ) -> DfsResult<Self> {
         config.validate().map_err(DfsError::Internal)?;
-        if let Some(bounds) = &config.fnfa_latency_buckets_us {
-            // First configuration wins; a metrics registry shared across
-            // clusters keeps whichever bounds it was given first.
-            obs.metrics().fnfa_to_allocation_us.configure_bounds(bounds.clone());
-        }
         let fabric = Fabric::new(FabricConfig {
             latency: Duration::from_secs_f64(spec.link_latency.as_secs_f64()),
             socket_buffer: config.socket_buffer.as_u64() as usize,

@@ -13,13 +13,16 @@
 //! (via [`RingBufferSink::snapshot_after`]) and asserts per-window
 //! invariants while the run is live:
 //!
-//! * every committed SMARTH block has exactly one FNFA (modulo
-//!   recoveries, which legitimately re-finalize the first node);
+//! * no block gets more FNFAs than one plus its recoveries (a recovery
+//!   legitimately re-finalizes the first node; any other extra FNFA is
+//!   a duplicate FIRST_NODE_FINISH);
 //! * pipeline overlap ≥ 2 shows up for SMARTH streams under load;
 //! * every recovery is attributable by cause to an injected fault that
 //!   was recently active (nothing recovers "for no reason");
 //! * no gauge (datanode buffer bytes, in-flight pipelines) exceeds its
-//!   configured bound.
+//!   bound.
+//!
+//! Every worker writes in SMARTH mode.
 //!
 //! Fault triggers come in two flavours, both replayable: absolute
 //! wall-clock offsets from run start (executed by an injector thread)
@@ -441,6 +444,18 @@ json_struct!(impl Json for OpMix {
     "delete" => delete: f64,
 });
 
+/// Events the ring behind the sampling sink holds.
+const RING_CAPACITY: usize = 262_144;
+
+/// Packet acks [`SamplingSink`] keeps at each end of a block.
+const SAMPLED_ACKS: usize = 4;
+
+/// Attribution slack after a fault's direct effect ends, ms.
+const GRACE_MS: u64 = 6_000;
+
+/// The two-rack throttle every soak cluster runs under.
+const CROSS_RACK_MBPS: f64 = 300.0;
+
 /// Full soak profile. Build one with a constructor
 /// ([`SoakConfig::smoke`], [`SoakConfig::deterministic`],
 /// [`SoakConfig::sustained`], [`SoakConfig::read_heavy`],
@@ -453,25 +468,13 @@ pub struct SoakConfig {
     pub budget: Budget,
     /// Invariant-checking window length.
     pub window: Duration,
-    pub mode: WriteMode,
     /// Uniform file size range (bytes), inclusive.
     pub file_size_range: (usize, usize),
     pub plan: FaultPlan,
     pub config: DfsConfig,
-    /// Event ring capacity behind the sampling sink.
-    pub ring_capacity: usize,
-    /// Per-block head/tail packet-ack samples kept by [`SamplingSink`].
-    pub sample_head: usize,
-    pub sample_tail: usize,
-    /// Gauge bounds; `None` derives them from the §IV-C pipeline cap.
-    pub max_buffered_bytes: Option<u64>,
+    /// Bound on the concurrent-pipelines gauge; `None` derives it from
+    /// the §IV-C pipeline cap.
     pub max_concurrent_pipelines: Option<u64>,
-    /// Require exactly one FNFA for committed SMARTH blocks with no
-    /// recoveries (needs a drain slow enough that FNFA beats full-ack).
-    pub strict_fnfa: bool,
-    /// Attribution slack after a fault's direct effect ends.
-    pub grace_ms: u64,
-    pub cross_rack_mbps: Option<f64>,
     /// Create/rewrite/delete fractions of each worker's op roll; the
     /// remainder is verifying striped reads.
     pub op_mix: OpMix,
@@ -489,22 +492,10 @@ impl SoakConfig {
             seed,
             budget: Budget::WallClock(Duration::from_secs(10)),
             window: Duration::from_millis(1000),
-            mode: WriteMode::Smarth,
             file_size_range: (192 * 1024, 768 * 1024),
             plan: FaultPlan::none(),
             config: DfsConfig::test_scale(),
-            ring_capacity: 262_144,
-            sample_head: 4,
-            sample_tail: 4,
-            max_buffered_bytes: None,
             max_concurrent_pipelines: None,
-            // Off by default: a block whose full ack is processed before
-            // the FNFA frame legitimately commits with zero FnfaReceived
-            // events (the allocation fast path); the duplicate-FNFA
-            // check is always on.
-            strict_fnfa: false,
-            grace_ms: 6_000,
-            cross_rack_mbps: Some(300.0),
             op_mix: OpMix::write_dominant(),
             tiered_disks: false,
         }
@@ -531,9 +522,6 @@ impl SoakConfig {
         cfg.window = Duration::from_secs(3_600);
         cfg.file_size_range = (768 * 1024, 768 * 1024); // exactly 3 blocks
         cfg.config.max_pipelines_override = Some(1);
-        // Zero-FNFA fast paths are timing-dependent; the deterministic
-        // profile only checks what is exactly replayable.
-        cfg.strict_fnfa = false;
         cfg.plan = FaultPlan {
             seed,
             events: vec![
@@ -578,8 +566,6 @@ impl SoakConfig {
         cfg.config.rpc_retry = RetryPolicy {
             attempts: 8,
             base_backoff: SimDuration::from_millis(50),
-            multiplier: 2.0,
-            jitter: 0.25,
             deadline: SimDuration::from_millis(500),
         };
         cfg.plan = FaultPlan {
@@ -629,8 +615,6 @@ impl SoakConfig {
         cfg.config.rpc_retry = RetryPolicy {
             attempts: 12,
             base_backoff: SimDuration::from_millis(50),
-            multiplier: 2.0,
-            jitter: 0.25,
             deadline: SimDuration::from_millis(1_500),
         };
         // Partition churn holds broken pipelines and their replacements
@@ -733,7 +717,7 @@ impl SoakConfig {
         ClusterSpec {
             name: format!("soak-{}c-{}dn", self.clients, self.datanodes),
             hosts,
-            cross_rack_throttle: self.cross_rack_mbps.map(Bandwidth::mbps),
+            cross_rack_throttle: Some(Bandwidth::mbps(CROSS_RACK_MBPS)),
             link_latency: SimDuration::from_micros(50),
         }
         .with_extra_clients(self.clients, instance)
@@ -750,15 +734,13 @@ impl SoakConfig {
     }
 
     fn buffered_bound(&self) -> u64 {
-        self.max_buffered_bytes.unwrap_or_else(|| {
-            // Every hop of an active pipeline stages up to one
-            // `datanode_client_buffer` of bytes between its receive and
-            // flush threads (the staged write path), so the bound scales
-            // with replication width, with one extra buffer of slack for
-            // drain raggedness.
-            let hops = self.config.replication as u64;
-            self.derived_pipeline_bound() * self.config.datanode_client_buffer.as_u64() * (hops + 1)
-        })
+        // Every hop of an active pipeline stages up to one
+        // `datanode_client_buffer` of bytes between its receive and flush
+        // threads (the staged write path), so the bound scales with
+        // replication width, with one extra buffer of slack for drain
+        // raggedness.
+        let hops = self.config.replication as u64;
+        self.derived_pipeline_bound() * self.config.datanode_client_buffer.as_u64() * (hops + 1)
     }
 }
 
@@ -772,17 +754,9 @@ json_struct!(impl Json for SoakConfig from SoakConfig::base(0, 0, 0), {
     "seed" => seed: u64,
     "budget" => budget: Budget,
     "window_ms" => window: Duration,
-    "mode" => mode: WriteMode,
     "file_size_range" => file_size_range: (usize, usize),
-    "ring_capacity" => ring_capacity: usize,
-    "sample_head" => sample_head: usize,
-    "sample_tail" => sample_tail: usize,
-    "max_buffered_bytes" => max_buffered_bytes: Option<u64>,
     "max_concurrent_pipelines" => max_concurrent_pipelines: Option<u64>,
-    "strict_fnfa" => strict_fnfa: bool,
     "tiered_disks" => tiered_disks: bool,
-    "grace_ms" => grace_ms: u64,
-    "cross_rack_mbps" => cross_rack_mbps: Option<f64>,
     "op_mix" => op_mix: OpMix,
     "max_pipelines_override" => config.max_pipelines_override: Option<usize>,
     "pipeline_event_timeout_ms" => config.pipeline_event_timeout: SimDuration,
@@ -1006,7 +980,6 @@ json_struct!(impl ToJson for SoakReport {
 struct BlockState {
     fnfa: u64,
     recoveries: u64,
-    committed: bool,
     /// Every datanode host this block's pipelines have included
     /// (allocation targets plus recovery replacements) — the causal side
     /// of fault attribution.
@@ -1014,8 +987,6 @@ struct BlockState {
 }
 
 struct Checker {
-    strict_fnfa: bool,
-    grace_ms: u64,
     timeout_ms: u64,
     run_start_us: u64,
     concurrent_bound: u64,
@@ -1035,8 +1006,6 @@ struct Checker {
 impl Checker {
     fn new(cfg: &SoakConfig, run_start_us: u64, dn_hosts: BTreeMap<DatanodeId, String>) -> Self {
         Checker {
-            strict_fnfa: cfg.strict_fnfa && cfg.mode == WriteMode::Smarth,
-            grace_ms: cfg.grace_ms,
             timeout_ms: (cfg.config.pipeline_event_timeout.as_secs_f64() * 1_000.0) as u64,
             run_start_us,
             concurrent_bound: cfg.concurrent_bound(),
@@ -1089,8 +1058,8 @@ impl Checker {
             let slack = match cause {
                 // Timeouts surface up to one event-timeout after the
                 // fault's direct effect ends.
-                RecoveryCause::AckTimeout => self.timeout_ms + self.grace_ms,
-                _ => self.grace_ms,
+                RecoveryCause::AckTimeout => self.timeout_ms + GRACE_MS,
+                _ => GRACE_MS,
             };
             let compatible = match cause {
                 RecoveryCause::ConnectionLost
@@ -1157,21 +1126,8 @@ impl Checker {
                     }
                 }
                 ObsEvent::PipelineClosed {
-                    block,
-                    committed: true,
-                } => {
-                    self.win_committed += 1;
-                    let st = self.blocks.entry(*block).or_default();
-                    st.committed = true;
-                    if self.strict_fnfa && st.fnfa == 0 {
-                        let recov = st.recoveries;
-                        self.violation(format!(
-                            "committed block {} has no FNFA (recoveries {})",
-                            block.raw(),
-                            recov
-                        ));
-                    }
-                }
+                    committed: true, ..
+                } => self.win_committed += 1,
                 _ => {}
             }
         }
@@ -1492,7 +1448,7 @@ fn upload(
 ) -> DfsResult<()> {
     let mut stream = client.create_with(
         path,
-        w.cfg.mode,
+        WriteMode::Smarth,
         w.cfg.config.replication as u32,
         overwrite,
     )?;
@@ -1633,8 +1589,8 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
     cfg.op_mix.validate().map_err(DfsError::Internal)?;
     let spec = cfg.build_spec();
 
-    let ring = RingBufferSink::new(cfg.ring_capacity);
-    let sampling = SamplingSink::new(ring.clone(), cfg.sample_head, cfg.sample_tail);
+    let ring = RingBufferSink::new(RING_CAPACITY);
+    let sampling = SamplingSink::new(ring.clone(), SAMPLED_ACKS, SAMPLED_ACKS);
     let obs = Obs::new(sampling.clone());
     let metrics = obs.metrics().clone();
     let sampler = Sampler::new(metrics.clone(), 4096);
@@ -1849,11 +1805,7 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
         .unwrap_or(0);
     let committed = metrics.blocks_committed.get();
     let cap = cfg.config.max_pipelines(cfg.datanodes);
-    if cfg.mode == WriteMode::Smarth
-        && cap > 1
-        && committed >= (cfg.clients as u64) * 3
-        && max_client_overlap < 2
-    {
+    if cap > 1 && committed >= (cfg.clients as u64) * 3 && max_client_overlap < 2 {
         checker.violations.push(format!(
             "no pipeline overlap under load: {committed} committed blocks, peak concurrency {max_client_overlap}"
         ));
@@ -1995,7 +1947,7 @@ mod tests {
         assert!(
             !checker.attributable(
                 RecoveryCause::ConnectionLost,
-                1_000 + cfg.grace_ms + 1,
+                1_000 + GRACE_MS + 1,
                 blk,
                 &faults
             ),
@@ -2015,7 +1967,7 @@ mod tests {
         }];
         assert!(checker.attributable(RecoveryCause::NamenodeError, 1_100, blk, &nn_faults));
         assert!(
-            checker.attributable(RecoveryCause::NamenodeError, 1_600 + cfg.grace_ms - 1, blk, &nn_faults),
+            checker.attributable(RecoveryCause::NamenodeError, 1_600 + GRACE_MS - 1, blk, &nn_faults),
             "timed faults stay attributable until until_ms + grace"
         );
         assert!(!checker.attributable(RecoveryCause::ConnectionLost, 1_100, blk, &nn_faults));
@@ -2149,12 +2101,8 @@ mod tests {
         let det = SoakConfig::deterministic(42);
         // Every knob away from its default, so each `Option` shows both arms.
         let mut knobs = SoakConfig::hostile(17);
-        knobs.mode = WriteMode::Hdfs;
-        knobs.max_buffered_bytes = Some(8 << 20);
         knobs.max_concurrent_pipelines = Some(48);
-        knobs.strict_fnfa = true;
         knobs.tiered_disks = true;
-        knobs.cross_rack_mbps = None;
         knobs.config.speed_half_life = Some(SimDuration::from_millis(2_500));
         g.read("Budget::WallClock", &knobs.budget);
         g.read("Budget::OpsPerClient", &det.budget);

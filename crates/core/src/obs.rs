@@ -703,89 +703,36 @@ impl Gauge {
     }
 }
 
-/// Number of exponential histogram buckets: bucket `i` counts values in
-/// `[2^i, 2^(i+1))` (bucket 0 additionally holds 0).
-const HISTOGRAM_BUCKETS: usize = 40;
+/// Inclusive upper bounds (µs) of the latency histogram's buckets: fine
+/// steps through the sub-millisecond range the emulator produces, then
+/// about three per decade up to the seconds a paper-scale simulation
+/// reaches. One overflow bucket lies past the last bound.
+const LATENCY_BOUNDS_US: [u64; 20] = [
+    50, 100, 200, 350, 500, 750, 1_000, 1_500, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+    250_000, 500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
+];
 
-/// Lock-free histogram over `u64` samples. Default bucketing is
-/// power-of-two (forty buckets cover 1 µs .. ~12 days when samples are
-/// microseconds); [`Histogram::configure_bounds`] swaps in explicit
-/// ascending bucket upper bounds for scales where exponential buckets
-/// collapse — at unit-test scale nearly every FNFA→allocation latency
-/// lands in two pow-2 buckets and quantiles degenerate.
-#[derive(Debug)]
+/// Lock-free histogram over microsecond latencies: bucket `i` counts
+/// values `<= LATENCY_BOUNDS_US[i]` above the bound before it.
+#[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    /// Explicit inclusive upper bounds, set at most once before use;
-    /// bucket `i` counts values `<= bounds[i]`, with one implicit
-    /// overflow bucket past the last bound.
-    bounds: OnceLock<Vec<u64>>,
+    buckets: [AtomicU64; LATENCY_BOUNDS_US.len() + 1],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            bounds: OnceLock::new(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
 impl Histogram {
-    fn pow2_bucket_for(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (63 - value.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
+    fn bucket_for(value: u64) -> usize {
+        LATENCY_BOUNDS_US.partition_point(|&ub| ub < value)
     }
 
-    /// Replaces power-of-two bucketing with explicit ascending upper
-    /// bounds. First call wins (returns `false` thereafter), and must
-    /// happen before samples arrive — already-observed samples keep
-    /// their pow-2 bucket. At most `HISTOGRAM_BUCKETS - 1` bounds; one
-    /// bucket is reserved for overflow past the last bound.
-    pub fn configure_bounds(&self, bounds: Vec<u64>) -> bool {
-        assert!(!bounds.is_empty(), "histogram bounds must be non-empty");
-        assert!(
-            bounds.len() < HISTOGRAM_BUCKETS,
-            "at most {} histogram bounds",
-            HISTOGRAM_BUCKETS - 1
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        self.bounds.set(bounds).is_ok()
-    }
-
-    /// The configured explicit bounds, if any.
-    pub fn bounds(&self) -> Option<&[u64]> {
-        self.bounds.get().map(Vec::as_slice)
-    }
-
-    fn bucket_for(&self, value: u64) -> usize {
-        match self.bounds.get() {
-            Some(bounds) => bounds.partition_point(|&ub| ub < value),
-            None => Self::pow2_bucket_for(value),
-        }
-    }
-
-    fn bucket_upper_bound(&self, bucket: usize) -> u64 {
-        match self.bounds.get() {
-            Some(bounds) => bounds.get(bucket).copied().unwrap_or(u64::MAX),
-            None => pow2_upper_bound(bucket),
-        }
+    fn bucket_upper_bound(bucket: usize) -> u64 {
+        LATENCY_BOUNDS_US.get(bucket).copied().unwrap_or(u64::MAX)
     }
 
     pub fn observe(&self, value: u64) {
-        self.buckets[self.bucket_for(value)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_for(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -828,8 +775,8 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             let in_bucket = bucket.load(Ordering::Relaxed);
             if in_bucket > 0 && seen + in_bucket >= rank {
-                let lower = if i == 0 { 0 } else { self.bucket_upper_bound(i - 1) };
-                let upper = self.bucket_upper_bound(i).min(self.max()).max(lower);
+                let lower = if i == 0 { 0 } else { Self::bucket_upper_bound(i - 1) };
+                let upper = Self::bucket_upper_bound(i).min(self.max()).max(lower);
                 let frac = (rank - seen) as f64 / in_bucket as f64;
                 let v = lower as f64 + (upper - lower) as f64 * frac;
                 return (v.round() as u64).min(self.max());
@@ -849,14 +796,6 @@ impl Histogram {
             .field("p99", self.quantile(0.99))
             .field("max", self.max())
             .build()
-    }
-}
-
-fn pow2_upper_bound(bucket: usize) -> u64 {
-    if bucket + 1 >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << (bucket + 1)) - 1
     }
 }
 
@@ -1181,49 +1120,24 @@ mod tests {
     fn histogram_math() {
         let h = Histogram::default();
         assert_eq!(h.quantile(0.5), 0);
-        for v in [0u64, 1, 1, 3, 8, 100, 1000] {
+        for v in [80u64, 90, 200, 210, 220, 400, 20_000_000] {
             h.observe(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 1113);
-        assert!((h.mean() - 1113.0 / 7.0).abs() < 1e-9);
-        assert_eq!(h.max(), 1000);
-        // p50 falls on the 4th sample: the sole occupant of bucket
-        // [2,4), interpolating to the bucket's upper bound 3.
-        assert_eq!(h.quantile(0.5), 3);
-        // p95 lands on the last sample, capped at the observed max.
-        assert_eq!(h.quantile(0.95), 1000);
-        // p100 is capped at the observed max, not the bucket bound.
-        assert_eq!(h.quantile(1.0), 1000);
-        // Bucket assignment: exact powers of two land in their own bucket.
-        assert_eq!(Histogram::pow2_bucket_for(0), 0);
-        assert_eq!(Histogram::pow2_bucket_for(1), 0);
-        assert_eq!(Histogram::pow2_bucket_for(2), 1);
-        assert_eq!(Histogram::pow2_bucket_for(u64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_explicit_bounds_sharpen_quantiles() {
-        let h = Histogram::default();
-        assert!(h.configure_bounds(vec![100, 250, 500, 1000, 2500]));
-        assert!(!h.configure_bounds(vec![1, 2]), "first configuration wins");
-        assert_eq!(h.bounds(), Some(&[100u64, 250, 500, 1000, 2500][..]));
-        for v in [80u64, 90, 200, 210, 220, 400, 9999] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 7);
-        // Median sample (210) sits in the (100, 250] bucket as the 2nd
-        // of its 3 samples: 100 + 150 * 2/3 = 200. With pow-2 buckets
-        // the same data would interpolate inside (128, 255] instead.
-        assert_eq!(h.quantile(0.5), 200);
+        assert_eq!(h.sum(), 20_001_200);
+        assert!((h.mean() - 20_001_200.0 / 7.0).abs() < 1e-6);
+        assert_eq!(h.max(), 20_000_000);
+        // The median sample (210) is the first of two in the (200, 350]
+        // bucket: 200 + 150 * 1/2 = 275.
+        assert_eq!(h.quantile(0.5), 275);
         // Overflow past the last bound is capped at the observed max.
-        assert_eq!(h.quantile(1.0), 9999);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_unsorted_bounds() {
-        Histogram::default().configure_bounds(vec![10, 5]);
+        assert_eq!(h.quantile(0.95), 20_000_000);
+        assert_eq!(h.quantile(1.0), 20_000_000);
+        // A value equal to a bound lands in that bound's bucket.
+        assert_eq!(Histogram::bucket_for(0), 0);
+        assert_eq!(Histogram::bucket_for(50), 0);
+        assert_eq!(Histogram::bucket_for(51), 1);
+        assert_eq!(Histogram::bucket_for(u64::MAX), LATENCY_BOUNDS_US.len());
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub struct FabricConfig {
     pub chunk_size: usize,
 }
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        Self {
-            latency: Duration::from_micros(100),
-            socket_buffer: 64 * 1024,
-            chunk_size: 4 * 1024,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Host {
     name: String,

@@ -3,7 +3,7 @@
 //!
 //! A datanode registers once (getting its [`DatanodeId`]) and then
 //! heartbeats periodically. Nodes whose last heartbeat is older than
-//! `heartbeat_interval × expiry_multiplier` are considered dead: they
+//! `DfsConfig::heartbeat_expiry` (ten intervals) are considered dead: they
 //! drop out of placement and their speed records are purged — this is
 //! how a killed host eventually disappears from Algorithm 1's candidate
 //! pool.

@@ -162,9 +162,7 @@ impl NameNodeState {
     }
 
     pub fn with_obs(config: DfsConfig, seed: u64, obs: Obs) -> Self {
-        let expiry = Duration::from_secs_f64(
-            config.heartbeat_interval.as_secs_f64() * config.heartbeat_expiry_multiplier as f64,
-        );
+        let expiry = Duration::from_secs_f64(config.heartbeat_expiry().as_secs_f64());
         let speed_half_life = config.speed_half_life;
         let sampler = Sampler::new(obs.metrics().clone(), 1024);
         let shard_count = config.namenode_shards.max(1);

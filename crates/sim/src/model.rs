@@ -1085,9 +1085,6 @@ fn run_rounds(
     telemetry: Option<(std::sync::Arc<Sampler>, u64)>,
 ) -> (Sim, Option<f64>) {
     scenario.config.validate().expect("invalid config");
-    if let Some(bounds) = &scenario.config.fnfa_latency_buckets_us {
-        obs.metrics().fnfa_to_allocation_us.configure_bounds(bounds.clone());
-    }
     assert!(
         scenario.file_size.as_u64() > 0,
         "file size must be positive"

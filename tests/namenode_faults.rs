@@ -30,8 +30,6 @@ fn tiny_retries() -> RetryPolicy {
     RetryPolicy {
         attempts: 2,
         base_backoff: SimDuration::from_millis(20),
-        multiplier: 2.0,
-        jitter: 0.25,
         deadline: SimDuration::from_millis(200),
     }
 }
