@@ -213,10 +213,9 @@ fn speed_registry_converges_to_fast_tier_on_reads() {
     // small-tier record strictly below it.
     let spec = ClusterSpec::heterogeneous_tiered();
     let mut config = DfsConfig::test_scale();
-    // Single-block files and no readahead: each read is one sustained
-    // 3-stripe fetch, long enough to drain the token-bucket burst that
-    // would otherwise mask the per-tier NIC caps at the 256 KiB scale.
-    config.readahead_blocks = 0;
+    // Single-block files: each read is one sustained 3-stripe fetch, long
+    // enough to drain the token-bucket burst that would otherwise mask
+    // the per-tier NIC caps at the 256 KiB scale.
     config.block_size = smarth::core::units::ByteSize::mib(4);
     let cluster = MiniCluster::start(&spec, config, 0x7EAD).unwrap();
     cluster
