@@ -9,10 +9,10 @@
 //! upload over a 50 Mbps-throttled cluster take milliseconds of wall time
 //! and produce bit-identical results for a given seed.
 //!
-//! Pending events wait in event lanes (`queue.rs`): one FIFO per source,
-//! `(pipe, hop, kind)`, which each source fills in due order, and a heap
-//! over the lanes' heads only. A fully acked pipeline drops its
-//! per-packet arrays and hands its lanes' buffers on, so the engine's
+//! Pending events wait, packed into one `u64` each, in a monotone radix
+//! queue (`queue.rs`), which pops them by due time and then push order.
+//! Virtual time restarts at zero for each upload, and so does the queue.
+//! A fully acked pipeline drops its per-packet arrays, so the engine's
 //! memory follows the pipelines in flight, not the file.
 //!
 //! A run is steered by the knobs the emulator reads and no others: the
@@ -26,7 +26,7 @@
 //! ([`DfsConfig::stripes_for`]). The pipeline-count gate, the wait for a
 //! full-width pipeline and the FNFA→`T_n` timing are still written here.
 
-use crate::queue::EventLanes;
+use crate::queue::EventQueue;
 use crate::server::RateServer;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,7 +41,6 @@ use smarth_core::speed::{ClientSpeedTracker, NamenodeSpeedRegistry};
 use smarth_core::topology::{NetworkTopology, TopologyNode};
 use smarth_core::units::{Bandwidth, ByteSize, SimDuration, SimInstant};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// One upload experiment.
 #[derive(Debug, Clone)]
@@ -145,18 +144,8 @@ const PIPE_BITS: u32 = 24;
 const HOP_BITS: u32 = 8;
 const PKT_BITS: u32 = 28;
 
-/// Event kinds a pipeline hop is the source of: all but `TryOpen`, whose
-/// lane is lane 0.
-const SOURCE_KINDS: usize = 9;
-
-/// The event lanes of `pipe`, in a pipeline `hops` wide at most.
-fn pipe_lanes(pipe: usize, hops: usize) -> Range<usize> {
-    let per_pipe = hops * SOURCE_KINDS;
-    1 + pipe * per_pipe..1 + (pipe + 1) * per_pipe
-}
-
 impl Ev {
-    /// `(kind, pipe, hop, pkt)`; the first three are the event's source.
+    /// `(kind, pipe, hop, pkt)`.
     fn fields(self) -> (u64, usize, usize, u64) {
         match self {
             Ev::ClientSend { pipe } => (0, pipe, 0, 0),
@@ -172,17 +161,7 @@ impl Ev {
         }
     }
 
-    /// The [`EventLanes`] lane of the event's source.
-    fn lane(self, hops: usize) -> usize {
-        match self.fields() {
-            (9, ..) => 0,
-            (kind, pipe, hop, _) => {
-                pipe_lanes(pipe, hops).start + hop * SOURCE_KINDS + kind as usize
-            }
-        }
-    }
-
-    /// The event as one `u64`, which keeps a lane entry at 24 bytes.
+    /// The event as one `u64`, which keeps a queue entry at 16 bytes.
     fn pack(self) -> u64 {
         let (kind, pipe, hop, pkt) = self.fields();
         let packed = kind << (PIPE_BITS + HOP_BITS + PKT_BITS)
@@ -280,8 +259,8 @@ impl Pipe {
 
 struct Sim {
     now: SimInstant,
-    /// Pending events, packed, in the lane of their source.
-    queue: EventLanes,
+    /// Pending events, packed.
+    queue: EventQueue,
     hosts: Vec<Host>,
     client_host: usize,
     /// `tc` pair shapers, one per ordered cross-rack host pair, at
@@ -329,14 +308,16 @@ struct Sim {
     /// ticked in virtual time as the event loop advances — the DES twin
     /// of the emulator's heartbeat-driven `Sampler`.
     sampler: Option<(std::sync::Arc<Sampler>, u64, u64)>,
+    /// Events [`Sim::run`] dispatched.
+    #[cfg(test)]
+    dispatched: u64,
 }
 
 const CLIENT: ClientId = ClientId(1);
 
 impl Sim {
     fn schedule(&mut self, at: SimInstant, ev: Ev) {
-        let lane = ev.lane(self.config.replication);
-        self.queue.push(lane, at, ev.pack());
+        self.queue.push(at, ev.pack());
     }
 
     fn schedule_now(&mut self, ev: Ev) {
@@ -628,15 +609,12 @@ impl Sim {
             p.active = false;
             p.done_at = Some(self.now);
             // Every hop has stored and acked every packet: no handler
-            // reads the per-packet state again, and the pipeline's lanes
-            // are drained.
+            // reads the per-packet state again.
             for h in &mut p.hops {
                 h.arrived = Vec::new();
                 h.stored = Vec::new();
                 h.down_ack = Vec::new();
             }
-            self.queue
-                .release(pipe_lanes(pipe, self.config.replication));
             self.active_count -= 1;
             self.blocks_done += 1;
             if self.sending == Some(pipe) {
@@ -936,6 +914,10 @@ impl Sim {
                 break;
             }
         }
+        #[cfg(test)]
+        {
+            self.dispatched = guard;
+        }
         assert!(
             self.finished_at.is_some(),
             "simulation deadlocked: {} of {} blocks done, {} events processed",
@@ -1121,7 +1103,7 @@ fn run_rounds(
     let mut tracker = ClientSpeedTracker::new(scenario.config.speed_ewma_alpha);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed);
     // The queue is empty between uploads and keeps its buffers.
-    let mut queue = EventLanes::default();
+    let mut queue = EventQueue::default();
 
     for round in 0..=scenario.warmup_uploads {
         let measured = round == scenario.warmup_uploads;
@@ -1210,6 +1192,8 @@ fn run_rounds(
             } else {
                 None
             },
+            #[cfg(test)]
+            dispatched: 0,
         };
         sim.run();
         if let Some((s, _, _)) = &sim.sampler {
@@ -1236,6 +1220,7 @@ fn run_rounds(
         registry = sim.registry;
         tracker = sim.tracker;
         queue = sim.queue;
+        queue.reset();
     }
     unreachable!("the measured round returns")
 }
@@ -1252,8 +1237,7 @@ mod tests {
     use smarth_core::config::InstanceType;
 
     /// After a run every pipeline is fully acked, so none may hold its
-    /// per-packet arrays or a lane buffer; and every event source pushed
-    /// in due order, so no event went to the strays heap.
+    /// per-packet arrays.
     #[test]
     fn fully_acked_pipes_hold_no_per_packet_state() {
         let mib = ByteSize::mib(256);
@@ -1265,18 +1249,41 @@ mod tests {
             ] {
                 let (sim, _) = run_rounds(&s, Obs::disabled(), None);
                 assert_eq!(sim.pipes.len(), 4);
-                assert!(!sim.queue.strayed(), "{mode:?}: a push out of lane order");
                 for (i, p) in sim.pipes.iter().enumerate() {
                     for h in &p.hops {
                         let held = [&h.arrived, &h.stored, &h.down_ack].map(Vec::capacity);
                         assert_eq!(held, [0; 3], "{mode:?}: pipe {i} keeps per-packet state");
                     }
-                    for lane in pipe_lanes(i, s.config.replication) {
-                        let kept = sim.queue.lane_capacity(lane);
-                        assert_eq!(kept, 0, "{mode:?}: pipe {i} keeps lane {lane}");
-                    }
                 }
             }
         }
+    }
+
+    /// The events the measured upload dispatches, for each case of
+    /// `des_results_are_pinned_bit_for_bit`. A change that adds or drops
+    /// events re-pins this on purpose. HDFS dispatches 18 events per
+    /// packet and one `TryOpen` per block: 18 × 4 096 + 4. SMARTH adds
+    /// one `Fnfa` per block and the `TryOpen` each FNFA schedules.
+    #[test]
+    fn des_event_counts_are_pinned() {
+        use WriteMode::{Hdfs, Smarth};
+        let (mib, mbps) = (ByteSize::mib(256), Bandwidth::mbps);
+        let golden = [
+            ("two_rack", Hdfs, 73_732),
+            ("two_rack", Smarth, 73_740),
+            ("contention", Hdfs, 73_732),
+            ("contention", Smarth, 73_740),
+            ("heterogeneous", Hdfs, 73_732),
+            ("heterogeneous", Smarth, 73_740),
+        ];
+        let got = golden.map(|(name, mode, _)| {
+            let s = match name {
+                "two_rack" => two_rack(InstanceType::Small, mib, Some(mbps(100.0)), mode),
+                "contention" => contention(InstanceType::Medium, mib, 3, mbps(50.0), mode),
+                _ => heterogeneous(mib, mode),
+            };
+            (name, mode, run_rounds(&s, Obs::disabled(), None).0.dispatched)
+        });
+        assert_eq!(got, golden);
     }
 }

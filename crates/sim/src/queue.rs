@@ -1,115 +1,104 @@
-//! The event queue of the DES: one FIFO lane per event source, and a heap
-//! over the lanes' heads.
+//! The event queue of the DES: a monotone radix queue keyed by due time.
 //!
-//! Every event the model schedules has a source, its `(pipe, hop, kind)`,
-//! and one source's events fall due in the order they are pushed: their
-//! times come from FIFO [`RateServer`](crate::RateServer)s plus constant
-//! latencies and costs, or they are "now". So a lane is a `VecDeque` that
-//! is sorted without sorting, and the heap holds one `(time, seq, lane)`
-//! entry per non-empty lane: tens of entries, where one heap of events held
-//! every pending packet event (thousands, once a first hop buffers a whole
-//! block). Events come out in exactly the `(time, seq)` order that one heap
-//! gave, `seq` being the push count.
+//! The model never schedules an event due before the one it is handling,
+//! so every push falls due at or after the last pop, `last`. An event due
+//! at `last` waits in a FIFO; any later one waits in bucket `b`, `b` being
+//! the highest bit in which its due time differs from `last`. A pop takes
+//! the FIFO's front. When the FIFO is empty it empties the lowest
+//! non-empty bucket whole: `last` moves to that bucket's earliest due
+//! time, and each of its events goes, in the bucket's order, to the FIFO
+//! or to a lower bucket, all of which were empty. Events in higher buckets
+//! keep their bucket, since `last` still differs from them first in the
+//! same bit (Ahuja, Mehlhorn, Orlin & Tarjan, 1990).
 //!
-//! A push due before the tail of its lane would break the lane's order. It
-//! goes to a heap of strays instead, and [`EventLanes::pop`] takes the
-//! earlier of the two heaps' tops, so the order stays exact. The model's
-//! sources push no stray on any figure or benchmark case.
+//! A bucket is only ever appended to, or emptied whole into empty ones,
+//! so the FIFO and every bucket stay in push order, and events due at the
+//! same instant always share one. Pops therefore come out in exactly the
+//! `(due, push order)` order of one heap of every event, with no sequence
+//! number. A push due before `last` would break that; it panics, in
+//! release builds too.
 
 use smarth_core::units::SimInstant;
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
-use std::ops::Range;
 
-/// `(due, seq, payload)`.
-type Entry = (SimInstant, u64, u64);
-
-#[derive(Default)]
-pub(crate) struct EventLanes {
-    /// `(due, seq, lane)` of the first entry of every non-empty lane.
-    heads: BinaryHeap<Reverse<(SimInstant, u64, usize)>>,
-    lanes: Vec<VecDeque<Entry>>,
-    strays: BinaryHeap<Reverse<Entry>>,
-    /// Buffers of released lanes, for lanes that need one.
-    spare: Vec<VecDeque<Entry>>,
-    seq: u64,
+pub(crate) struct EventQueue {
+    /// Due time of the last pop, in ns.
+    last: u64,
+    /// Payloads due at `last`, in push order; the first `head` are popped.
+    now: Vec<u64>,
+    head: usize,
+    /// `(due, payload)` by the highest bit in which `due` differs from
+    /// `last`, each in push order.
+    buckets: [Vec<(u64, u64)>; 64],
+    /// Bit `b` is set while `buckets[b]` holds events.
+    occupied: u64,
 }
 
-impl EventLanes {
-    pub(crate) fn push(&mut self, lane: usize, at: SimInstant, payload: u64) {
-        self.seq += 1;
-        let entry = (at, self.seq, payload);
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, VecDeque::new);
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            last: 0,
+            now: Vec::new(),
+            head: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
         }
-        let queue = &mut self.lanes[lane];
-        match queue.back() {
-            None => {
-                if queue.capacity() == 0 {
-                    if let Some(buffer) = self.spare.pop() {
-                        *queue = buffer;
-                    }
-                }
-                self.heads.push(Reverse((at, self.seq, lane)));
-                queue.push_back(entry);
-            }
-            Some(&(last, _, _)) if last <= at => queue.push_back(entry),
-            Some(_) => self.strays.push(Reverse(entry)),
+    }
+}
+
+impl EventQueue {
+    pub(crate) fn push(&mut self, at: SimInstant, payload: u64) {
+        assert!(at.0 >= self.last, "an event due before the last pop");
+        self.file(at.0, payload);
+    }
+
+    /// Files an event due at or after `last` in the FIFO or its bucket.
+    fn file(&mut self, due: u64, payload: u64) {
+        if due == self.last {
+            self.now.push(payload);
+        } else {
+            let b = 63 - (self.last ^ due).leading_zeros();
+            self.buckets[b as usize].push((due, payload));
+            self.occupied |= 1 << b;
         }
     }
 
     /// The earliest event, by due time and then push order.
     pub(crate) fn pop(&mut self) -> Option<(SimInstant, u64)> {
-        if let Some(Reverse((at, seq, _))) = self.strays.peek() {
-            if self
-                .heads
-                .peek()
-                .is_none_or(|Reverse(h)| (*at, *seq) < (h.0, h.1))
-            {
-                let Reverse((at, _, payload)) = self.strays.pop()?;
-                return Some((at, payload));
+        if self.head == self.now.len() {
+            self.now.clear();
+            self.head = 0;
+            if self.occupied == 0 {
+                return None;
             }
-        }
-        let mut top = self.heads.peek_mut()?;
-        let lane = top.0 .2;
-        let queue = &mut self.lanes[lane];
-        let (at, _, payload) = queue.pop_front().expect("a lane in the heap has a head");
-        match queue.front() {
-            // Replacing the top sifts it down once, on drop.
-            Some(&(next, seq, _)) => top.0 = (next, seq, lane),
-            None => {
-                PeekMut::pop(top);
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            if let [(due, payload)] = self.buckets[b][..] {
+                // Half the buckets a pop empties hold one event.
+                self.buckets[b].clear();
+                self.last = due;
+                return Some((SimInstant(due), payload));
             }
+            let mut events = std::mem::take(&mut self.buckets[b]);
+            self.last = events.iter().map(|&(due, _)| due).min()?;
+            for (due, payload) in events.drain(..) {
+                self.file(due, payload);
+            }
+            // Keep the emptied bucket's buffer.
+            self.buckets[b] = events;
         }
-        Some((at, payload))
+        self.head += 1;
+        Some((SimInstant(self.last), self.now[self.head - 1]))
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.heads.is_empty() && self.strays.is_empty()
+        self.head == self.now.len() && self.occupied == 0
     }
 
-    /// Takes the buffers of the drained lanes among `lanes` for lanes
-    /// that need one later; a lane with events left keeps its buffer.
-    pub(crate) fn release(&mut self, lanes: Range<usize>) {
-        let end = lanes.end.min(self.lanes.len());
-        for queue in &mut self.lanes[lanes.start.min(end)..end] {
-            if queue.is_empty() && queue.capacity() > 0 {
-                self.spare.push(std::mem::take(queue));
-            }
-        }
-    }
-
-    /// Whether a push ever went to the strays heap, which keeps its
-    /// buffer once it has one.
-    #[cfg(test)]
-    pub(crate) fn strayed(&self) -> bool {
-        self.strays.capacity() > 0
-    }
-
-    #[cfg(test)]
-    pub(crate) fn lane_capacity(&self, lane: usize) -> usize {
-        self.lanes.get(lane).map_or(0, VecDeque::capacity)
+    /// Restarts virtual time at zero, for the next upload; the queue
+    /// must be drained.
+    pub(crate) fn reset(&mut self) {
+        assert!(self.is_empty(), "reset with events pending");
+        self.last = 0;
     }
 }
 
@@ -118,76 +107,65 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    /// Random pushes over many lanes, interleaved with pops, come out in
-    /// the order of one `BinaryHeap` over `(due, seq)`: equal due times,
-    /// pushes earlier than their lane's tail, lanes that drain and refill,
-    /// and released lanes whose buffers are reused.
+    /// Random pushes interleaved with pops come out in the order of one
+    /// `BinaryHeap` over `(due, seq)`: pushes due now, a few ns ahead, or
+    /// across many bit boundaries (up to ≈ 2^40 ns), over rounds that
+    /// drain the queue and restart time at zero, as the uploads do.
     #[test]
     fn pops_follow_one_heap_of_every_event() {
         for seed in 0..20 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut lanes = EventLanes::default();
+            let mut queue = EventQueue::default();
             let mut reference = BinaryHeap::new();
-            let mut seq = 0u64;
             let mut now = 0u64;
-            let mut popped = 0;
+            let mut ties = 0;
             for step in 0..20_000u64 {
                 if rng.gen_range(0..10) < 6 {
-                    let lane = rng.gen_range(0..40usize);
-                    // Coarse times make ties common.
-                    let at = SimInstant(now + rng.gen_range(0..8u64) * 1_000);
-                    lanes.push(lane, at, step);
-                    seq += 1;
-                    reference.push(Reverse((at, seq, step)));
+                    let ahead = match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => rng.gen_range(1..8),
+                        _ => {
+                            let bits = rng.gen_range(1..=40);
+                            rng.gen_range(0..1u64 << bits)
+                        }
+                    };
+                    queue.push(SimInstant(now + ahead), step);
+                    reference.push(Reverse((now + ahead, step)));
                 } else {
-                    let want = reference.pop().map(|Reverse((at, _, p))| (at, p));
-                    assert_eq!(lanes.pop(), want, "seed {seed}, step {step}");
+                    let want = reference.pop().map(|Reverse((at, p))| (SimInstant(at), p));
+                    assert_eq!(queue.pop(), want, "seed {seed}, step {step}");
                     if let Some((at, _)) = want {
+                        ties += usize::from(at.0 == now);
                         now = at.0;
-                        popped += 1;
                     }
                 }
-                if step % 1_000 == 999 {
-                    lanes.release(0..20);
+                if step % 5_000 == 4_999 {
+                    while let Some(Reverse((at, p))) = reference.pop() {
+                        assert_eq!(
+                            queue.pop(),
+                            Some((SimInstant(at), p)),
+                            "seed {seed}, draining"
+                        );
+                    }
+                    assert_eq!(queue.pop(), None);
+                    queue.reset();
+                    now = 0;
                 }
             }
-            while let Some(Reverse((at, _, p))) = reference.pop() {
-                assert_eq!(lanes.pop(), Some((at, p)), "seed {seed}, draining");
-            }
-            assert_eq!(lanes.pop(), None);
-            assert!(lanes.is_empty());
-            assert!(popped > 1_000 && lanes.strayed(), "the test pushes strays");
+            assert!(queue.is_empty());
+            assert!(ties > 1_000, "the test pops ties");
         }
     }
 
     #[test]
-    fn in_order_lanes_never_stray_and_release_only_drained_lanes() {
-        let mut lanes = EventLanes::default();
-        for k in 0..100 {
-            lanes.push(1, SimInstant(k * 10), k);
-            lanes.push(2, SimInstant(5 + k * 10), 100 + k);
-        }
-        for k in 0..100 {
-            assert_eq!(lanes.pop(), Some((SimInstant(k * 10), k)));
-            assert_eq!(lanes.pop(), Some((SimInstant(5 + k * 10), 100 + k)));
-            if k == 49 {
-                lanes.push(3, SimInstant(1_000_000), 7);
-            }
-        }
-        assert!(!lanes.strayed());
-        lanes.release(0..4);
-        assert_eq!(
-            lanes.lane_capacity(1),
-            0,
-            "drained lane gave its buffer back"
-        );
-        assert!(lanes.lane_capacity(3) > 0, "lane 3 still holds an event");
-        // A lane created later starts from a released buffer.
-        lanes.push(9, SimInstant(2_000_000), 8);
-        assert!(lanes.lane_capacity(9) > 0);
-        assert_eq!(lanes.pop(), Some((SimInstant(1_000_000), 7)));
-        assert_eq!(lanes.pop(), Some((SimInstant(2_000_000), 8)));
-        assert_eq!(lanes.pop(), None);
+    #[should_panic(expected = "before the last pop")]
+    fn a_push_before_the_last_pop_panics() {
+        let mut queue = EventQueue::default();
+        queue.push(SimInstant(10), 1);
+        assert_eq!(queue.pop(), Some((SimInstant(10), 1)));
+        queue.push(SimInstant(9), 2);
     }
 }

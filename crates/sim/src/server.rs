@@ -7,13 +7,17 @@
 //! through consecutive servers models store-and-forward per device with
 //! cut-through across devices, which is how shaped links compose.
 
-use smarth_core::units::{Bandwidth, ByteSize, SimInstant};
+use smarth_core::units::{Bandwidth, ByteSize, SimDuration, SimInstant};
 
-/// A FIFO rate-limited server in virtual time.
+/// A FIFO rate-limited server in virtual time, at a rate fixed when it
+/// is made.
 #[derive(Debug, Clone)]
 pub struct RateServer {
     rate: Bandwidth,
     busy_until: SimInstant,
+    /// The size of the last reservation and its transfer time: nearly
+    /// every reservation is a full packet.
+    memo: Option<(ByteSize, SimDuration)>,
 }
 
 impl RateServer {
@@ -21,37 +25,24 @@ impl RateServer {
         Self {
             rate,
             busy_until: SimInstant::ZERO,
+            memo: None,
         }
-    }
-
-    pub fn unlimited() -> Self {
-        Self::new(Bandwidth::unlimited())
-    }
-
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
-    }
-
-    pub fn set_rate(&mut self, rate: Bandwidth) {
-        self.rate = rate;
     }
 
     /// Reserves the server for `size` bytes, starting no earlier than
     /// `earliest`, and returns the completion instant.
     pub fn reserve(&mut self, earliest: SimInstant, size: ByteSize) -> SimInstant {
-        let start = if self.busy_until > earliest {
-            self.busy_until
-        } else {
-            earliest
+        let time = match self.memo {
+            Some((memo, time)) if memo == size => time,
+            _ => {
+                let time = self.rate.transfer_time(size);
+                self.memo = Some((size, time));
+                time
+            }
         };
-        let finish = start + self.rate.transfer_time(size);
+        let finish = self.busy_until.max(earliest) + time;
         self.busy_until = finish;
         finish
-    }
-
-    /// Next instant the server is free (diagnostics).
-    pub fn busy_until(&self) -> SimInstant {
-        self.busy_until
     }
 }
 
@@ -84,7 +75,7 @@ mod tests {
 
     #[test]
     fn unlimited_server_is_instant() {
-        let mut s = RateServer::unlimited();
+        let mut s = RateServer::new(Bandwidth::unlimited());
         let f = s.reserve(secs(2.0), ByteSize::gib(10));
         assert_eq!(f, secs(2.0));
     }
@@ -124,14 +115,28 @@ mod tests {
         );
     }
 
+    /// The memo returns the very instants `start + transfer_time(size)`
+    /// gives, for full packets alternating with odd last-packet sizes.
     #[test]
-    fn set_rate_applies_to_future_reservations() {
-        let mut s = RateServer::new(Bandwidth::mbps(10.0));
-        s.reserve(SimInstant::ZERO, ByteSize::kib(64));
-        s.set_rate(Bandwidth::mbps(100.0));
-        let before = s.busy_until();
-        let f = s.reserve(SimInstant::ZERO, ByteSize::kib(64));
-        let dt = f.elapsed_since(before).as_secs_f64();
-        assert!((dt - 64.0 * 1024.0 * 8.0 / 100e6).abs() < 1e-9);
+    fn memoised_reservations_match_transfer_time_bit_for_bit() {
+        let sizes = [65_536, 65_536, 1_000, 65_536, 1, 65_536, 33_333, 0, 65_536];
+        for rate in [
+            Bandwidth::mbps(50.0),
+            Bandwidth::mbps(100.0),
+            Bandwidth::mbps(376.0),
+            Bandwidth::mib_per_sec(97.3),
+            Bandwidth::unlimited(),
+        ] {
+            let mut s = RateServer::new(rate);
+            let mut busy = SimInstant::ZERO;
+            for (i, &size) in sizes.iter().cycle().take(200).enumerate() {
+                // Arrivals sometimes after the server frees up, sometimes before.
+                let earliest = SimInstant(i as u64 * 7_000_000);
+                let size = ByteSize::bytes(size);
+                let want = busy.max(earliest) + rate.transfer_time(size);
+                assert_eq!(s.reserve(earliest, size), want, "{rate}, reservation {i}");
+                busy = want;
+            }
+        }
     }
 }
