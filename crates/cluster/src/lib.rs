@@ -17,7 +17,7 @@ pub mod workload;
 pub use mini::MiniCluster;
 pub use replay::{replay_file, replay_json, ReplayOutcome};
 pub use soak::{Budget, FaultEvent, FaultKind, FaultPlan, OpMix, SoakConfig, SoakReport, Trigger};
-pub use workload::{random_data, summarize, UploadSummary, UploadWorkload};
+pub use workload::{await_replicas, random_data, summarize, UploadSummary, UploadWorkload};
 
 // The JSON golden-file checker `smarth-core`'s tests use too.
 #[cfg(test)]

@@ -3,9 +3,10 @@
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use smarth_client::UploadReport;
+use smarth_client::{DfsClient, UploadReport};
 use smarth_core::config::WriteMode;
 use smarth_core::error::DfsResult;
+use std::time::{Duration, Instant};
 
 use crate::MiniCluster;
 
@@ -15,6 +16,27 @@ pub fn random_data(seed: u64, len: usize) -> Vec<u8> {
     let mut data = vec![0u8; len];
     rng.fill_bytes(&mut data);
     data
+}
+
+/// Waits, for at most `timeout`, until the namenode lists `replicas`
+/// locations for every block of `path`, and says whether it did. A
+/// replica behind its pipeline's head reports after its ack, so a put can
+/// return before the namenode lists it; the head is listed by then.
+pub fn await_replicas(
+    client: &DfsClient,
+    path: &str,
+    replicas: usize,
+    timeout: Duration,
+) -> DfsResult<bool> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let stream = client.open(path)?;
+        let listed = stream.block_layout().iter().all(|lb| lb.targets.len() >= replicas);
+        if listed || Instant::now() >= deadline {
+            return Ok(listed);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// A repeatable upload workload: `files` files of `file_size` bytes.

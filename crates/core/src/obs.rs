@@ -853,6 +853,10 @@ pub struct Metrics {
     /// unreachable or erroring). Lets `top` show a node that is alive
     /// but cut off from the namenode.
     pub heartbeat_failures: Counter,
+    /// Datanode `blockReceived` reports the namenode did not accept (no
+    /// answer, or an error). Replicas past the pipeline head report after
+    /// their ack, so nothing else would show a lost one.
+    pub block_report_failures: Counter,
     /// Allocations a stream gave back (`abandonBlock`) without opening a
     /// pipeline on them: a short pipeline, or a first target that died
     /// after placement.
@@ -937,6 +941,7 @@ impl Metrics {
             )
             .field("handler_panics", self.handler_panics.get())
             .field("heartbeat_failures", self.heartbeat_failures.get())
+            .field("block_report_failures", self.block_report_failures.get())
             .field("namenode_client_rpcs", self.namenode_client_rpcs.get())
             .build()
     }

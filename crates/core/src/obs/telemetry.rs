@@ -117,6 +117,11 @@ pub const DESCRIPTORS: &[MetricDesc] = &[
         read: |m| m.heartbeat_failures.get() as f64,
     },
     MetricDesc {
+        name: "block_report_failures",
+        kind: MetricKind::Counter,
+        read: |m| m.block_report_failures.get() as f64,
+    },
+    MetricDesc {
         name: "namenode_client_rpcs",
         kind: MetricKind::Counter,
         read: |m| m.namenode_client_rpcs.get() as f64,

@@ -21,6 +21,7 @@ mod tests {
     use smarth_core::checksum::ChunkedChecksum;
     use smarth_core::config::{DfsConfig, WriteMode};
     use smarth_core::ids::{BlockId, ClientId, ExtendedBlock, GenStamp, PipelineId, SpanId, TraceId};
+    use smarth_core::obs::Obs;
     use smarth_core::proto::{
         AckKind, DataOp, DataReply, DatanodeInfo, DatanodeRequest, DatanodeResponse, Packet,
         PipelineAck, WriteBlockHeader,
@@ -30,9 +31,21 @@ mod tests {
     use smarth_fabric::{Fabric, FabricConfig, FabricStream};
     use std::time::Duration;
 
+    /// How the fake namenode answers `BlockReceived`: at once with an
+    /// ack by default.
+    #[derive(Clone, Default)]
+    struct NnReplies {
+        /// Datanode ids whose reply waits `HOLD` first.
+        held: Vec<u32>,
+        /// Answer `Error` instead of the ack.
+        refuse: bool,
+    }
+
+    const HOLD: Duration = Duration::from_millis(600);
+
     /// Minimal namenode stand-in: answers registrations with sequential
-    /// ids and acks heartbeats / blockReceived.
-    fn spawn_fake_namenode(fabric: &Fabric, host: &str) {
+    /// ids and acks heartbeats / blockReceived as `replies` says.
+    fn spawn_fake_namenode(fabric: &Fabric, host: &str, replies: NnReplies) {
         fabric.add_host(host, "rack-nn", Bandwidth::unlimited());
         let listener = fabric.listen(&format!("{host}:8021")).unwrap();
         std::thread::spawn(move || {
@@ -40,6 +53,7 @@ mod tests {
             while let Ok(Some(mut s)) = listener.accept_timeout(Duration::from_secs(5)) {
                 let id = next_id;
                 next_id += 1;
+                let replies = replies.clone();
                 std::thread::spawn(move || {
                     while let Ok(req) = recv_message::<DatanodeRequest>(&mut s) {
                         let resp = match req {
@@ -47,8 +61,15 @@ mod tests {
                             id: smarth_core::ids::DatanodeId(id),
                         },
                         DatanodeRequest::Heartbeat { .. } => DatanodeResponse::HeartbeatAck,
-                            DatanodeRequest::BlockReceived { .. } => {
-                                DatanodeResponse::BlockReceivedAck
+                            DatanodeRequest::BlockReceived { id, .. } => {
+                                if replies.held.contains(&id.0) {
+                                    std::thread::sleep(HOLD);
+                                }
+                                if replies.refuse {
+                                    DatanodeResponse::Error("refused by test".into())
+                                } else {
+                                    DatanodeResponse::BlockReceivedAck
+                                }
                             }
                         };
                         if send_message(&mut s, &resp).is_err() {
@@ -64,6 +85,7 @@ mod tests {
         fabric: Fabric,
         datanodes: Vec<DataNode>,
         config: DfsConfig,
+        obs: Obs,
     }
 
     impl TestCluster {
@@ -72,24 +94,32 @@ mod tests {
         }
 
         fn with_config(n: usize, config: DfsConfig) -> Self {
+            Self::with_namenode(n, config, NnReplies::default())
+        }
+
+        /// `dn{i}` registers first of all and so gets datanode id `i`.
+        fn with_namenode(n: usize, config: DfsConfig, replies: NnReplies) -> Self {
             let fabric = Fabric::new(FabricConfig {
                 latency: Duration::ZERO,
                 socket_buffer: 64 * 1024,
                 chunk_size: 8 * 1024,
             });
-            spawn_fake_namenode(&fabric, "nn");
+            spawn_fake_namenode(&fabric, "nn", replies);
             fabric.add_host("client", "rack-a", Bandwidth::unlimited());
+            let obs = Obs::disabled();
             let datanodes = (0..n)
                 .map(|i| {
                     let host = format!("dn{i}");
                     fabric.add_host(&host, "rack-a", Bandwidth::unlimited());
-                    DataNode::start(&fabric, &host, "rack-a", "nn:8021", config.clone()).unwrap()
+                    let (cfg, obs) = (config.clone(), obs.clone());
+                    DataNode::start_with_obs(&fabric, &host, "rack-a", "nn:8021", cfg, obs).unwrap()
                 })
                 .collect();
             Self {
                 fabric,
                 datanodes,
                 config,
+                obs,
             }
         }
 
@@ -257,6 +287,56 @@ mod tests {
         assert_eq!(fnfa.kind, AckKind::FirstNodeFinish);
         assert!(fnfa.all_success());
         assert!(acks.iter().all(|a| a.all_success()));
+    }
+
+    /// Writes one single-packet block down a 3-node pipeline whose
+    /// namenode holds the `blockReceived` replies of `held` positions, and
+    /// returns how long the client waited for the last ack.
+    fn full_ack_wait_with_held_reports(held: &[u32]) -> Duration {
+        let replies = NnReplies {
+            held: held.to_vec(),
+            refuse: false,
+        };
+        let cluster = TestCluster::with_namenode(3, DfsConfig::test_scale(), replies);
+        let targets = [cluster.info(0), cluster.info(1), cluster.info(2)];
+        let block = ExtendedBlock::new(BlockId(12), GenStamp::INITIAL, 0);
+        let started = std::time::Instant::now();
+        let (acks, _) = write_block(&cluster, &targets, block, &[5u8; 4096], WriteMode::Hdfs);
+        let waited = started.elapsed();
+        assert!(acks.iter().all(|a| a.statuses.len() == 3 && a.all_success()));
+        waited
+    }
+
+    #[test]
+    fn replicas_behind_the_head_ack_before_they_report() {
+        let waited = full_ack_wait_with_held_reports(&[1, 2]);
+        assert!(waited < Duration::from_millis(250), "last ack waited {waited:?} for reports");
+    }
+
+    #[test]
+    fn the_head_reports_before_its_last_ack() {
+        let waited = full_ack_wait_with_held_reports(&[0]);
+        assert!(waited >= Duration::from_millis(400), "last ack left after {waited:?}");
+    }
+
+    #[test]
+    fn refused_reports_are_counted_and_the_block_still_acks() {
+        let replies = NnReplies {
+            held: vec![],
+            refuse: true,
+        };
+        let cluster = TestCluster::with_namenode(3, DfsConfig::test_scale(), replies);
+        let targets = [cluster.info(0), cluster.info(1), cluster.info(2)];
+        let block = ExtendedBlock::new(BlockId(13), GenStamp::INITIAL, 0);
+        let (acks, _) = write_block(&cluster, &targets, block, &[6u8; 4096], WriteMode::Smarth);
+        assert!(acks.iter().all(|a| a.all_success()));
+        // Positions 1 and 2 may still be reporting when the ack is in.
+        let failures = &cluster.obs.metrics().block_report_failures;
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while failures.get() < 3 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(failures.get(), 3, "one failed report per replica");
     }
 
     #[test]

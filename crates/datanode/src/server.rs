@@ -13,8 +13,10 @@
 //!   forwarder *first* and then fans the packet into the bounded staging
 //!   queue;
 //! * the **flusher** drains the staging queue: pays the disk token
-//!   bucket, appends to the [`BlockStore`], finalizes on the last packet
-//!   and signals the responder. The staging queue is sized from
+//!   bucket, appends to the [`BlockStore`], finalizes on the last packet,
+//!   signals the responder and reports `blockReceived` to the namenode —
+//!   before the signal at the pipeline head, after it everywhere else.
+//!   The staging queue is sized from
 //!   `DfsConfig::datanode_client_buffer` (§IV-C) and tracked by the
 //!   `datanode_buffered_bytes` / `datanode_staging_packets` gauges, so
 //!   a slow disk backpressures the socket only once the buffer is full;
@@ -192,10 +194,15 @@ impl DnInner {
         // Best effort: if the namenode is unreachable the replica is
         // still durable; the next block report would reconcile (and in
         // tests the namenode outliving datanodes makes this reliable).
-        let _ = self.nn.call(&DatanodeRequest::BlockReceived {
+        // Off the ack path nobody waits for the answer, so a lost report
+        // is counted.
+        let reply = self.nn.call(&DatanodeRequest::BlockReceived {
             id: self.id,
             block,
         });
+        if !matches!(reply, Ok(DatanodeResponse::BlockReceivedAck)) {
+            self.obs.metrics().block_report_failures.inc();
+        }
     }
 }
 
@@ -592,10 +599,10 @@ fn run_write_threads(
 
     // Flusher: drains the staging queue into the disk model and the
     // block store, finalizes on the last packet (emitting the FNFA from
-    // the first node in SMARTH mode) and signals the responder. A flush
-    // failure is reported upstream as an error ack so the client's
-    // recovery classifies it as a datanode error, exactly like the old
-    // serial path.
+    // the first node in SMARTH mode), signals the responder and reports
+    // the replica to the namenode. A flush failure is reported upstream
+    // as an error ack so the client's recovery classifies it as a
+    // datanode error, exactly like the old serial path.
     let flusher = {
         let node = Arc::clone(dn);
         let header = header.clone();
@@ -611,16 +618,30 @@ fn run_write_threads(
             for pkt in flush_rx.iter() {
                 let flushed = flush_packet(&node, &header, &up_write, &pkt);
                 metrics_drop(&pkt);
-                if let Err(e) = flushed {
+                let finalized = flushed.inspect_err(|_| {
                     let _ = send_ack(&up_write, &error_ack(pkt.seq));
                     // Unblock the receiver: drain whatever is staged.
                     for pkt in flush_rx.iter() {
                         metrics_drop(&pkt);
                     }
-                    return Err(e);
+                })?;
+                // The head reports before its last ack goes up, so every
+                // block of a returned put has a replica the namenode
+                // knows; the report overlaps the wait for the mirror's
+                // ack. Every other position acks first and reports
+                // after, off the ack path, as Hadoop's responder does.
+                let (report_first, report_after) = match header.position {
+                    0 => (finalized, None),
+                    _ => (None, finalized),
+                };
+                if let Some(replica) = report_first {
+                    node.notify_block_received(replica);
                 }
                 let last = pkt.last_in_block;
                 ack_tx.send((pkt.seq, last)).ok();
+                if let Some(replica) = report_after {
+                    node.notify_block_received(replica);
+                }
                 if last {
                     break;
                 }
@@ -808,14 +829,14 @@ fn run_write_threads(
 }
 
 /// One packet through the flush stage: disk tokens, store append and —
-/// on the last packet — finalize, FNFA (first node, SMARTH) and the
-/// namenode `blockReceived` notification.
+/// on the last packet — finalize and FNFA (first node, SMARTH). Returns
+/// the finalized replica, which the caller reports to the namenode.
 fn flush_packet(
     dn: &Arc<DnInner>,
     header: &WriteBlockHeader,
     up_write: &Mutex<WriteHalf>,
     pkt: &Packet,
-) -> DfsResult<()> {
+) -> DfsResult<Option<smarth_core::ids::ExtendedBlock>> {
     let block = header.block;
     // Disk time: modelled as bucket tokens (§III-D's T_w is the
     // per-packet constant; sustained rate is the disk bandwidth).
@@ -849,9 +870,9 @@ fn flush_packet(
             block: block.id,
             bytes: final_len,
         });
-        dn.notify_block_received(finalized);
+        return Ok(Some(finalized));
     }
-    Ok(())
+    Ok(None)
 }
 
 /// Serves a range of a finalized replica as packets of at most

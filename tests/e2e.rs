@@ -2,11 +2,12 @@
 //! datanodes + client over the fabric) exercised through the public
 //! facade, plus agreement checks between the two execution engines.
 
-use smarth::cluster::{random_data, summarize, MiniCluster, UploadWorkload};
+use smarth::cluster::{await_replicas, random_data, summarize, MiniCluster, UploadWorkload};
 use smarth::core::units::Bandwidth;
 use smarth::core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
 use smarth::sim::scenario::two_rack;
 use smarth::sim::simulate_upload;
+use std::time::Duration;
 
 fn fast_config() -> DfsConfig {
     let mut c = DfsConfig::test_scale();
@@ -168,6 +169,7 @@ fn overwrite_semantics() {
     // ...but overwrite replaces content, and the namenode lets go of the
     // old file's block as `delete` would.
     let old_block = client.open("/ow/x").unwrap().block_layout()[0].block.id;
+    assert!(await_replicas(&client, "/ow/x", 3, Duration::from_secs(10)).unwrap());
     assert_eq!(cluster.namenode_state().replica_count(old_block), 3);
     let second = random_data(2, 80_000);
     let mut s = client

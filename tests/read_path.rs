@@ -4,7 +4,7 @@
 //! reporting — including the namenode-error attribution when the
 //! report RPC itself fails.
 
-use smarth::cluster::{random_data, MiniCluster};
+use smarth::cluster::{await_replicas, random_data, MiniCluster};
 use smarth::core::obs::{Obs, ObsEvent, RecoveryCause, RingBufferSink};
 use smarth::core::trace::TraceAssembler;
 use smarth::core::units::Bandwidth;
@@ -13,7 +13,7 @@ use smarth::core::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The homogeneous paper cluster trimmed to `dns` datanodes — read
 /// tests want small replica sets with known holders, not all nine
@@ -62,6 +62,7 @@ fn striped_reads_return_written_bytes_with_full_admission() {
     let block = config.block_size.as_u64();
     let data = random_data(0xD1CE, 3 * block as usize + 10_001);
     client.put("/read/plain.bin", &data, WriteMode::Smarth).unwrap();
+    assert!(await_replicas(&client, "/read/plain.bin", 3, Duration::from_secs(10)).unwrap());
 
     assert_eq!(client.get("/read/plain.bin").unwrap(), data);
 
@@ -360,6 +361,7 @@ fn corrupt_replicas_are_reported_and_dropped_from_locations() {
     let client = cluster.client().unwrap();
     let data = random_data(0xC0, 180_000);
     client.put("/read/bitrot.bin", &data, WriteMode::Smarth).unwrap();
+    assert!(await_replicas(&client, "/read/bitrot.bin", 3, Duration::from_secs(10)).unwrap());
 
     let (block_id, bad) = {
         let stream = client.open("/read/bitrot.bin").unwrap();
@@ -436,6 +438,7 @@ fn failed_bad_replica_report_is_attributed_to_the_namenode() {
     let client = cluster.client().unwrap();
     let data = random_data(0xEE, 150_000);
     client.put("/read/orphan.bin", &data, WriteMode::Smarth).unwrap();
+    assert!(await_replicas(&client, "/read/orphan.bin", 3, Duration::from_secs(10)).unwrap());
 
     let stream = client.open("/read/orphan.bin").unwrap();
     let block_id = stream.block_layout()[0].block.id;

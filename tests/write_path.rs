@@ -2,9 +2,11 @@
 //! receive→flush staging queue and its `datanode_buffered_bytes`
 //! accounting under a disk that cannot keep up with the network.
 
-use smarth::cluster::{random_data, MiniCluster};
+use smarth::cluster::{await_replicas, random_data, MiniCluster};
+use smarth::core::obs::{Obs, ObsEvent, RingBufferSink};
 use smarth::core::units::{Bandwidth, ByteSize};
 use smarth::core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
+use std::time::Duration;
 
 fn small_spec(datanodes: usize) -> ClusterSpec {
     let mut spec = ClusterSpec::homogeneous(InstanceType::Large);
@@ -165,5 +167,57 @@ fn one_block_put_costs_two_namenode_round_trips_and_a_commit_in_hdfs_mode() {
     let before = rpcs();
     client.put("/wp/three.bin", &data, WriteMode::Hdfs).unwrap();
     assert_eq!(rpcs() - before, 3);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_returned_put_lists_its_pipeline_head_for_every_block() {
+    // Replicas behind the head report `blockReceived` after their ack;
+    // the head reports before its last ack. So when `put` returns, every
+    // block lists at least its pipeline's first datanode, and the rest
+    // follow shortly.
+    let sink = RingBufferSink::new(65_536);
+    let config = DfsConfig::test_scale();
+    let block = config.block_size.as_u64() as usize;
+    let cluster =
+        MiniCluster::start_with_obs(&small_spec(3), config, 41, Obs::new(sink.clone())).unwrap();
+    let client = cluster.client().unwrap();
+    let mut files = Vec::new();
+    for mode in [WriteMode::Hdfs, WriteMode::Smarth] {
+        for i in 0..100 {
+            files.push((format!("/raw/{}/{i}", mode.name()), 4096, mode));
+        }
+    }
+    files.push(("/raw/multi".to_string(), 3 * block + 5_000, WriteMode::Smarth));
+    for (i, (path, len, mode)) in files.iter().enumerate() {
+        sink.clear();
+        client.put(path, &random_data(i as u64, *len), *mode).unwrap();
+        let blocks = client.open(path).unwrap().block_layout().to_vec();
+        let heads: Vec<_> = sink
+            .snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                ObsEvent::PipelineOpened { block, targets } => Some((block, targets[0])),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(blocks.len(), heads.len(), "{path}: one pipeline per block");
+        for lb in &blocks {
+            let head = heads.iter().find(|(b, _)| *b == lb.block.id).map(|(_, h)| *h);
+            assert!(!lb.targets.is_empty(), "{path}: block {} has no location", lb.block.id);
+            assert!(
+                lb.targets.iter().any(|t| Some(t.id) == head),
+                "{path}: block {} lists {:?} without its head {head:?}",
+                lb.block.id,
+                lb.targets
+            );
+        }
+    }
+    for (path, ..) in &files {
+        assert!(
+            await_replicas(&client, path, 3, Duration::from_secs(10)).unwrap(),
+            "{path}: replicas never all reported"
+        );
+    }
     cluster.shutdown();
 }
