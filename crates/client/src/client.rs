@@ -177,7 +177,6 @@ impl DfsClient {
         Ok(DfsOutputStream::new(
             Arc::clone(&self.ctx),
             file_id,
-            path.to_string(),
             mode,
             replication as usize,
             first_block,

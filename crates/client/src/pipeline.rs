@@ -59,9 +59,6 @@ struct Shared {
     acked: AtomicU64,
     /// Sequence of the packet flagged `last_in_block`, or `NO_LAST`.
     last_seq: AtomicU64,
-    /// High-water mark of `offset_in_block + payload.len()` over the
-    /// packets sent, so `bytes_sent()` never touches the `sent` mutex.
-    bytes_sent: AtomicU64,
 }
 
 /// An open block-write pipeline.
@@ -119,7 +116,6 @@ impl Pipeline {
             sent: Mutex::new(Vec::new()),
             acked: AtomicU64::new(0),
             last_seq: AtomicU64::new(NO_LAST),
-            bytes_sent: AtomicU64::new(0),
         });
 
         let responder = {
@@ -128,34 +124,23 @@ impl Pipeline {
             std::thread::Builder::new()
                 .name(format!("pipe-{}-responder", id.raw()))
                 .spawn(move || {
+                    let send = |kind| {
+                        let _ = events.send(PipelineEvent { pipeline: id, kind });
+                    };
                     loop {
                         let ack: PipelineAck =
                             match smarth_core::wire::recv_message(&mut read) {
                                 Ok(a) => a,
                                 Err(_) => {
-                                    let _ = events.send(PipelineEvent {
-                                        pipeline: id,
-                                        kind: PipelineEventKind::Error { failed_index: None },
-                                    });
-                                    return;
+                                    return send(PipelineEventKind::Error { failed_index: None })
                                 }
                             };
                         match ack.kind {
-                            AckKind::FirstNodeFinish => {
-                                let _ = events.send(PipelineEvent {
-                                    pipeline: id,
-                                    kind: PipelineEventKind::FirstNodeFinish,
-                                });
-                            }
+                            AckKind::FirstNodeFinish => send(PipelineEventKind::FirstNodeFinish),
                             AckKind::Packet => {
                                 if let Some(idx) = ack.first_error() {
-                                    let _ = events.send(PipelineEvent {
-                                        pipeline: id,
-                                        kind: PipelineEventKind::Error {
-                                            failed_index: Some(idx),
-                                        },
-                                    });
-                                    return;
+                                    let failed_index = Some(idx);
+                                    return send(PipelineEventKind::Error { failed_index });
                                 }
                                 // Acks are cumulative: one frame may cover
                                 // a whole batch of consecutive packets
@@ -180,11 +165,7 @@ impl Pipeline {
                                 if shared.last_seq.load(Ordering::SeqCst) != NO_LAST {
                                     let total = shared.sent.lock().len() as u64;
                                     if acked >= total {
-                                        let _ = events.send(PipelineEvent {
-                                            pipeline: id,
-                                            kind: PipelineEventKind::FullyAcked,
-                                        });
-                                        return;
+                                        return send(PipelineEventKind::FullyAcked);
                                     }
                                 }
                             }
@@ -218,19 +199,10 @@ impl Pipeline {
         if pkt.last_in_block {
             self.shared.last_seq.store(pkt.seq, Ordering::SeqCst);
         }
-        self.shared
-            .bytes_sent
-            .fetch_max(pkt.offset_in_block + pkt.payload.len() as u64, Ordering::SeqCst);
         self.shared.sent.lock().push(pkt.clone());
         self.obs.metrics().packets_sent.inc();
         self.obs.metrics().packets_in_flight.inc();
         send_packet(&mut self.write, &pkt)
-    }
-
-    /// Bytes of the block sent so far (lock-free — the speed heartbeat
-    /// polls this while the writer thread is mid-send).
-    pub fn bytes_sent(&self) -> u64 {
-        self.shared.bytes_sent.load(Ordering::SeqCst)
     }
 
     /// Packets acked so far (in-order prefix).
@@ -248,10 +220,6 @@ impl Pipeline {
         self.targets.iter().map(|t| t.id).collect()
     }
 
-    pub fn first_datanode(&self) -> &DatanodeInfo {
-        &self.targets[0]
-    }
-
     /// Takes all retained packets — the recovery resend source
     /// (Algorithm 3 line 3: ACK queue back to data queue).
     pub fn take_retained_packets(&self) -> Vec<Packet> {
@@ -263,16 +231,10 @@ impl Pipeline {
         taken
     }
 
-    /// Shuts the pipeline down, joining the responder. Safe to call on
-    /// broken pipelines.
-    pub fn close(mut self) {
-        self.write.close_write();
-        if let Some(r) = self.responder.take() {
-            let _ = r.join();
-        }
-    }
 }
 
+/// Dropping a pipeline shuts it down, joining the responder; safe on
+/// broken pipelines.
 impl Drop for Pipeline {
     fn drop(&mut self) {
         self.write.close_write();
@@ -280,18 +242,6 @@ impl Drop for Pipeline {
             // The responder exits when the connection breaks/drains.
             let _ = r.join();
         }
-    }
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Pipeline({}, block={}, targets={:?})",
-            self.id,
-            self.block,
-            self.datanode_ids()
-        )
     }
 }
 
@@ -429,8 +379,6 @@ mod tests {
         assert!(kinds.contains(&PipelineEventKind::FirstNodeFinish));
         assert_eq!(kinds.last(), Some(&PipelineEventKind::FullyAcked));
         assert_eq!(p.packets_acked(), 4);
-        assert_eq!(p.bytes_sent(), 400);
-        p.close();
     }
 
     #[test]
@@ -472,7 +420,6 @@ mod tests {
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ev.kind, PipelineEventKind::FullyAcked);
         assert_eq!(p.packets_acked(), 5, "one frame, five packets covered");
-        p.close();
     }
 
     #[test]
@@ -490,7 +437,6 @@ mod tests {
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ev.kind, PipelineEventKind::FullyAcked);
         assert_eq!(p.packets_acked(), 3);
-        p.close();
     }
 
     #[test]
@@ -512,7 +458,6 @@ mod tests {
         }
         // Retained packets are available for recovery resend.
         assert_eq!(p.take_retained_packets().len(), 3);
-        p.close();
     }
 
     #[test]
@@ -524,22 +469,18 @@ mod tests {
             let _ = listener.accept();
         });
         let (tx, rx) = unbounded();
-        let p = open(&f, tx);
+        let _p = open(&f, tx);
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ev.kind, PipelineEventKind::Error { failed_index: None });
-        p.close();
     }
 
     #[test]
-    fn datanode_ids_and_first() {
+    fn datanode_ids_and_nothing_sent() {
         let f = fabric();
         spawn_acker(&f, "dn:1", false, None);
         let (tx, _rx) = unbounded();
         let p = open(&f, tx);
         assert_eq!(p.datanode_ids(), vec![DatanodeId(0)]);
-        assert_eq!(p.first_datanode().host_name, "dn");
         assert!(!p.finished_sending());
-        assert_eq!(p.bytes_sent(), 0);
-        p.close();
     }
 }

@@ -1184,23 +1184,18 @@ struct Shared {
 }
 
 impl Shared {
-    fn log_fault(
+    /// Applies one fault and logs it; `apply` says whether it took
+    /// effect (see [`stamp_then_apply`]).
+    fn apply_fault(
         &self,
         kind: &FaultKind,
         until_extra_ms: u64,
-        applied: bool,
         detail: String,
         victims: Vec<String>,
+        apply: impl FnOnce() -> bool,
     ) {
-        let at_ms = self.start.elapsed().as_millis() as u64;
-        self.fault_log.lock().push(AppliedFault {
-            at_ms,
-            until_ms: at_ms + until_extra_ms,
-            desc: detail,
-            applied,
-            victims,
-            class: kind.class(),
-        });
+        let fault = stamp_then_apply(self.start, kind, until_extra_ms, detail, victims, apply);
+        self.fault_log.lock().push(fault);
     }
 
     fn drop_links(&self, client_host: &str) {
@@ -1243,6 +1238,31 @@ impl Shared {
     }
 }
 
+/// Stamps a fault's `at_ms`, then applies it; `apply` says whether it
+/// took effect. The stamp comes first for every kind: a fault can surface
+/// a recovery before `apply` returns (the first of many links cut), and
+/// attribution needs the fault's window to open no later than its first
+/// effect.
+fn stamp_then_apply(
+    start: Instant,
+    kind: &FaultKind,
+    until_extra_ms: u64,
+    desc: String,
+    victims: Vec<String>,
+    apply: impl FnOnce() -> bool,
+) -> AppliedFault {
+    let at_ms = start.elapsed().as_millis() as u64;
+    let applied = apply();
+    AppliedFault {
+        at_ms,
+        until_ms: at_ms + until_extra_ms,
+        desc,
+        applied,
+        victims,
+        class: kind.class(),
+    }
+}
+
 struct Worker<'a> {
     shared: &'a Shared,
     cfg: &'a SoakConfig,
@@ -1265,34 +1285,28 @@ impl<'a> Worker<'a> {
     fn execute_cooperative(&mut self, kind: &FaultKind, stream: Option<&DfsOutputStream>) {
         match kind {
             FaultKind::DropOwnLinks => {
-                self.shared.drop_links(&self.host);
-                self.shared.log_fault(
-                    kind,
-                    0,
-                    true,
-                    format!("client{} dropped own links at byte {}", self.idx, self.total_bytes),
-                    Vec::new(),
-                );
+                let detail =
+                    format!("client{} dropped own links at byte {}", self.idx, self.total_bytes);
+                self.shared.apply_fault(kind, 0, detail, Vec::new(), || {
+                    self.shared.drop_links(&self.host);
+                    true
+                });
             }
             FaultKind::KillPipelineNodes { nodes } => {
                 let targets = stream
                     .map(|s| s.current_target_hosts())
                     .unwrap_or_default();
                 let victims: Vec<String> = targets.into_iter().take(*nodes).collect();
-                let applied = !victims.is_empty();
-                for host in &victims {
-                    let _ = self.shared.cluster.kill_datanode(host);
-                }
-                self.shared.log_fault(
-                    kind,
-                    0,
-                    applied,
-                    format!(
-                        "client{} killed {:?} at byte {}",
-                        self.idx, victims, self.total_bytes
-                    ),
-                    victims,
+                let detail = format!(
+                    "client{} killed {:?} at byte {}",
+                    self.idx, victims, self.total_bytes
                 );
+                self.shared.apply_fault(kind, 0, detail, victims.clone(), || {
+                    for host in &victims {
+                        let _ = self.shared.cluster.kill_datanode(host);
+                    }
+                    !victims.is_empty()
+                });
             }
             _ => unreachable!("validated: only cooperative kinds reach workers"),
         }
@@ -1507,57 +1521,53 @@ fn run_injector(shared: &Shared, mut actions: Vec<(u64, TimedAction)>) {
             TimedAction::Apply(kind) => {
                 match &kind {
                     FaultKind::DropClientLinks { client } => {
-                        shared.drop_links(&format!("client{client}"));
-                        shared.log_fault(&kind, 0, true, kind.describe(), Vec::new());
+                        shared.apply_fault(&kind, 0, kind.describe(), Vec::new(), || {
+                            shared.drop_links(&format!("client{client}"));
+                            true
+                        });
                     }
                     FaultKind::DatanodeStall { datanode, for_ms } => {
-                        let host = shared.dn_hosts[*datanode].clone();
-                        let ok = shared
-                            .cluster
-                            .throttle_host(&host, Some(Bandwidth::mbps(0.5)))
-                            .is_ok();
-                        shared.log_fault(&kind, *for_ms, ok, kind.describe(), vec![host]);
+                        let host = &shared.dn_hosts[*datanode];
+                        shared.apply_fault(&kind, *for_ms, kind.describe(), vec![host.clone()], || {
+                            shared.cluster.throttle_host(host, Some(Bandwidth::mbps(0.5))).is_ok()
+                        });
                     }
                     FaultKind::SlowNodeDip {
                         datanode,
                         mbps,
                         for_ms,
                     } => {
-                        let host = shared.dn_hosts[*datanode].clone();
-                        let ok = shared
-                            .cluster
-                            .throttle_host(&host, Some(Bandwidth::mbps(*mbps)))
-                            .is_ok();
-                        shared.log_fault(&kind, *for_ms, ok, kind.describe(), vec![host]);
+                        let host = &shared.dn_hosts[*datanode];
+                        shared.apply_fault(&kind, *for_ms, kind.describe(), vec![host.clone()], || {
+                            shared.cluster.throttle_host(host, Some(Bandwidth::mbps(*mbps))).is_ok()
+                        });
                     }
                     FaultKind::NamenodeStall { for_ms } => {
                         // Low enough that even small RPC replies blow the
                         // per-attempt read deadline (unlike datanode
                         // stalls, namenode traffic is a few hundred
                         // bytes, not 64 KiB packets).
-                        let ok = shared
-                            .cluster
-                            .throttle_host("namenode", Some(Bandwidth::mbps(0.01)))
-                            .is_ok();
                         // Victims stay empty: namenode faults hit every
                         // client's RPCs, so attribution is window+class.
-                        shared.log_fault(&kind, *for_ms, ok, kind.describe(), Vec::new());
+                        shared.apply_fault(&kind, *for_ms, kind.describe(), Vec::new(), || {
+                            shared.cluster.throttle_host("namenode", Some(Bandwidth::mbps(0.01))).is_ok()
+                        });
                     }
                     FaultKind::NamenodePartition { for_ms } => {
-                        shared.set_namenode_partition(true);
-                        shared.log_fault(&kind, *for_ms, true, kind.describe(), Vec::new());
+                        shared.apply_fault(&kind, *for_ms, kind.describe(), Vec::new(), || {
+                            shared.set_namenode_partition(true);
+                            true
+                        });
                     }
                     FaultKind::RackPartition { rack, for_ms } => {
-                        // Log BEFORE cutting: the first severed link can
-                        // surface a recovery while later pairs are still
-                        // being cut, and attribution needs the window to
-                        // open no later than the first effect. Victims
-                        // stay empty: the fault severs link *pairs* on
-                        // both sides of the boundary, so attribution is
-                        // window+class (Partition explains disconnects
-                        // and namenode errors).
-                        shared.log_fault(&kind, *for_ms, true, kind.describe(), Vec::new());
-                        shared.set_rack_partition(rack, true);
+                        // Victims stay empty: the fault severs link *pairs*
+                        // on both sides of the boundary, so attribution is
+                        // window+class (Partition explains disconnects and
+                        // namenode errors).
+                        shared.apply_fault(&kind, *for_ms, kind.describe(), Vec::new(), || {
+                            shared.set_rack_partition(rack, true);
+                            true
+                        });
                     }
                     _ => unreachable!("validated: cooperative kinds never reach injector"),
                 }
@@ -1852,6 +1862,34 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
 mod tests {
     use super::*;
     use crate::golden::Golden;
+
+    #[test]
+    fn every_fault_kind_is_stamped_before_it_is_applied() {
+        let start = Instant::now();
+        for kind in [
+            FaultKind::DropOwnLinks,
+            FaultKind::KillPipelineNodes { nodes: 2 },
+            FaultKind::DropClientLinks { client: 1 },
+            FaultKind::DatanodeStall { datanode: 0, for_ms: 700 },
+            FaultKind::SlowNodeDip { datanode: 0, mbps: 5.0, for_ms: 900 },
+            FaultKind::NamenodeStall { for_ms: 500 },
+            FaultKind::NamenodePartition { for_ms: 600 },
+            FaultKind::RackPartition { rack: "rack-b".into(), for_ms: 800 },
+        ] {
+            let mut applied_at = 0;
+            let fault = stamp_then_apply(start, &kind, 40, kind.describe(), Vec::new(), || {
+                applied_at = start.elapsed().as_millis() as u64;
+                // Applying takes time (many links to cut): into the next
+                // millisecond, so a stamp taken afterwards would show.
+                while start.elapsed().as_millis() as u64 == applied_at {
+                    std::hint::spin_loop();
+                }
+                true
+            });
+            assert!(fault.at_ms <= applied_at, "{kind:?} stamped at {} after applying at {applied_at}", fault.at_ms);
+            assert_eq!((fault.until_ms, fault.class), (fault.at_ms + 40, kind.class()));
+        }
+    }
 
     #[test]
     fn fault_plan_generation_is_deterministic() {

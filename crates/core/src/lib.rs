@@ -32,6 +32,7 @@ pub mod localopt;
 pub mod obs;
 pub mod placement;
 pub mod proto;
+pub mod recovery;
 pub mod shard;
 pub mod speed;
 pub mod topology;
