@@ -849,6 +849,9 @@ pub struct Metrics {
     /// responses (namenode conn threads + datanode xceivers). Any
     /// non-zero value indicates a server-side bug; CI soaks assert 0.
     pub handler_panics: Counter,
+    /// Namenode connections dropped unserved because no thread could be
+    /// started for them.
+    pub connections_dropped: Counter,
     /// Datanode→namenode heartbeats that failed to deliver (namenode
     /// unreachable or erroring). Lets `top` show a node that is alive
     /// but cut off from the namenode.
@@ -940,6 +943,7 @@ impl Metrics {
                 self.re_replications_scheduled.get(),
             )
             .field("handler_panics", self.handler_panics.get())
+            .field("connections_dropped", self.connections_dropped.get())
             .field("heartbeat_failures", self.heartbeat_failures.get())
             .field("block_report_failures", self.block_report_failures.get())
             .field("namenode_client_rpcs", self.namenode_client_rpcs.get())

@@ -8,16 +8,18 @@
 //! how a killed host eventually disappears from Algorithm 1's candidate
 //! pool.
 
+use crate::clock::Clock;
 use smarth_core::ids::DatanodeId;
 use smarth_core::proto::{DatanodeInfo, DatanodeTelemetry, NodeTelemetryRow};
 use smarth_core::topology::{NetworkTopology, TopologyNode};
+use smarth_core::units::SimDuration;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 struct DatanodeEntry {
     info: DatanodeInfo,
-    last_heartbeat: Instant,
+    /// µs on the manager's clock.
+    last_heartbeat: u64,
     used: u64,
     capacity: u64,
     active_transfers: u32,
@@ -34,17 +36,25 @@ pub struct DatanodeManager {
     entries: HashMap<DatanodeId, DatanodeEntry>,
     topology: NetworkTopology,
     next_id: u32,
-    expiry: Duration,
+    expiry_us: u64,
+    clock: Clock,
 }
 
 impl DatanodeManager {
-    pub fn new(expiry: Duration) -> Self {
+    pub fn new(expiry: SimDuration, clock: Clock) -> Self {
         Self {
             entries: HashMap::new(),
             topology: NetworkTopology::new(),
             next_id: 0,
-            expiry,
+            expiry_us: expiry.0 / 1_000,
+            clock,
         }
+    }
+
+    /// µs since `e`'s last heartbeat. A clock that moved back (a
+    /// simulation's next upload) reads as a fresh heartbeat.
+    fn silent_for(&self, e: &DatanodeEntry) -> u64 {
+        self.clock.now_us().saturating_sub(e.last_heartbeat)
     }
 
     /// Registers a datanode and returns its id. Re-registration of the
@@ -56,12 +66,13 @@ impl DatanodeManager {
         data_addr: &str,
         capacity: u64,
     ) -> DatanodeId {
+        let now = self.clock.now_us();
         if let Some((id, entry)) = self
             .entries
             .iter_mut()
             .find(|(_, e)| e.info.host_name == host_name)
         {
-            entry.last_heartbeat = Instant::now();
+            entry.last_heartbeat = now;
             entry.decommissioned = false;
             entry.info.rack = rack.to_string();
             entry.info.addr = data_addr.to_string();
@@ -84,7 +95,7 @@ impl DatanodeManager {
                     rack: rack.to_string(),
                     addr: data_addr.to_string(),
                 },
-                last_heartbeat: Instant::now(),
+                last_heartbeat: now,
                 used: 0,
                 capacity,
                 active_transfers: 0,
@@ -109,9 +120,10 @@ impl DatanodeManager {
         active_transfers: u32,
         telemetry: DatanodeTelemetry,
     ) -> bool {
+        let now = self.clock.now_us();
         match self.entries.get_mut(&id) {
             Some(e) if !e.decommissioned => {
-                e.last_heartbeat = Instant::now();
+                e.last_heartbeat = now;
                 e.used = used;
                 e.active_transfers = active_transfers;
                 e.telemetry = telemetry;
@@ -136,7 +148,7 @@ impl DatanodeManager {
                 capacity: e.capacity,
                 active_transfers: e.active_transfers,
                 telemetry: e.telemetry,
-                age_ms: e.last_heartbeat.elapsed().as_millis() as u64,
+                age_ms: self.silent_for(e) / 1_000,
             })
             .collect();
         rows.sort_unstable_by_key(|r| r.id);
@@ -144,7 +156,7 @@ impl DatanodeManager {
     }
 
     fn is_live(&self, e: &DatanodeEntry) -> bool {
-        !e.decommissioned && e.last_heartbeat.elapsed() < self.expiry
+        !e.decommissioned && self.silent_for(e) < self.expiry_us
     }
 
     /// Marks a node dead immediately (operator action / cluster fault
@@ -159,16 +171,15 @@ impl DatanodeManager {
     /// Sweeps expired nodes out of the topology; returns the ids that
     /// died since the last sweep. Call from the heartbeat monitor.
     pub fn expire_dead(&mut self) -> Vec<DatanodeId> {
-        let mut dead = Vec::new();
-        let expiry = self.expiry;
-        for (id, e) in self.entries.iter_mut() {
-            if !e.decommissioned && e.last_heartbeat.elapsed() >= expiry {
-                e.decommissioned = true;
-                dead.push(*id);
-            }
-        }
+        let mut dead: Vec<DatanodeId> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| !e.decommissioned && !self.is_live(e))
+            .map(|(id, _)| *id)
+            .collect();
+        dead.sort_unstable();
         for id in &dead {
-            self.topology.remove(*id);
+            self.decommission(*id);
         }
         dead
     }
@@ -183,10 +194,6 @@ impl DatanodeManager {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    pub fn alive_count(&self) -> usize {
-        self.entries.values().filter(|e| self.is_live(e)).count()
     }
 
     pub fn info(&self, id: DatanodeId) -> Option<DatanodeInfo> {
@@ -216,8 +223,9 @@ impl DatanodeManager {
 mod tests {
     use super::*;
 
+    /// A 100 ms expiry on a clock the test moves.
     fn mgr() -> DatanodeManager {
-        DatanodeManager::new(Duration::from_millis(100))
+        DatanodeManager::new(SimDuration::from_millis(100), Clock::manual())
     }
 
     #[test]
@@ -247,11 +255,16 @@ mod tests {
     fn heartbeat_keeps_node_alive() {
         let mut m = mgr();
         let a = m.register("dn0", "r", "dn0:1", 1);
-        for _ in 0..5 {
-            std::thread::sleep(Duration::from_millis(40));
+        for i in 1..=5 {
+            m.clock.set(i * 40_000);
             assert!(m.heartbeat(a, 10, 1, DatanodeTelemetry::default()));
             assert!(m.is_alive(a), "heartbeating node must stay alive");
         }
+        // The expiry is exclusive: alive 1 µs before it, dead at it.
+        m.clock.set(200_000 + 99_999);
+        assert!(m.is_alive(a));
+        m.clock.set(200_000 + 100_000);
+        assert!(!m.is_alive(a));
     }
 
     #[test]
@@ -259,10 +272,10 @@ mod tests {
         let mut m = mgr();
         let a = m.register("dn0", "r", "dn0:1", 1);
         let b = m.register("dn1", "r", "dn1:1", 1);
-        std::thread::sleep(Duration::from_millis(60));
+        m.clock.set(60_000);
         m.heartbeat(b, 0, 0, DatanodeTelemetry::default());
-        std::thread::sleep(Duration::from_millis(60));
-        // a has been silent ~120ms (> 100ms expiry); b only ~60ms.
+        m.clock.set(120_000);
+        // a has been silent 120 ms (> 100 ms expiry); b only 60 ms.
         assert!(!m.is_alive(a));
         assert!(m.is_alive(b));
         let dead = m.expire_dead();
@@ -272,6 +285,11 @@ mod tests {
         assert!(m.expire_dead().is_empty());
         // Expired nodes reject heartbeats until re-registering.
         assert!(!m.heartbeat(a, 0, 0, DatanodeTelemetry::default()));
+        // b's expiry is at 160 ms: alive at 159.999, swept at 160.
+        m.clock.set(159_999);
+        assert!(m.expire_dead().is_empty());
+        m.clock.set(160_000);
+        assert_eq!(m.expire_dead(), vec![b]);
     }
 
     #[test]
@@ -279,7 +297,7 @@ mod tests {
         let mut m = mgr();
         let a = m.register("dn0", "r", "dn0:1", 1);
         m.decommission(a);
-        assert_eq!(m.alive_count(), 0);
+        assert!(m.alive().is_empty());
         assert_eq!(m.topology().len(), 0);
         assert!(!m.heartbeat(a, 0, 0, DatanodeTelemetry::default()));
     }

@@ -10,11 +10,13 @@
 #![forbid(unsafe_code)]
 
 pub mod block_mgr;
+mod clock;
 pub mod datanode_mgr;
 pub mod namespace;
 pub mod server;
 
 pub use block_mgr::BlockManager;
+pub use clock::Clock;
 pub use datanode_mgr::DatanodeManager;
 pub use namespace::FsNamespace;
 pub use server::{ClusterReport, DatanodeReport, NameNode, NameNodeState};

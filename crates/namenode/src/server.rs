@@ -7,9 +7,10 @@
 //! for datanodes) and a heartbeat-expiry sweeper thread.
 
 use crate::block_mgr::BlockManager;
+use crate::clock::Clock;
 use crate::datanode_mgr::DatanodeManager;
 use crate::namespace::FsNamespace;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use smarth_core::config::{DfsConfig, WriteMode};
@@ -151,18 +152,25 @@ pub struct NameNodeState {
     trace_ids: IdGenerator,
     rng: Mutex<ChaCha8Rng>,
     obs: Obs,
+    /// Every time this namenode reads: liveness, speed ageing and the
+    /// stamps of the events it emits.
+    clock: Clock,
     /// Time-series over this namenode's metrics registry, ticked by the
     /// expiry sweeper and served over `ClientRequest::GetTelemetry`.
     sampler: Arc<Sampler>,
+    /// Fault injection: the thread name [`Self::spawn`] refuses.
+    #[cfg(test)]
+    refuse_spawn: Mutex<Option<&'static str>>,
 }
 
 impl NameNodeState {
     pub fn new(config: DfsConfig, seed: u64) -> Self {
-        Self::with_obs(config, seed, Obs::disabled())
+        Self::with_clock(config, seed, Obs::disabled(), Clock::wall())
     }
 
-    pub fn with_obs(config: DfsConfig, seed: u64, obs: Obs) -> Self {
-        let expiry = Duration::from_secs_f64(config.heartbeat_expiry().as_secs_f64());
+    /// A namenode that reports to `obs` and reads the time from `clock`.
+    pub fn with_clock(config: DfsConfig, seed: u64, obs: Obs, clock: Clock) -> Self {
+        let expiry = config.heartbeat_expiry();
         let speed_half_life = config.speed_half_life;
         let sampler = Sampler::new(obs.metrics().clone(), 1024);
         let shard_count = config.namenode_shards.max(1);
@@ -180,7 +188,7 @@ impl NameNodeState {
             shards,
             file_shards: RwLock::new(HashMap::new()),
             block_shards: RwLock::new(HashMap::new()),
-            datanodes: RwLock::new(DatanodeManager::new(expiry)),
+            datanodes: RwLock::new(DatanodeManager::new(expiry, clock.clone())),
             speeds: RwLock::new(NamenodeSpeedRegistry::with_half_life(speed_half_life)),
             clients: RwLock::new(HashMap::new()),
             panic_on_create_path: Mutex::new(None),
@@ -188,8 +196,34 @@ impl NameNodeState {
             trace_ids: IdGenerator::starting_at(1),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
             obs,
+            clock,
             sampler,
+            #[cfg(test)]
+            refuse_spawn: Mutex::new(None),
         }
+    }
+
+    /// Sends this namenode's events and metrics to `obs` from now on: a
+    /// simulation measures one upload of the several it runs.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.sampler = Sampler::new(obs.metrics().clone(), 1024);
+        self.obs = obs;
+    }
+
+    /// Restarts placement's random draws from `seed`. A simulation gives
+    /// every upload its own draws, so an upload places alike whatever
+    /// the uploads before it placed.
+    pub fn reseed(&self, seed: u64) {
+        *self.rng.lock() = ChaCha8Rng::seed_from_u64(seed);
+    }
+
+    /// The speed registry, aged to now: Algorithm 1 and the read order
+    /// always see decayed records, and fresh reports are not decayed by
+    /// time that passed before they arrived.
+    fn speeds(&self) -> RwLockWriteGuard<'_, NamenodeSpeedRegistry> {
+        let mut speeds = self.speeds.write();
+        speeds.age(self.clock.now_us());
+        speeds
     }
 
     /// The sampler behind `ClientRequest::GetTelemetry`.
@@ -293,10 +327,7 @@ impl NameNodeState {
 
         let dns = self.datanodes.read();
         let mut rng = self.rng.lock();
-        // Write lock: ageing the registry mutates it even on this
-        // read-mostly path.
-        let mut speeds = self.speeds.write();
-        speeds.age(Obs::now_us());
+        let speeds = self.speeds();
         let placement = place_block(
             mode,
             dns.topology(),
@@ -325,8 +356,9 @@ impl NameNodeState {
         // root span every downstream event hangs off.
         let trace = TraceId(self.trace_ids.allocate());
         let span = SpanId(self.trace_ids.allocate());
-        self.obs.emit_traced(
-            TraceCtx::new(trace, span),
+        self.clock.emit(
+            &self.obs,
+            Some(TraceCtx::new(trace, span)),
             placement.decision(client, block.id),
         );
         Ok(LocatedBlock {
@@ -395,18 +427,21 @@ impl NameNodeState {
     /// Handles one client RPC. Never panics on malformed input — every
     /// failure becomes `ClientResponse::Error`.
     pub fn handle_client_request(&self, req: ClientRequest) -> ClientResponse {
+        self.call(req)
+            .unwrap_or_else(|e| ClientResponse::Error(e.to_string()))
+    }
+
+    /// [`Self::handle_client_request`] with the error still typed: the
+    /// entry of a client in the same process.
+    pub fn call(&self, req: ClientRequest) -> DfsResult<ClientResponse> {
         self.obs.metrics().namenode_client_rpcs.inc();
-        if let ClientRequest::Idempotent {
-            client,
-            request_id,
-            inner,
-        } = req
-        {
-            return self.handle_idempotent(client, request_id, *inner);
-        }
-        match self.try_handle_client(req) {
-            Ok(resp) => resp,
-            Err(e) => ClientResponse::Error(e.to_string()),
+        match req {
+            ClientRequest::Idempotent {
+                client,
+                request_id,
+                inner,
+            } => Ok(self.handle_idempotent(client, request_id, *inner)),
+            req => self.try_handle_client(req),
         }
     }
 
@@ -556,18 +591,17 @@ impl NameNodeState {
                 Ok(ClientResponse::RecoveryStamp { new_gen })
             }
             ClientRequest::ReportSpeeds { client, records } => {
-                let mut speeds = self.speeds.write();
-                speeds.age(Obs::now_us());
-                speeds.ingest(client, &records);
-                drop(speeds);
+                self.speeds().ingest(client, &records);
                 self.obs
                     .metrics()
                     .speed_records_ingested
                     .add(records.len() as u64);
-                self.obs.emit(ObsEvent::SpeedReportIngested {
-                    client,
-                    records: records.len() as u64,
-                });
+                let records = records.len() as u64;
+                self.clock.emit(
+                    &self.obs,
+                    None,
+                    ObsEvent::SpeedReportIngested { client, records },
+                );
                 Ok(ClientResponse::SpeedsAck)
             }
             ClientRequest::GetFileInfo { path } => Ok(ClientResponse::FileInfo(
@@ -591,8 +625,7 @@ impl NameNodeState {
                 let bm = shard.blocks.lock();
                 drop(ns);
                 let dns = self.datanodes.read();
-                let mut speeds = self.speeds.write();
-                speeds.age(Obs::now_us());
+                let speeds = self.speeds();
                 let located = blocks
                     .into_iter()
                     .map(|b| {
@@ -625,18 +658,14 @@ impl NameNodeState {
                 // Sink the replica in this client's speed view so future
                 // orderings stop preferring the corrupt copy even before
                 // re-replication restores it elsewhere.
-                {
-                    let mut speeds = self.speeds.write();
-                    speeds.age(Obs::now_us());
-                    speeds.ingest(
-                        client,
-                        &[smarth_core::proto::SpeedRecord {
-                            datanode,
-                            bytes_per_sec: 1.0,
-                            samples: 1,
-                        }],
-                    );
-                }
+                self.speeds().ingest(
+                    client,
+                    &[smarth_core::proto::SpeedRecord {
+                        datanode,
+                        bytes_per_sec: 1.0,
+                        samples: 1,
+                    }],
+                );
                 self.obs.metrics().bad_replicas_reported.inc();
                 if removed && remaining < expected {
                     self.obs.metrics().re_replications_scheduled.inc();
@@ -828,6 +857,23 @@ impl NameNodeState {
         Ok(ClientResponse::Renamed)
     }
 
+    /// Starts one server thread. Running out of threads is an error for
+    /// the caller, never a panic.
+    fn spawn(
+        &self,
+        name: &'static str,
+        f: impl FnOnce() + Send + 'static,
+    ) -> DfsResult<JoinHandle<()>> {
+        #[cfg(test)]
+        if *self.refuse_spawn.lock() == Some(name) {
+            return Err(DfsError::internal(format!("spawn {name}: refused by test")));
+        }
+        std::thread::Builder::new()
+            .name(name.into())
+            .spawn(f)
+            .map_err(|e| DfsError::internal(format!("spawn {name}: {e}")))
+    }
+
     // --- inspection helpers used by cluster tooling and tests ---
 
     pub fn alive_datanodes(&self) -> Vec<DatanodeId> {
@@ -842,17 +888,13 @@ impl NameNodeState {
     }
 
     pub fn has_speed_records(&self, client: ClientId) -> bool {
-        let mut speeds = self.speeds.write();
-        speeds.age(Obs::now_us());
-        speeds.has_records_for(client)
+        self.speeds().has_records_for(client)
     }
 
     /// The effective (decayed) speed records currently held for `client`
     /// — what Algorithm 1 would consult right now.
     pub fn speed_records(&self, client: ClientId) -> Vec<(DatanodeId, f64)> {
-        let mut speeds = self.speeds.write();
-        speeds.age(Obs::now_us());
-        speeds.records_for(client)
+        self.speeds().records_for(client)
     }
 
     pub fn decommission(&self, dn: DatanodeId) {
@@ -900,57 +942,67 @@ impl NameNode {
         seed: u64,
         obs: Obs,
     ) -> DfsResult<Self> {
-        let state = Arc::new(NameNodeState::with_obs(config, seed, obs));
-        let stop = Arc::new(StopSignal::new());
+        let state = NameNodeState::with_clock(config, seed, obs, Clock::wall());
+        Self::serve(fabric, host, Arc::new(state))
+    }
+
+    /// Serves `state` on `host`. A thread that cannot be started stops
+    /// the ones already running and fails the start.
+    fn serve(fabric: &Fabric, host: &str, state: Arc<NameNodeState>) -> DfsResult<Self> {
         let client_listener = fabric.listen(&format!("{host}:{}", Self::CLIENT_PORT))?;
         let dn_listener = fabric.listen(&format!("{host}:{}", Self::DATANODE_PORT))?;
-
-        let mut threads = Vec::new();
-        threads.push(spawn_accept_loop(
-            "nn-client-accept",
-            client_listener,
-            Arc::clone(&state),
-            Arc::clone(&stop),
-            |state, req| state.handle_client_request(req),
-            ClientResponse::Error,
-        ));
-        threads.push(spawn_accept_loop(
-            "nn-datanode-accept",
-            dn_listener,
-            Arc::clone(&state),
-            Arc::clone(&stop),
-            |state, req| state.handle_datanode_request(req),
-            DatanodeResponse::Error,
-        ));
-
-        // Heartbeat expiry sweeper.
-        {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let interval =
-                Duration::from_secs_f64(state.config.heartbeat_interval.as_secs_f64()).max(
-                    Duration::from_millis(10),
-                );
-            threads.push(
-                std::thread::Builder::new()
-                    .name("nn-expiry".into())
-                    .spawn(move || {
-                        while !stop.wait_timeout(interval) {
-                            state.sampler.sample_at(Obs::now_us());
-                            state.expire_dead_datanodes();
-                        }
-                    })
-                    .expect("spawn sweeper"),
-            );
-        }
-
-        Ok(Self {
-            state,
+        let mut node = Self {
+            state: Arc::clone(&state),
             fabric: fabric.clone(),
             host: host.to_string(),
-            stop,
-            threads,
-        })
+            stop: Arc::new(StopSignal::new()),
+            threads: Vec::new(),
+        };
+        let stop = &node.stop;
+        let interval = Duration::from_secs_f64(state.config.heartbeat_interval.as_secs_f64())
+            .max(Duration::from_millis(10));
+        let sweeper = {
+            let (state, stop) = (Arc::clone(&state), Arc::clone(stop));
+            move || {
+                while !stop.wait_timeout(interval) {
+                    state.sampler.sample_at(state.clock.now_us());
+                    state.expire_dead_datanodes();
+                }
+            }
+        };
+        let started = [
+            spawn_accept_loop(
+                "nn-client-accept",
+                client_listener,
+                &state,
+                stop,
+                |state, req| state.handle_client_request(req),
+                ClientResponse::Error,
+            ),
+            spawn_accept_loop(
+                "nn-datanode-accept",
+                dn_listener,
+                &state,
+                stop,
+                |state, req| state.handle_datanode_request(req),
+                DatanodeResponse::Error,
+            ),
+            state.spawn("nn-expiry", sweeper),
+        ];
+        let mut failed = None;
+        for thread in started {
+            match thread {
+                Ok(t) => node.threads.push(t),
+                Err(e) => failed = failed.or(Some(e)),
+            }
+        }
+        match failed {
+            None => Ok(node),
+            Some(e) => {
+                node.shutdown();
+                Err(e)
+            }
+        }
     }
 
     pub fn state(&self) -> &Arc<NameNodeState> {
@@ -987,61 +1039,61 @@ impl NameNode {
 use smarth_core::error::panic_message;
 
 fn spawn_accept_loop<Req, Resp, F>(
-    name: &str,
+    name: &'static str,
     listener: Listener,
-    state: Arc<NameNodeState>,
-    stop: Arc<StopSignal>,
+    state: &Arc<NameNodeState>,
+    stop: &Arc<StopSignal>,
     handler: F,
     on_panic: fn(String) -> Resp,
-) -> JoinHandle<()>
+) -> DfsResult<JoinHandle<()>>
 where
     Req: smarth_core::wire::Wire + Send + 'static,
     Resp: smarth_core::wire::Wire + Send + 'static,
     F: Fn(&NameNodeState, Req) -> Resp + Send + Sync + Copy + 'static,
 {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            // `NameNode::stop` closes the listener, which ends the
-            // blocking accept (so does a fabric shutdown).
-            while let Ok(mut stream) = listener.accept() {
-                if stop.is_stopped() {
-                    break;
-                }
-                let state = Arc::clone(&state);
-                let conn_stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name("nn-conn".into())
-                    .spawn(move || {
-                        while !conn_stop.is_stopped() {
-                            let req: Req = match recv_message(&mut stream) {
-                                Ok(r) => r,
-                                Err(_) => break, // peer closed
-                            };
-                            // A buggy handler must cost one error
-                            // response, not the whole connection with
-                            // zero diagnostics.
-                            let resp = match std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| handler(&state, req)),
-                            ) {
-                                Ok(resp) => resp,
-                                Err(payload) => {
-                                    state.obs.metrics().handler_panics.inc();
-                                    on_panic(format!(
-                                        "internal error: handler panicked: {}",
-                                        panic_message(payload)
-                                    ))
-                                }
-                            };
-                            if send_message(&mut stream, &resp).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn conn handler");
+    let (state, stop) = (Arc::clone(state), Arc::clone(stop));
+    let accepting = Arc::clone(&state);
+    accepting.spawn(name, move || {
+        // `NameNode::stop` closes the listener, which ends the
+        // blocking accept (so does a fabric shutdown).
+        while let Ok(mut stream) = listener.accept() {
+            if stop.is_stopped() {
+                break;
             }
-        })
-        .expect("spawn accept loop")
+            let conn_state = Arc::clone(&state);
+            let conn_stop = Arc::clone(&stop);
+            let serve = move || {
+                while !conn_stop.is_stopped() {
+                    let req: Req = match recv_message(&mut stream) {
+                        Ok(r) => r,
+                        Err(_) => break, // peer closed
+                    };
+                    // A buggy handler must cost one error response,
+                    // not the whole connection with zero diagnostics.
+                    let resp = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        handler(&conn_state, req)
+                    })) {
+                        Ok(resp) => resp,
+                        Err(payload) => {
+                            conn_state.obs.metrics().handler_panics.inc();
+                            on_panic(format!(
+                                "internal error: handler panicked: {}",
+                                panic_message(payload)
+                            ))
+                        }
+                    };
+                    if send_message(&mut stream, &resp).is_err() {
+                        break;
+                    }
+                }
+            };
+            // Out of threads: this connection is dropped (its peer sees
+            // it close and retries) and the loop keeps accepting.
+            if state.spawn("nn-conn", serve).is_err() {
+                state.obs.metrics().connections_dropped.inc();
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1388,7 +1440,7 @@ mod tests {
     #[test]
     fn get_telemetry_serves_rows_exposition_and_series() {
         let (st, _dns) = state_with_datanodes(3);
-        st.sampler().sample_at(Obs::now_us());
+        st.sampler().sample_at(1);
         match st.handle_client_request(ClientRequest::GetTelemetry) {
             ClientResponse::Telemetry {
                 rows,
@@ -1806,6 +1858,68 @@ mod tests {
             ClientResponse::Error(_) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn fabric_with_host(host: &str) -> Fabric {
+        let fabric = Fabric::new(smarth_fabric::FabricConfig {
+            latency: Duration::ZERO,
+            socket_buffer: 64 * 1024,
+            chunk_size: 8 * 1024,
+        });
+        fabric.add_host(host, "rack-a", smarth_core::units::Bandwidth::unlimited());
+        fabric
+    }
+
+    /// A server thread that cannot start fails `start` with a typed
+    /// error, and the threads and listeners it had started go with it:
+    /// the same host serves again once threads are available.
+    #[test]
+    fn a_server_thread_that_cannot_start_fails_the_start() {
+        let fabric = fabric_with_host("nn");
+        for name in ["nn-client-accept", "nn-datanode-accept", "nn-expiry"] {
+            let state = Arc::new(NameNodeState::new(DfsConfig::test_scale(), 7));
+            *state.refuse_spawn.lock() = Some(name);
+            match NameNode::serve(&fabric, "nn", Arc::clone(&state)) {
+                Err(DfsError::Internal(msg)) => assert!(msg.contains(name), "{msg}"),
+                Err(other) => panic!("{name}: untyped failure {other:?}"),
+                Ok(_) => panic!("{name}: started without its thread"),
+            }
+            *state.refuse_spawn.lock() = None;
+            NameNode::serve(&fabric, "nn", state)
+                .expect("the host serves again")
+                .shutdown();
+        }
+        fabric.shutdown();
+    }
+
+    /// A connection the namenode has no thread for is dropped and
+    /// counted; the accept loop lives on and serves the next one.
+    #[test]
+    fn a_connection_without_a_thread_is_dropped_and_counted() {
+        let fabric = fabric_with_host("nn");
+        fabric.add_host(
+            "client",
+            "rack-a",
+            smarth_core::units::Bandwidth::unlimited(),
+        );
+        let state = Arc::new(NameNodeState::new(DfsConfig::test_scale(), 7));
+        let nn = NameNode::serve(&fabric, "nn", Arc::clone(&state)).unwrap();
+        let ask = || -> DfsResult<ClientResponse> {
+            let mut stream = fabric.connect("client", &nn.client_addr())?;
+            send_message(
+                &mut stream,
+                &ClientRequest::GetFileInfo { path: "/x".into() },
+            )?;
+            recv_message(&mut stream)
+        };
+        *state.refuse_spawn.lock() = Some("nn-conn");
+        assert!(ask().is_err(), "a dropped connection answers nothing");
+        assert_eq!(state.obs.metrics().connections_dropped.get(), 1);
+        *state.refuse_spawn.lock() = None;
+        assert_eq!(ask().unwrap(), ClientResponse::FileInfo(None));
+        assert_eq!(state.obs.metrics().connections_dropped.get(), 1);
+        nn.shutdown();
+        fabric.shutdown();
     }
 
     #[test]

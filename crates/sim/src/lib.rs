@@ -2,11 +2,11 @@
 //!
 //! Deterministic packet-level discrete-event simulator of the SMARTH and
 //! HDFS write protocols at full paper scale (8 GB files, 64 MB blocks,
-//! 64 KB packets, Mbps-class links). Policy code — placement Algorithms
-//! 1/2, speed tracking, configuration — is *shared* with the real
-//! implementation through `smarth-core`; only the execution substrate
-//! (virtual-time rate servers instead of threads and token buckets)
-//! differs. Every figure of §V is regenerated from [`scenario`] sweeps
+//! 64 KB packets, Mbps-class links). Algorithm 2, speed tracking and
+//! configuration are *shared* with the real implementation through
+//! `smarth-core`, and the namenode is the emulator's own, hosted in
+//! process on virtual time; only the execution substrate (virtual-time
+//! rate servers instead of threads and token buckets) differs. Every figure of §V is regenerated from [`scenario`] sweeps
 //! by the `smarth-bench` crate.
 
 #![forbid(unsafe_code)]
@@ -517,7 +517,7 @@ mod tests {
     /// The benchmark's six cases at 256 MiB, each read back: upload and
     /// read seconds, compared by `f64::to_bits` (each literal is the
     /// shortest decimal that parses to the recorded bits), recorded
-    /// before the event lanes replaced the single event heap. A change to
+    /// when placement moved onto the hosted namenode's RNG. A change to
     /// what the DES computes, or an event popped before one due earlier,
     /// moves these without regenerating the figures. The order of events
     /// due at one instant moves neither these nor any figure;
@@ -528,11 +528,11 @@ mod tests {
         let (mib, mbps) = (ByteSize::mib(256), Bandwidth::mbps);
         let golden = [
             ("two_rack", Hdfs, 21.552454028, 17.814643744),
-            ("two_rack", Smarth, 15.753723474, 19.471652706),
+            ("two_rack", Smarth, 18.644589517, 17.814643744),
             ("contention", Hdfs, 43.03328946, 20.74226122),
-            ("contention", Smarth, 15.056972589, 14.059931883),
+            ("contention", Smarth, 24.366542637, 13.5839825),
             ("heterogeneous", Hdfs, 9.997566864, 9.739721704),
-            ("heterogeneous", Smarth, 6.797009064, 8.329501312),
+            ("heterogeneous", Smarth, 8.914404864, 9.034611508),
         ];
         let bits = |(name, mode, up, read): (&'static str, WriteMode, f64, f64)| {
             (name, mode, f64::to_bits(up), f64::to_bits(read))

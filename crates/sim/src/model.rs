@@ -16,30 +16,32 @@
 //! memory follows the pipelines in flight, not the file.
 //!
 //! A run is steered by the knobs the emulator reads and no others: the
-//! scenario's [`WriteMode`] (FNFA pipelining and speed-aware placement)
-//! and its [`DfsConfig`]. The decisions both engines make are
-//! `smarth-core` calls both make: placement by mode
-//! ([`place_block`]), whether Algorithm 2 runs
-//! ([`DfsConfig::runs_local_opt`]), the §IV-C forward window
-//! ([`DfsConfig::forward_window`]), the read-source order
-//! ([`NamenodeSpeedRegistry::order_by_speed`]) and the read stripe count
-//! ([`DfsConfig::stripes_for`]). The pipeline-count gate, the wait for a
-//! full-width pipeline and the FNFA→`T_n` timing are still written here.
+//! scenario's [`WriteMode`] and its [`DfsConfig`]. The client sends its
+//! RPCs to the emulator's own namenode, hosted in process on virtual
+//! time, which mints the ids, places (Algorithm 1), keeps the speed
+//! registry and the replica map, and orders read sources. The client's
+//! decisions are the `smarth-core` calls the emulator's client makes:
+//! Algorithm 2, the keep rule for a short pipeline, the §IV-C forward
+//! window and the read stripe count. Only the FNFA→`T_n` timing of the
+//! next block's open is written here.
 
 use crate::queue::EventQueue;
 use crate::server::RateServer;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use smarth_core::config::{ClusterSpec, DfsConfig, HostRole, WriteMode};
-use smarth_core::ids::{BlockId, ClientId, DatanodeId, SpanId, TraceId};
+use smarth_core::config::{ClusterSpec, DfsConfig, WriteMode};
+use smarth_core::error::DfsResult;
+use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, FileId};
 use smarth_core::localopt::{local_optimize, LocalOptOutcome};
 use smarth_core::obs::telemetry::Sampler;
 use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
-use smarth_core::placement::{place_block, ClientLocality};
-use smarth_core::proto::DatanodeInfo;
-use smarth_core::speed::{ClientSpeedTracker, NamenodeSpeedRegistry};
-use smarth_core::topology::{NetworkTopology, TopologyNode};
+use smarth_core::proto::{
+    ClientRequest, ClientResponse, DatanodeRequest, DatanodeResponse, LocatedBlock,
+};
+use smarth_core::recovery::{self, Allocation};
+use smarth_core::speed::ClientSpeedTracker;
 use smarth_core::units::{Bandwidth, ByteSize, SimDuration, SimInstant};
+use smarth_namenode::{Clock, NameNodeState};
 use std::collections::BTreeMap;
 
 /// One upload experiment.
@@ -224,18 +226,14 @@ struct Hop {
 }
 
 struct Pipe {
-    targets: Vec<usize>,
     target_ids: Vec<DatanodeId>,
-    /// Real allocation id, minted like the namenode's block counter —
-    /// the same id the emulated cluster would hand this pipeline.
-    block: BlockId,
-    /// Causal context minted at allocation (virtual-time twin of the
-    /// namenode's trace minting).
-    ctx: TraceCtx,
+    /// The block the namenode allocated, at its full length, and its
+    /// causal context.
+    block: ExtendedBlock,
+    ctx: Option<TraceCtx>,
     packets: u64,
     packet_size: u64,
     last_packet_size: u64,
-    block_bytes: u64,
     first_global_pkt: u64,
     next_send: u64,
     waiting_credit: bool,
@@ -275,31 +273,28 @@ struct Sim {
     sending: Option<usize>,
     active_count: usize,
     next_block: u64,
-    /// Monotonic allocation counters, mirroring the namenode's block and
-    /// trace id generators (satisfies "real BlockIds in the simulator").
-    next_block_id: u64,
-    next_trace_id: u64,
     /// Virtual timestamp of the latest FNFA, consumed by the next
     /// allocation — the §III-A overlap latency, same as the real client.
     last_fnfa_vt: Option<u64>,
     total_blocks: u64,
     blocks_done: u64,
-    produced_packets_before: u64,
-    upload_start: SimInstant,
     finished_at: Option<SimInstant>,
-    // policy machinery (shared code with the real system)
-    topo: NetworkTopology,
-    registry: NamenodeSpeedRegistry,
+    /// The namenode the emulator runs, in process, on `clock`: it mints
+    /// ids, places, keeps the speed registry and the replica map.
+    nn: NameNodeState,
+    clock: Clock,
+    /// This round's file, and the first block that came with it.
+    path: String,
+    file: FileId,
+    first_block: Option<LocatedBlock>,
+    /// Algorithm 2's inputs: the client's speed records and its RNG.
     tracker: ClientSpeedTracker,
-    infos: Vec<DatanodeInfo>,
-    dn_hosts: Vec<usize>,
-    client_rack: String,
     rng: ChaCha8Rng,
-    last_speed_flush: SimInstant,
+    dn_hosts: Vec<usize>,
+    last_heartbeat: SimInstant,
     // measurement
     file_size: ByteSize,
     max_concurrent: usize,
-    first_node_histogram: BTreeMap<u32, u64>,
     explored_swaps: u64,
     // Same event stream as the real write path, stamped with virtual
     // time (warm-up rounds run with a disabled handle).
@@ -391,12 +386,9 @@ impl Sim {
             let size = p.pkt_size(k);
             // Packet production (T_c per packet, continuous since
             // upload start — §III-D's production model).
-            let global = p.first_global_pkt + k;
-            let prod_done = self.upload_start
-                + SimDuration::from_nanos(
-                    self.config.packet_production_cost.0 * (global - self.produced_packets_before + 1),
-                );
-            (k, size, prod_done, p.targets[0], k + 1 == p.packets)
+            let produced = p.first_global_pkt + k + 1;
+            let prod_done = SimInstant(self.config.packet_production_cost.0 * produced);
+            (k, size, prod_done, p.hops[0].host, k + 1 == p.packets)
         };
         if prod_done > self.now {
             self.schedule(prod_done, Ev::ClientSend { pipe });
@@ -517,7 +509,13 @@ impl Sim {
             let h = &mut self.pipes[pipe].hops[hop];
             h.queue_bytes = h.queue_bytes.saturating_sub(size);
         }
-        // Wake the upstream credit waiter now that buffer space freed.
+        self.wake_upstream(pipe, hop);
+    }
+
+    /// Wakes the sender upstream of `hop` if it stalled on this hop's
+    /// credit: the rescheduled handler rechecks both the forward-buffer
+    /// and the staging credits before it sends.
+    fn wake_upstream(&mut self, pipe: usize, hop: usize) {
         if hop == 0 {
             if self.pipes[pipe].waiting_credit {
                 self.pipes[pipe].waiting_credit = false;
@@ -538,32 +536,31 @@ impl Sim {
             h.stored[pkt as usize] = Some(self.now);
             h.disk_queue_bytes = h.disk_queue_bytes.saturating_sub(size);
         }
-        // Staging space freed — wake the upstream sender if it stalled
-        // on this hop's flush backlog. The rescheduled handler rechecks
-        // both the forward-buffer and staging credits before sending.
-        if hop == 0 {
-            if self.pipes[pipe].waiting_credit {
-                self.pipes[pipe].waiting_credit = false;
-                self.schedule_now(Ev::ClientSend { pipe });
-            }
-        } else if self.pipes[pipe].hops[hop - 1].waiting_credit {
-            self.pipes[pipe].hops[hop - 1].waiting_credit = false;
-            self.schedule_now(Ev::Forward { pipe, hop: hop - 1 });
-        }
+        // Staging space freed.
+        self.wake_upstream(pipe, hop);
         if is_last_pkt {
-            // The replica is fully on disk at this hop — the virtual twin
-            // of the emulator datanode's BlockReceived, so DES timelines
-            // carry the same per-hop residency spans the conformance
-            // differ joins on.
+            // The replica is fully on disk at this hop: the datanode
+            // reports it to the namenode, and the DES timelines carry the
+            // same per-hop residency spans the conformance differ joins on.
             let p = &self.pipes[pipe];
-            let (block, ctx, datanode, bytes) =
-                (p.block, p.ctx, p.target_ids[hop], p.block_bytes);
+            let (block, ctx, datanode, bytes) = (p.block, p.ctx, p.target_ids[hop], p.block.len);
+            self.clock.set(self.vtime_us());
+            let report = DatanodeRequest::BlockReceived {
+                id: datanode,
+                block,
+            };
+            let ack = self.nn.handle_datanode_request(report);
+            assert_eq!(
+                ack,
+                DatanodeResponse::BlockReceivedAck,
+                "{block:?} on {datanode}"
+            );
             self.obs.emit_virtual_traced(
                 self.vtime_us(),
                 ctx,
                 ObsEvent::BlockReceived {
                     datanode,
-                    block,
+                    block: block.id,
                     bytes,
                 },
             );
@@ -571,7 +568,7 @@ impl Sim {
         if hop == 0 && is_last_pkt && self.mode == WriteMode::Smarth {
             let at = self.now + self.latency;
             let p = &self.pipes[pipe];
-            let (block, ctx, datanode) = (p.block, p.ctx, p.target_ids[0]);
+            let (block, ctx, datanode) = (p.block.id, p.ctx, p.target_ids[0]);
             self.obs.emit_virtual_traced(
                 self.vtime_us(),
                 ctx,
@@ -625,21 +622,29 @@ impl Sim {
             self.obs
                 .metrics()
                 .bytes_written
-                .add(self.pipes[pipe].block_bytes);
+                .add(self.pipes[pipe].block.len);
             self.obs.metrics().concurrent_pipelines.dec();
-            let (block, ctx) = (self.pipes[pipe].block, self.pipes[pipe].ctx);
+            let p = &self.pipes[pipe];
+            let (block, ctx) = (p.block, p.ctx);
             self.obs.emit_virtual_traced(
                 self.vtime_us(),
                 ctx,
                 ObsEvent::PipelineClosed {
-                    block,
+                    block: block.id,
                     committed: true,
                 },
             );
+            // The commit is charged no time: the emulator's client sends
+            // it on the next `addBlock` or on `complete`.
+            let (client, file_id) = (CLIENT, self.file);
             if self.blocks_done == self.total_blocks {
-                // complete() RPC.
+                let last = Some(block);
+                self.call(ClientRequest::Complete { client, file_id, last })
+                    .expect("the namenode completes a written file");
                 self.finished_at = Some(self.now + self.config.namenode_rpc_cost);
             } else {
+                self.call(ClientRequest::CommitBlock { client, file_id, block })
+                    .expect("the namenode commits a written block");
                 self.schedule_now(Ev::TryOpen);
             }
         }
@@ -651,7 +656,7 @@ impl Sim {
             let p = &self.pipes[pipe];
             (
                 p.target_ids[0],
-                p.block_bytes,
+                p.block.len,
                 self.now.elapsed_since(p.started),
             )
         };
@@ -661,7 +666,7 @@ impl Sim {
             self.pipes[pipe].fnfa_at = Some(self.now);
             self.last_fnfa_vt = Some(self.vtime_us());
             self.obs.metrics().fnfa_received.inc();
-            let (block, ctx) = (self.pipes[pipe].block, self.pipes[pipe].ctx);
+            let (block, ctx) = (self.pipes[pipe].block.id, self.pipes[pipe].ctx);
             self.obs.emit_virtual_traced(
                 self.vtime_us(),
                 ctx,
@@ -677,84 +682,104 @@ impl Sim {
         }
     }
 
-    fn flush_speeds_if_due(&mut self) {
-        // Decay records up to the current virtual instant; called before
-        // every placement so Algorithm 1 always reads aged speeds.
-        self.registry.age(self.vtime_us());
-        let elapsed = self.now.elapsed_since(self.last_speed_flush);
-        if elapsed >= self.config.heartbeat_interval {
-            let records = self.tracker.drain_report();
-            if !records.is_empty() {
-                self.obs
-                    .metrics()
-                    .speed_records_ingested
-                    .add(records.len() as u64);
-                self.obs.emit_virtual(
-                    self.vtime_us(),
-                    ObsEvent::SpeedReportIngested {
-                        client: CLIENT,
-                        records: records.len() as u64,
-                    },
-                );
-                self.registry.ingest(CLIENT, &records);
-            }
-            self.last_speed_flush = self.now;
+    /// One client RPC to the hosted namenode, at the current instant.
+    fn call(&self, req: ClientRequest) -> DfsResult<ClientResponse> {
+        self.clock.set(self.vtime_us());
+        self.nn.call(req)
+    }
+
+    /// The heartbeats of §III-B: every datanode's, and the client's
+    /// speed report.
+    fn heartbeat(&mut self) {
+        self.clock.set(self.vtime_us());
+        for id in (0..self.dn_hosts.len() as u32).map(DatanodeId) {
+            let telemetry = Default::default();
+            let beat = DatanodeRequest::Heartbeat {
+                id,
+                used: 0,
+                active_transfers: 0,
+                telemetry,
+            };
+            let ack = self.nn.handle_datanode_request(beat);
+            assert_eq!(ack, DatanodeResponse::HeartbeatAck, "{id} is registered");
         }
+        let records = self.tracker.drain_report();
+        if !records.is_empty() {
+            let req = ClientRequest::ReportSpeeds {
+                client: CLIENT,
+                records,
+            };
+            self.call(req).expect("the namenode takes speed reports");
+        }
+        self.last_heartbeat = self.now;
+    }
+
+    /// The next block's allocation. The first came with `create`; the
+    /// rest come from `addBlock`, which excludes this client's busy
+    /// datanodes (§IV-C).
+    fn allocate(&mut self) -> DfsResult<LocatedBlock> {
+        if let Some(first) = self.first_block.take() {
+            return Ok(first);
+        }
+        let excluded = self
+            .pipes
+            .iter()
+            .filter(|p| p.active)
+            .flat_map(|p| p.target_ids.iter().copied())
+            .collect();
+        let req = ClientRequest::AddBlock {
+            client: CLIENT,
+            file_id: self.file,
+            previous: None,
+            excluded,
+        };
+        self.call(req).map(|resp| match resp {
+            ClientResponse::BlockAllocated(located) => located,
+            other => unreachable!("addBlock answered {other:?}"),
+        })
     }
 
     fn on_try_open(&mut self) {
         if self.sending.is_some() || self.next_block >= self.total_blocks {
             return;
         }
-        if self.mode == WriteMode::Smarth {
-            let max = self.config.max_pipelines(self.dn_hosts.len());
-            if self.active_count >= max {
+        // The ablation cap, as the emulator's client applies it. Without
+        // it the busy set alone limits the pipelines (§IV-C).
+        if self
+            .config
+            .max_pipelines_override
+            .is_some_and(|cap| self.active_count >= cap.max(1))
+        {
+            return; // a completion event will retry
+        }
+        if self.now.elapsed_since(self.last_heartbeat) >= self.config.heartbeat_interval {
+            self.heartbeat();
+        }
+        let draining = self.active_count > 0;
+        let located = match recovery::allocation(self.allocate(), self.config.replication, draining)
+        {
+            Allocation::Use(located) => located,
+            Allocation::GiveBack(block) => {
+                self.obs.metrics().allocations_abandoned.inc();
+                let abandon = ClientRequest::AbandonBlock {
+                    client: CLIENT,
+                    file_id: self.file,
+                    block,
+                };
+                self.call(abandon)
+                    .expect("the namenode takes back an unused block");
                 return; // a completion event will retry
             }
-        } else if self.active_count > 0 {
-            return; // stop-and-wait
-        }
-        self.flush_speeds_if_due();
-
-        // Busy set: §IV-C — one pipeline per datanode per client.
-        let busy: Vec<DatanodeId> = self
-            .pipes
-            .iter()
-            .filter(|p| p.active)
-            .flat_map(|p| p.target_ids.iter().copied())
-            .collect();
-        let locality = ClientLocality {
-            client: CLIENT,
-            rack: self.client_rack.clone(),
-            local_datanode: None,
+            Allocation::Wait => return,
+            Allocation::Failed(e) => panic!("the namenode refused a block: {e}"),
         };
-        let replication = self.config.replication;
-        let Ok(placement) = place_block(
-            self.mode,
-            &self.topo,
-            &self.registry,
-            &mut self.rng,
-            &locality,
-            replication,
-            self.dn_hosts.len(),
-            &busy,
-        ) else {
-            return; // all nodes busy; retry on next completion
-        };
-        if placement.targets.len() < replication && self.active_count > 0 {
-            // Short pipeline caused by our own busy set (§IV-C): wait
-            // for a pipeline to drain instead of under-replicating.
-            return;
-        }
-        let mut target_infos: Vec<DatanodeInfo> = placement
-            .targets
-            .iter()
-            .map(|id| self.infos[id.raw() as usize].clone())
-            .collect();
+        let (block, ctx) = (located.block, located.trace_ctx());
+        let placed: Vec<DatanodeId> = located.targets.iter().map(|t| t.id).collect();
+        let mut targets = located.targets;
         let mut explored_swap = None;
         if self.config.runs_local_opt(self.mode) {
             if let LocalOptOutcome::Explored { swapped_index } = local_optimize(
-                &mut target_infos,
+                &mut targets,
                 &self.tracker,
                 self.config.local_opt_threshold,
                 &mut self.rng,
@@ -763,7 +788,7 @@ impl Sim {
                 explored_swap = Some(swapped_index);
             }
         }
-        let final_ids: Vec<DatanodeId> = target_infos.iter().map(|t| t.id).collect();
+        let final_ids: Vec<DatanodeId> = targets.iter().map(|t| t.id).collect();
         let hosts: Vec<usize> = final_ids
             .iter()
             .map(|id| self.dn_hosts[id.raw() as usize])
@@ -796,31 +821,19 @@ impl Sim {
             })
             .collect();
 
-        // Namenode RPC (T_n) before the first packet can leave. The
-        // block id and causal trace are minted here, exactly where the
-        // real namenode would mint them.
+        // Namenode RPC (T_n) before the first packet can leave.
         let start = self.now + self.config.namenode_rpc_cost;
         let pipe_idx = self.pipes.len();
-        let block = BlockId(self.next_block_id);
-        self.next_block_id += 1;
-        let ctx = TraceCtx::new(
-            TraceId(self.next_trace_id),
-            SpanId(self.next_trace_id + 1),
-        );
-        self.next_trace_id += 2;
-        *self
-            .first_node_histogram
-            .entry(final_ids[0].raw())
-            .or_insert(0) += 1;
         self.pipes.push(Pipe {
-            targets: hosts,
-            target_ids: final_ids,
-            block,
+            target_ids: final_ids.clone(),
+            block: ExtendedBlock {
+                len: block_bytes,
+                ..block
+            },
             ctx,
             packets,
             packet_size,
             last_packet_size,
-            block_bytes,
             first_global_pkt: block_index * ppb,
             next_send: 0,
             waiting_credit: false,
@@ -840,19 +853,14 @@ impl Sim {
                 .fnfa_to_allocation_us
                 .observe(at.saturating_sub(fnfa_at));
         }
-        if self.mode == WriteMode::Smarth {
-            self.obs.metrics().speed_aware_placements.inc();
-        }
-        self.obs
-            .emit_virtual_traced(at, ctx, placement.decision(CLIENT, block));
-        let final_ids = self.pipes[pipe_idx].target_ids.clone();
+        let block = block.id;
         self.obs.emit_virtual_traced(
             at,
             ctx,
             ObsEvent::BlockAllocated {
                 client: CLIENT,
                 block,
-                targets: final_ids.clone(),
+                targets: placed,
             },
         );
         if let Some(swapped_index) = explored_swap {
@@ -928,27 +936,29 @@ impl Sim {
     }
 
     /// Virtual-time twin of `DfsInputStream::read_all`: after the upload
-    /// commits, the client fetches every block back as `stripes_for`
-    /// range stripes (the rule the emulator calls too), sources ordered
-    /// fastest-first by the registry exactly like the namenode orders
-    /// `GetBlockLocations`. Stripes within a block run concurrently on
-    /// the modeled NICs (source disk → source egress → client ingress);
-    /// blocks are consumed in order, like the emulator's in-order window
-    /// join. Returns when the last stripe lands.
+    /// commits, the client asks the namenode for the file's blocks, their
+    /// replicas ordered fastest-first for this client, and fetches every
+    /// block back as `stripes_for` range stripes (the rule the emulator
+    /// calls too). Stripes within a block run concurrently on the modeled
+    /// NICs (source disk → source egress → client ingress); blocks are
+    /// consumed in order, like the emulator's in-order window join.
+    /// Returns when the last stripe lands.
     fn run_read_phase(&mut self) -> SimInstant {
-        // One locations RPC before the first byte.
-        let mut t = self
+        self.now = self
             .finished_at
-            .expect("read phase follows a completed upload")
-            + self.config.namenode_rpc_cost;
-        for pipe in 0..self.pipes.len() {
-            let (block, bytes, mut sources) = {
-                let p = &self.pipes[pipe];
-                (p.block, p.block_bytes, p.target_ids.clone())
-            };
-            // Fastest-first, unknown-speed sources last in pipeline
-            // order: the namenode's `GetBlockLocations` order.
-            self.registry.order_by_speed(CLIENT, &mut sources);
+            .expect("read phase follows a completed upload");
+        let open = ClientRequest::GetBlockLocations {
+            client: CLIENT,
+            path: self.path.clone(),
+        };
+        let Ok(ClientResponse::BlockLocations { blocks, .. }) = self.call(open) else {
+            panic!("the namenode locates a complete file");
+        };
+        // One locations RPC before the first byte.
+        let mut t = self.now + self.config.namenode_rpc_cost;
+        for located in blocks {
+            let (block, bytes) = (located.block.id, located.block.len);
+            let sources: Vec<DatanodeId> = located.targets.iter().map(|d| d.id).collect();
             let stripes = self.config.stripes_for(sources.len(), bytes);
             self.obs.emit_virtual(
                 t.0 / 1_000,
@@ -970,8 +980,8 @@ impl Sim {
                 if len == 0 {
                     continue;
                 }
-                // target_ids index datanode_specs directly (minted as
-                // DatanodeId(spec index)), so raw() keys dn_hosts.
+                // Datanodes registered in spec order, so raw() keys
+                // dn_hosts.
                 let host = self.dn_hosts[src.raw() as usize];
                 let off_disk = self.hosts[host].disk.reserve(t, ByteSize::bytes(len));
                 let (_egress_free, _chain_done, arrival) =
@@ -1046,13 +1056,19 @@ fn simulate_upload_inner(
                 .as_secs_f64(),
         })
         .collect();
+    let mut first_node_histogram = BTreeMap::new();
+    for p in &sim.pipes {
+        *first_node_histogram
+            .entry(p.target_ids[0].raw())
+            .or_insert(0) += 1;
+    }
     SimResult {
         upload_secs: secs,
         file_bytes: scenario.file_size.as_u64(),
         blocks: sim.total_blocks,
         throughput_mbps: scenario.file_size.as_f64() * 8.0 / 1e6 / secs,
         max_concurrent_pipelines: sim.max_concurrent,
-        first_node_histogram: sim.first_node_histogram,
+        first_node_histogram,
         explored_swaps: sim.explored_swaps,
         timeline,
         read_secs,
@@ -1079,75 +1095,104 @@ fn run_rounds(
         "scenario too large for the simulator's event encoding"
     );
 
-    // Build the static cluster view once; speed state persists across
-    // warm-up uploads like a long-lived client session.
-    let mut topo = NetworkTopology::new();
-    let mut infos = Vec::new();
-    let datanode_specs: Vec<_> = scenario.spec.datanodes().cloned().collect();
-    for (i, h) in datanode_specs.iter().enumerate() {
-        let id = DatanodeId(i as u32);
-        topo.add(TopologyNode {
-            id,
-            rack: h.rack.clone(),
+    // One namenode and one client live across the rounds, so speed
+    // records and ids carry over like a long-running cluster's.
+    let clock = Clock::manual();
+    let mut nn = NameNodeState::with_clock(
+        config.clone(),
+        scenario.seed,
+        Obs::disabled(),
+        clock.clone(),
+    );
+    let specs = &scenario.spec.hosts;
+    let host_index = |name: &str| {
+        specs
+            .iter()
+            .position(|h| h.name == name)
+            .expect("host in spec")
+    };
+    let mut dn_hosts = Vec::new();
+    for h in scenario.spec.datanodes() {
+        let register = DatanodeRequest::Register {
             host_name: h.name.clone(),
-        });
-        infos.push(DatanodeInfo {
-            id,
-            host_name: h.name.clone(),
             rack: h.rack.clone(),
-            addr: format!("{}:50010", h.name),
-        });
+            data_addr: format!("{}:50010", h.name),
+            capacity: u64::MAX,
+        };
+        let registered = nn.handle_datanode_request(register);
+        let id = DatanodeId(dn_hosts.len() as u32);
+        assert_eq!(
+            registered,
+            DatanodeResponse::Registered { id },
+            "datanodes register in spec order"
+        );
+        dn_hosts.push(host_index(&h.name));
     }
-
-    let mut registry = NamenodeSpeedRegistry::with_half_life(scenario.config.speed_half_life);
-    let mut tracker = ClientSpeedTracker::new(scenario.config.speed_ewma_alpha);
-    let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed);
+    let client = scenario.spec.client_host();
+    let register = ClientRequest::Register {
+        host_name: client.name.clone(),
+        rack: client.rack.clone(),
+    };
+    let registered = nn.call(register);
+    assert_eq!(
+        registered,
+        Ok(ClientResponse::Registered { client: CLIENT })
+    );
+    let client_host = host_index(&client.name);
+    let mut tracker = ClientSpeedTracker::new(config.speed_ewma_alpha);
+    let mut seeds = ChaCha8Rng::seed_from_u64(scenario.seed);
     // The queue is empty between uploads and keeps its buffers.
     let mut queue = EventQueue::default();
 
     for round in 0..=scenario.warmup_uploads {
         let measured = round == scenario.warmup_uploads;
-        // Host servers are rebuilt per upload (links idle between runs);
-        // registry/tracker persist (that is the warm-up's purpose).
-        let mut hosts = Vec::new();
-        let mut client_host = usize::MAX;
-        let mut dn_hosts = vec![usize::MAX; datanode_specs.len()];
-        let mut client_rack = String::new();
-        let specs = &scenario.spec.hosts;
-        for h in specs {
-            let nic = match h.nic_throttle {
-                Some(t) => h.instance.network_bandwidth().min(t),
-                None => h.instance.network_bandwidth(),
-            };
-            let idx = hosts.len();
-            let rack = specs.iter().position(|o| o.rack == h.rack);
-            hosts.push(Host {
-                egress: RateServer::new(nic),
-                ingress: RateServer::new(nic),
-                disk: RateServer::new(h.effective_disk(scenario.config.disk_bandwidth)),
-                rack: rack.expect("h is in specs"),
-            });
-            match h.role {
-                HostRole::Client => {
-                    client_host = idx;
-                    client_rack = h.rack.clone();
-                }
-                HostRole::DataNode => {
-                    let dn_index = datanode_specs
+        // Host servers are rebuilt per upload (links idle between runs).
+        let hosts: Vec<Host> = specs
+            .iter()
+            .map(|h| {
+                let nic = match h.nic_throttle {
+                    Some(t) => h.instance.network_bandwidth().min(t),
+                    None => h.instance.network_bandwidth(),
+                };
+                Host {
+                    egress: RateServer::new(nic),
+                    ingress: RateServer::new(nic),
+                    disk: RateServer::new(h.effective_disk(config.disk_bandwidth)),
+                    rack: specs
                         .iter()
-                        .position(|d| d.name == h.name)
-                        .expect("datanode spec");
-                    dn_hosts[dn_index] = idx;
+                        .position(|o| o.rack == h.rack)
+                        .expect("h is in specs"),
                 }
-                HostRole::NameNode => {}
-            }
-        }
-        assert!(client_host != usize::MAX, "spec has no client host");
-
-        let total_blocks = scenario
-            .file_size
-            .div_ceil(scenario.config.block_size)
-            .max(1);
+            })
+            .collect();
+        let total_blocks = scenario.file_size.div_ceil(config.block_size).max(1);
+        let round_obs = if measured {
+            obs.clone()
+        } else {
+            Obs::disabled()
+        };
+        nn.set_obs(round_obs.clone());
+        // Every upload draws from a seed of its own, so its draws do not
+        // depend on the file sizes of the uploads before it. Placement
+        // draws from the namenode's RNG and Algorithm 2 from the
+        // client's, seeded as `MiniCluster` seeds its namenode and
+        // clients.
+        let seed = seeds.next_u64();
+        nn.reseed(seed);
+        // `create` brings the first block, as on the emulator.
+        clock.set(0);
+        let path = format!("/sim/upload-{round}");
+        let create = ClientRequest::CreateWithBlock {
+            client: CLIENT,
+            path: path.clone(),
+            replication: config.replication as u32,
+            block_size: config.block_size.as_u64(),
+            overwrite: false,
+            mode: scenario.mode,
+        };
+        let Ok(ClientResponse::CreatedWithBlock { file_id, first }) = nn.call(create) else {
+            panic!("the namenode refused to create {path}");
+        };
         let mut sim = Sim {
             now: SimInstant::ZERO,
             queue: std::mem::take(&mut queue),
@@ -1157,36 +1202,28 @@ fn run_rounds(
             cross_rack: scenario.spec.cross_rack_throttle,
             latency: scenario.spec.link_latency,
             mode: scenario.mode,
-            config: scenario.config.clone(),
+            config: config.clone(),
             pipes: Vec::new(),
             sending: None,
             active_count: 0,
             next_block: 0,
-            next_block_id: 1,
-            next_trace_id: 1,
             last_fnfa_vt: None,
             total_blocks,
             blocks_done: 0,
-            produced_packets_before: 0,
-            upload_start: SimInstant::ZERO,
             finished_at: None,
-            topo: topo.clone(),
-            registry: std::mem::take(&mut registry),
-            tracker: tracker.clone(),
-            infos: infos.clone(),
+            nn,
+            clock: clock.clone(),
+            path,
+            file: file_id,
+            first_block: first,
+            tracker,
+            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             dn_hosts: dn_hosts.clone(),
-            client_rack,
-            rng: ChaCha8Rng::seed_from_u64(rng_next(&mut rng)),
-            last_speed_flush: SimInstant::ZERO,
+            last_heartbeat: SimInstant::ZERO,
             file_size: scenario.file_size,
             max_concurrent: 0,
-            first_node_histogram: BTreeMap::new(),
             explored_swaps: 0,
-            obs: if measured {
-                obs.clone()
-            } else {
-                Obs::disabled()
-            },
+            obs: round_obs,
             sampler: if measured {
                 telemetry.clone().map(|(s, interval)| (s, interval, 0))
             } else {
@@ -1201,13 +1238,9 @@ fn run_rounds(
             // stamps are dropped by the sampler.
             s.sample_at(sim.finished_at.expect("run() asserts completion").0 / 1_000);
         }
-
-        // Final heartbeat so warm-up knowledge reaches the registry —
-        // before the read phase, which orders sources by that registry.
-        let records = sim.tracker.drain_report();
-        if !records.is_empty() {
-            sim.registry.ingest(CLIENT, &records);
-        }
+        // A last heartbeat, so the upload's speeds reach the namenode
+        // before the read and the next round.
+        sim.heartbeat();
 
         if measured {
             let read_secs = scenario.read_back.then(|| {
@@ -1217,17 +1250,11 @@ fn run_rounds(
             });
             return (sim, read_secs);
         }
-        registry = sim.registry;
-        tracker = sim.tracker;
+        (nn, tracker) = (sim.nn, sim.tracker);
         queue = sim.queue;
         queue.reset();
     }
     unreachable!("the measured round returns")
-}
-
-fn rng_next(rng: &mut ChaCha8Rng) -> u64 {
-    use rand::RngCore;
-    rng.next_u64()
 }
 
 #[cfg(test)]
@@ -1254,6 +1281,78 @@ mod tests {
                         let held = [&h.arrived, &h.stored, &h.down_ack].map(Vec::capacity);
                         assert_eq!(held, [0; 3], "{mode:?}: pipe {i} keeps per-packet state");
                     }
+                }
+            }
+        }
+    }
+
+    /// The DES's namenode is the emulator's: after each golden case every
+    /// datanode is alive on its heartbeats, the namespace holds one
+    /// complete file per round whose blocks have their committed length
+    /// and `replication` reported replicas, and the measured stream is
+    /// the measured round's alone, in virtual time.
+    #[test]
+    fn the_hosted_namenode_records_every_round() {
+        use smarth_core::obs::RingBufferSink;
+        let (mib, mbps) = (ByteSize::mib(256), Bandwidth::mbps);
+        for mode in [WriteMode::Hdfs, WriteMode::Smarth] {
+            for mut s in [
+                two_rack(InstanceType::Small, mib, Some(mbps(100.0)), mode),
+                contention(InstanceType::Medium, mib, 3, mbps(50.0), mode),
+                heterogeneous(mib, mode),
+            ] {
+                s.read_back = true;
+                let case = format!("{} {mode:?}", s.spec.name);
+                let sink = RingBufferSink::new(1 << 20);
+                let (sim, _) = run_rounds(&s, Obs::new(sink.clone()), None);
+                // Alive on their heartbeats: every datanode was heard
+                // from within one interval.
+                let Ok(ClientResponse::Telemetry { rows, .. }) =
+                    sim.nn.call(ClientRequest::GetTelemetry)
+                else {
+                    panic!("{case}: no telemetry")
+                };
+                let interval_ms = s.config.heartbeat_interval.as_secs_f64() * 1e3;
+                assert_eq!(rows.len(), s.spec.datanode_count(), "{case}");
+                for r in &rows {
+                    assert!(r.alive && r.age_ms as f64 <= interval_ms, "{case}: {r:?}");
+                }
+                let mut measured = Vec::new();
+                for round in 0..=s.warmup_uploads {
+                    let path = format!("/sim/upload-{round}");
+                    let open = ClientRequest::GetBlockLocations {
+                        client: CLIENT,
+                        path,
+                    };
+                    let Ok(ClientResponse::BlockLocations { status, blocks }) = sim.nn.call(open)
+                    else {
+                        panic!("{case}: round {round} left no file");
+                    };
+                    assert!(status.complete, "{case}");
+                    assert_eq!(status.len, s.file_size.as_u64(), "{case}");
+                    assert_eq!(blocks.len(), 4, "{case}");
+                    for b in &blocks {
+                        assert_eq!(b.block.len, s.config.block_size.as_u64(), "{case}");
+                        assert_eq!(b.targets.len(), s.config.replication, "{case}");
+                    }
+                    measured = blocks.iter().map(|b| b.block.id).collect();
+                }
+                let listing = sim.nn.call(ClientRequest::List {
+                    path: "/sim".into(),
+                });
+                let Ok(ClientResponse::Listing { entries }) = listing else {
+                    panic!("{case}")
+                };
+                assert_eq!(entries.len(), s.warmup_uploads as usize + 1, "{case}");
+                let records = sink.snapshot();
+                assert!(records.iter().all(|r| r.virtual_time), "{case}");
+                for r in &records {
+                    let block = r.event.block();
+                    assert!(
+                        block.is_none_or(|b| measured.contains(&b)),
+                        "{case}: {:?}",
+                        r.event
+                    );
                 }
             }
         }

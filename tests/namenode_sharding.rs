@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use smarth::cluster::{random_data, MiniCluster};
+use smarth::cluster::{await_replicas, random_data, MiniCluster};
 use smarth::core::conformance::TraceDigest;
 use smarth::core::ids::{ClientId, FileId};
 use smarth::core::obs::{Obs, RingBufferSink};
@@ -308,6 +308,7 @@ fn shard_count_does_not_change_conformance_digests() {
         let client = cluster.client().unwrap();
         let data = random_data(0xC0F0, 2 * 1024 * 1024);
         client.put("/conformance/a.bin", &data, WriteMode::Smarth).unwrap();
+        assert!(await_replicas(&client, "/conformance/a.bin", 3, Duration::from_secs(10)).unwrap());
         let got = client.get("/conformance/a.bin").unwrap();
         assert_eq!(got, data);
         cluster.shutdown();

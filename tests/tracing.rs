@@ -154,11 +154,13 @@ fn simulator_traces_satisfy_the_same_invariants_with_real_block_ids() {
     assert_eq!(report.blocks.len() as u64, result.blocks);
     assert_eq!(report.committed_blocks(), result.blocks);
 
-    // The simulator mints real monotonic block ids at allocation time —
-    // a dense 1..=n sequence, not recycled per-pipe placeholders.
+    // The simulator's namenode mints real monotonic block ids at
+    // allocation time, not recycled per-pipe placeholders: the measured
+    // upload's n blocks follow the warm-up upload's n.
     let mut ids: Vec<u64> = report.blocks.iter().map(|b| b.block.raw()).collect();
     ids.sort_unstable();
-    let expected: Vec<u64> = (1..=result.blocks).collect();
+    assert_eq!(scenario.warmup_uploads, 1);
+    let expected: Vec<u64> = (result.blocks + 1..=2 * result.blocks).collect();
     assert_eq!(ids, expected, "block ids must be freshly minted per block");
     assert!(
         report.blocks.iter().all(|b| b.block != BlockId::INVALID),
