@@ -22,6 +22,11 @@
 //! each with its digest embedded under `otherData.digest`) and the
 //! machine-readable verdict (`results/conformance_<preset>.diff.json`).
 //!
+//! The `claims` id judges the paper's shape claims over
+//! `smarth_sim::claims::SEEDS` and saves `results/claims.csv`: per claim
+//! and quantity the median, q10 and q90, the verdict on the medians and
+//! how many seeds pass on their own.
+//!
 //! Throughput is not measured here: `benchmark/` (`BENCHMARK.json`,
 //! `scripts/bench_check.sh`) is the repo's one measuring system.
 
@@ -34,12 +39,13 @@ use smarth_core::obs::{Obs, RingBufferSink};
 use smarth_core::trace::{write_chrome_trace, TraceAssembler, TraceReport};
 use smarth_core::units::{Bandwidth, ByteSize};
 use smarth_core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
+use smarth_sim::claims::{self, CLAIMS, SEEDS};
 use smarth_sim::{simulate_upload_with_obs, SimScenario};
 use std::path::PathBuf;
 
 const ALL_IDS: &[&str] = &[
     "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "ablations", "ext_storage", "soak", "conformance",
+    "ablations", "ext_storage", "soak", "conformance", "claims",
 ];
 
 /// One conformance preset run through both engines: a single-client
@@ -140,6 +146,27 @@ fn run_conformance(out_dir: &std::path::Path, quick: bool) {
     }
 }
 
+fn run_claims(out_dir: &std::path::Path) {
+    let columns = ["claim", "quantity", "median", "q10", "q90", "verdict", "seeds_passing"];
+    let title = "the paper's shape claims over seeds 2000–2011, judged on the median";
+    let mut t = Table::new("claims", title, &columns);
+    for v in claims::evaluate(&CLAIMS, &SEEDS) {
+        for (k, name) in v.claim.quantities.iter().enumerate() {
+            let [median, q10, q90] = [&v.median, &v.q10, &v.q90].map(|q| format!("{:.3}", q[k]));
+            let verdict = if v.holds { "✓" } else { "✗" }.to_string();
+            let passing = format!("{}/{}", v.passing, SEEDS.len());
+            t.row(vec![v.claim.id.into(), name.to_string(), median, q10, q90, verdict, passing]);
+        }
+        t.note(format!("{}: {} — {}", v.claim.id, v.claim.paper, v.claim.band));
+    }
+    println!("{}", t.render());
+    let path = out_dir.join("claims.csv");
+    match std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, t.csv())) {
+        Ok(()) => println!("  saved {}\n", path.display()),
+        Err(e) => eprintln!("  failed to save {}: {e}", path.display()),
+    }
+}
+
 fn generate(id: &str, opts: FigureOpts) -> Option<Vec<Table>> {
     Some(match id {
         "table1" => vec![figures::table1()],
@@ -216,6 +243,10 @@ fn main() {
                     }
                 }
             }
+            continue;
+        }
+        if id == "claims" {
+            run_claims(&out_dir);
             continue;
         }
         if id == "conformance" {

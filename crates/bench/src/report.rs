@@ -84,7 +84,7 @@ impl Table {
         out
     }
 
-    fn csv(&self) -> String {
+    pub fn csv(&self) -> String {
         let escape = |s: &str| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))

@@ -5,7 +5,7 @@
 #   scripts/loop_test.sh "<cargo-test-args>" <test-name> <n>
 #
 #   scripts/loop_test.sh "--test namenode_sharding" shard_count_does_not_change_conformance_digests 150
-#   scripts/loop_test.sh "-p smarth-sim --lib" tests::simulation_is_deterministic 20
+#   scripts/loop_test.sh "-p smarth-sim --lib" tests::des_results_are_pinned_bit_for_bit 20
 #
 # The cargo arguments must select exactly one test binary, and the name
 # must match exactly one test in it (`--exact`). The binary runs from its
