@@ -32,6 +32,9 @@ pub(crate) struct ClientCtx {
     /// §III-B: per-first-datanode transfer speeds, drained every
     /// heartbeat.
     pub tracker: Mutex<ClientSpeedTracker>,
+    /// Held from a report's drain to its answer, so a report that finds
+    /// the tracker empty still returns after the one in flight.
+    reporting: Mutex<()>,
     pub rng: Mutex<ChaCha8Rng>,
     /// Observability handle shared by every stream and pipeline of this
     /// client (disabled unless the caller opted in).
@@ -104,6 +107,7 @@ impl DfsClient {
             host: host.to_string(),
             rack: rack.to_string(),
             tracker: Mutex::new(ClientSpeedTracker::new(config.speed_ewma_alpha)),
+            reporting: Mutex::new(()),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
             config,
             rpc,
@@ -123,16 +127,10 @@ impl DfsClient {
                 .name(format!("client-{host}-heartbeat"))
                 .spawn(move || {
                     while !stop.wait_timeout(interval) {
-                        let records = ctx.tracker.lock().drain_report();
-                        if records.is_empty() {
-                            continue;
-                        }
                         // A transient namenode outage must not kill the
                         // speed-report loop for the life of the client;
                         // drop this batch and try again next interval.
-                        if ctx.rpc.report_speeds(ctx.id, records).is_err() {
-                            continue;
-                        }
+                        let _ = report_speeds(&ctx);
                     }
                 })
                 .map_err(|e| DfsError::internal(format!("spawn heartbeat: {e}")))?
@@ -260,12 +258,20 @@ impl DfsClient {
     /// Forces an immediate speed report instead of waiting for the next
     /// heartbeat tick (tests and benches use this to avoid sleeping).
     pub fn flush_speed_report(&self) -> DfsResult<()> {
-        let records = self.ctx.tracker.lock().drain_report();
-        if records.is_empty() {
-            return Ok(());
-        }
-        self.ctx.rpc.report_speeds(self.ctx.id, records)
+        report_speeds(&self.ctx)
     }
+}
+
+/// Sends the speed records observed since the last report (§III-B).
+/// When this returns, every record observed before the call has reached
+/// the namenode or failed to, including those a concurrent report took.
+fn report_speeds(ctx: &ClientCtx) -> DfsResult<()> {
+    let _reporting = ctx.reporting.lock();
+    let records = ctx.tracker.lock().drain_report();
+    if records.is_empty() {
+        return Ok(());
+    }
+    ctx.rpc.report_speeds(ctx.id, records)
 }
 
 impl Drop for DfsClient {

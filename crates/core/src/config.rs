@@ -49,20 +49,6 @@ impl WriteMode {
 
 crate::json_enum!(impl Json for WriteMode { "hdfs" => Hdfs, "smarth" => Smarth });
 
-/// Where along the pipeline packet checksums are verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VerifyChecksumsAt {
-    /// Only the last datanode of the pipeline verifies; intermediate hops
-    /// forward packets unverified (real HDFS behaviour — corruption is
-    /// still caught before the ack chain reports success, but the
-    /// verification cost is paid once, off the forwarding hot path).
-    TailOnly,
-    /// Every hop verifies before storing/forwarding. Localizes a corrupt
-    /// link to the exact hop at the cost of `replication` verifications
-    /// per packet.
-    EveryHop,
-}
-
 /// Retry/backoff policy for client→namenode RPCs. One stalled or
 /// restarting namenode must not turn SMARTH's overlapped write path
 /// back into a hanging serial one, so every ClientProtocol call runs
@@ -154,9 +140,6 @@ pub struct DfsConfig {
     /// coasting on the pre-stall estimate. `None` keeps records forever
     /// (the paper's behaviour).
     pub speed_half_life: Option<SimDuration>,
-    /// Which pipeline hops verify packet checksums (default:
-    /// [`VerifyChecksumsAt::TailOnly`], matching real HDFS).
-    pub verify_checksums_at: VerifyChecksumsAt,
     /// Per-attempt deadline for one read stripe. A datanode that stalls
     /// longer than this (the soak harness's 0.5 Mbps stall fault) is
     /// abandoned and the stripe fails over to the next replica instead of
@@ -201,7 +184,6 @@ impl DfsConfig {
             socket_buffer: ByteSize::kib(256),
             pipeline_event_timeout: SimDuration::from_secs(60),
             speed_half_life: None,
-            verify_checksums_at: VerifyChecksumsAt::TailOnly,
             read_timeout: SimDuration::from_secs(30),
             rpc_retry: RetryPolicy {
                 attempts: 5,
@@ -236,7 +218,6 @@ impl DfsConfig {
             // A hung test pipeline should fail fast, not after a minute.
             pipeline_event_timeout: SimDuration::from_secs(5),
             speed_half_life: None,
-            verify_checksums_at: VerifyChecksumsAt::TailOnly,
             // A stalled test read should fail over fast, not after 30 s.
             read_timeout: SimDuration::from_secs(2),
             // A hostile namenode in tests should be detected in tens of
@@ -665,7 +646,6 @@ mod tests {
         assert_eq!(c.heartbeat_interval, SimDuration::from_secs(3));
         assert_eq!(c.datanode_client_buffer, c.block_size);
         assert!((c.local_opt_threshold - 0.8).abs() < 1e-12);
-        assert_eq!(c.verify_checksums_at, VerifyChecksumsAt::TailOnly);
         c.validate().unwrap();
     }
 

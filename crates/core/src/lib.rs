@@ -26,6 +26,7 @@ pub mod config;
 pub mod conformance;
 pub mod costmodel;
 pub mod error;
+pub mod hop;
 pub mod ids;
 pub mod json;
 pub mod localopt;
@@ -40,9 +41,7 @@ pub mod trace;
 pub mod units;
 pub mod wire;
 
-pub use config::{
-    ClusterSpec, DfsConfig, HostRole, HostSpec, InstanceType, VerifyChecksumsAt, WriteMode,
-};
+pub use config::{ClusterSpec, DfsConfig, HostRole, HostSpec, InstanceType, WriteMode};
 pub use conformance::{
     diff_digests, diff_reports, BlockDigest, DiffVerdict, MetricDiff, TraceDigest,
 };

@@ -412,34 +412,12 @@ mod tests {
         // as-is; the tail verifies and rejects, so the failure index in
         // the combined ack points at the LAST pipeline position.
         let cluster = TestCluster::new(2);
-        assert_eq!(
-            cluster.config.verify_checksums_at,
-            smarth_core::VerifyChecksumsAt::TailOnly
-        );
         let ack = write_corrupt_block(&cluster, 2, 21);
         assert_eq!(
             ack.first_error(),
             Some(1),
             "tail-only mode must report corruption at the tail, got {ack:?}"
         );
-    }
-
-    #[test]
-    fn every_hop_verification_rejects_corruption_at_first_hop() {
-        // Fallback mode: every hop re-verifies, so the first node already
-        // rejects the packet and the failure index is 0.
-        let mut config = DfsConfig::test_scale();
-        config.verify_checksums_at = smarth_core::VerifyChecksumsAt::EveryHop;
-        let cluster = TestCluster::with_config(2, config);
-        let ack = write_corrupt_block(&cluster, 2, 22);
-        assert_eq!(
-            ack.first_error(),
-            Some(0),
-            "every-hop mode must report corruption at the first hop, got {ack:?}"
-        );
-        // Refused before it was relayed: the mirror holds none of it, if it opened the replica at all.
-        let mirror = cluster.datanodes[1].store().replica_info(BlockId(22));
-        assert_eq!(mirror.map_or(0, |(replica, _)| replica.len), 0);
     }
 
     /// A stage of the write path that cannot get a thread costs the

@@ -1,22 +1,24 @@
 //! The datanode: data-transfer server, pipeline forwarding and the
 //! namenode heartbeat loop.
 //!
-//! Every inbound `WriteBlock` connection runs four cooperating threads —
-//! a staged pipeline, so network receive, downstream replication and
-//! disk writes genuinely overlap (§IV-C's buffer actually decouples the
-//! stages instead of sitting behind a serial loop):
+//! A block write's protocol — where checksums are checked, what an ack
+//! covers and carries, the FNFA and when the replica is reported — is
+//! one [`Hop`] machine from `smarth_core::hop`, the one the DES drives
+//! too. This file performs its actions. Every inbound `WriteBlock`
+//! connection runs four cooperating threads — a staged pipeline, so
+//! network receive, downstream replication and disk writes genuinely
+//! overlap (§IV-C's buffer decouples the stages):
 //!
 //! * the **receiver** (the connection's own thread) only drains the
 //!   upstream socket: it reads each packet's frame, decodes it, verifies
-//!   CRC-32C where `DfsConfig::verify_checksums_at` says this hop must
-//!   (tail-only by default, like real HDFS), hands the frame to the
+//!   CRC-32C if the hop says so (the tail), hands the frame to the
 //!   forwarder *first* and then fans the packet into the bounded staging
 //!   queue;
 //! * the **flusher** drains the staging queue: pays the disk token
 //!   bucket, appends to the [`BlockStore`], finalizes on the last packet,
-//!   signals the responder and reports `blockReceived` to the namenode —
-//!   before the signal at the pipeline head, after it everywhere else.
-//!   The staging queue is sized from
+//!   and performs what the store calls for up to the first ack: the FNFA
+//!   and the head's report. The ack, and what follows it, it hands to the
+//!   responder. The staging queue is sized from
 //!   `DfsConfig::datanode_client_buffer` (§IV-C) and tracked by the
 //!   `datanode_buffered_bytes` / `datanode_staging_packets` gauges, so
 //!   a slow disk backpressures the socket only once the buffer is full;
@@ -24,18 +26,20 @@
 //!   bounded queue of `DfsConfig::forward_window` bytes (the client's
 //!   buffer, one whole block, on the *first* node and a few packets
 //!   elsewhere), tracked by the `datanode_forward_bytes` gauge;
-//! * the **responder** merges the downstream ack stream with this node's
-//!   own status and sends the combined ack upstream.
+//! * the **responder** reads the mirror's acks while an ack waits on
+//!   them, and sends every ack upstream, the backlog coalesced into one
+//!   cumulative frame; behind the head it reports the replica after the
+//!   last one.
 //!
 //! A byte is copied once on its way through a node (§II step 3: the
 //! datanode "stores the packet and passes it on"): out of the socket
 //! into the frame. The decoded packet's payload is a slice of that
 //! frame; the forwarder writes the same frame to the mirror as it is,
 //! and the flusher hands the store that same slice. The receiver still
-//! decodes and checks *before* it relays: a malformed frame, or with
-//! `EveryHop` a corrupt one, stops here and never reaches the mirror.
-//! Reads go out the same way — packets that are slices of the stored
-//! segments, written by the copy-free [`send_packet`].
+//! decodes *before* it relays: a malformed frame stops here and never
+//! reaches the mirror. Reads go out the same way — packets that are
+//! slices of the stored segments, written by the copy-free
+//! [`send_packet`].
 //!
 //! Flush-stage errors (disk full, store failure mid-block) surface as
 //! error acks from the flusher, so clients classify them exactly like
@@ -43,30 +47,27 @@
 //! that cannot get a thread is answered the same way, and a connection
 //! the accept loop cannot get a thread for is dropped — neither takes
 //! the node down.
-//!
-//! In SMARTH mode the *first* node additionally emits the
-//! FIRST_NODE_FINISH ack (FNFA) the moment the last packet of the block
-//! is durably stored (§III-A), unblocking the client's next pipeline.
 
 use crate::store::BlockStore;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam_channel::{bounded, unbounded};
 use parking_lot::Mutex;
 use smarth_core::checksum::ChunkedChecksum;
-use smarth_core::config::{DfsConfig, VerifyChecksumsAt, WriteMode};
+use smarth_core::config::DfsConfig;
 use smarth_core::error::{panic_message, DfsError, DfsResult};
-use smarth_core::ids::{BlockId, DatanodeId};
+use smarth_core::hop::{Ack, Action, Actions, Hop, Input};
+use smarth_core::ids::{BlockId, DatanodeId, ExtendedBlock};
 use smarth_core::json::ToJson;
 use smarth_core::obs::telemetry::{prometheus_exposition, Sampler};
-use smarth_core::obs::{Obs, ObsEvent};
+use smarth_core::obs::{Gauge, Obs, ObsEvent, TraceCtx};
 use smarth_core::proto::{
     AckKind, AckStatus, DataOp, DataReply, DatanodeRequest, DatanodeResponse, DatanodeTelemetry,
     Packet, PipelineAck, WriteBlockHeader,
 };
 use smarth_core::wire::{read_frame, recv_message, send_message, send_packet, write_frame, Wire};
-use smarth_fabric::{Fabric, FabricStream, ReadHalf, StopSignal, TokenBucket, WriteHalf};
+use smarth_fabric::{Fabric, FabricStream, StopSignal, TokenBucket, WriteHalf};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -116,32 +117,20 @@ impl NnClient {
 /// This node's own live buffer levels. The corresponding gauges in
 /// `Metrics` are shared across every datanode wired to one `Obs` (a
 /// `MiniCluster` aggregates them), so heartbeat piggybacks and the
-/// per-node telemetry scrape read these node-local atomics instead.
+/// per-node telemetry scrape read these node-local gauges instead.
 #[derive(Default)]
 struct DnLocalStats {
-    staging_packets: AtomicU64,
-    buffered_bytes: AtomicU64,
-    forward_bytes: AtomicU64,
+    staging_packets: Gauge,
+    buffered_bytes: Gauge,
+    forward_bytes: Gauge,
 }
 
 impl DnLocalStats {
-    fn add(cell: &AtomicU64, n: u64) {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sub(cell: &AtomicU64, n: u64) {
-        // Saturating, like `Gauge::sub`: a spurious extra dec must not
-        // wrap the piggybacked level to u64::MAX.
-        let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(n))
-        });
-    }
-
     fn snapshot(&self) -> DatanodeTelemetry {
         DatanodeTelemetry {
-            staging_packets: self.staging_packets.load(Ordering::Relaxed),
-            buffered_bytes: self.buffered_bytes.load(Ordering::Relaxed),
-            forward_bytes: self.forward_bytes.load(Ordering::Relaxed),
+            staging_packets: self.staging_packets.get(),
+            buffered_bytes: self.buffered_bytes.get(),
+            forward_bytes: self.forward_bytes.get(),
         }
     }
 }
@@ -190,18 +179,44 @@ impl DnInner {
             .map_err(|e| DfsError::internal(format!("spawn {name}: {e}")))
     }
 
-    fn notify_block_received(&self, block: smarth_core::ids::ExtendedBlock) {
-        // Best effort: if the namenode is unreachable the replica is
-        // still durable; the next block report would reconcile (and in
-        // tests the namenode outliving datanodes makes this reliable).
-        // Off the ack path nobody waits for the answer, so a lost report
-        // is counted.
-        let reply = self.nn.call(&DatanodeRequest::BlockReceived {
-            id: self.id,
-            block,
-        });
+    /// A packet of `n` payload bytes enters (`into`) or leaves the
+    /// staging queue: this node's own gauges and the registry's move
+    /// together.
+    fn staged(&self, n: u64, into: bool) {
+        let (m, l) = (self.obs.metrics(), &self.local);
+        level([&l.buffered_bytes, &m.datanode_buffered_bytes], n, into);
+        level([&l.staging_packets, &m.datanode_staging_packets], 1, into);
+    }
+
+    /// The same for the forward queue.
+    fn forwarding(&self, n: u64, into: bool) {
+        let (m, l) = (self.obs.metrics(), &self.local);
+        level([&l.forward_bytes, &m.datanode_forward_bytes], n, into);
+    }
+
+    /// Reports the replica of `block`, as this node's store holds it, to
+    /// the namenode. Best effort: if the namenode is unreachable the
+    /// replica is still durable; the next block report would reconcile
+    /// (and in tests the namenode outliving datanodes makes this
+    /// reliable). Nobody waits for the answer, so a lost report is
+    /// counted.
+    fn report(&self, block: BlockId) {
+        let reply = match self.store.replica_info(block) {
+            Some((block, true)) => self.nn.call(&DatanodeRequest::BlockReceived { id: self.id, block }),
+            _ => Err(DfsError::UnknownBlock(block)),
+        };
         if !matches!(reply, Ok(DatanodeResponse::BlockReceivedAck)) {
             self.obs.metrics().block_report_failures.inc();
+        }
+    }
+}
+
+fn level(gauges: [&Gauge; 2], n: u64, into: bool) {
+    for g in gauges {
+        if into {
+            g.add(n);
+        } else {
+            g.sub(n);
         }
     }
 }
@@ -283,75 +298,58 @@ impl DataNode {
         // Accept loop. `stop()` closes the listener, which ends the
         // blocking accept (so does a host kill or a fabric shutdown).
         {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dn-{host}-accept"))
-                    .spawn(move || {
-                        while let Ok(stream) = listener.accept() {
-                            if stop.is_stopped() {
-                                break;
-                            }
-                            // Out of threads: this connection is dropped
-                            // (its peer sees it close and fails over or
-                            // recovers) and the loop keeps accepting.
-                            let conn = Arc::clone(&inner);
-                            let _ = inner.spawn("dn-xceiver", move || {
-                                handle_connection(conn, stream)
-                            });
-                        }
-                    })
-                    .expect("spawn dn accept"),
-            );
+            let (node, stop) = (Arc::clone(&inner), Arc::clone(&stop));
+            threads.push(inner.spawn("dn-accept", move || {
+                while let Ok(stream) = listener.accept() {
+                    if stop.is_stopped() {
+                        break;
+                    }
+                    // Out of threads: this connection is dropped (its peer
+                    // sees it close and fails over or recovers) and the
+                    // loop keeps accepting.
+                    let conn = Arc::clone(&node);
+                    let _ = node.spawn("dn-xceiver", move || handle_connection(conn, stream));
+                }
+            })?);
         }
 
         // Heartbeat loop.
         {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            let interval = Duration::from_secs_f64(
-                inner.config.heartbeat_interval.as_secs_f64(),
-            )
-            .max(Duration::from_millis(5));
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dn-{host}-heartbeat"))
-                    .spawn(move || {
-                        let mut failure_streak = 0u32;
-                        loop {
-                            let mut pause = interval;
-                            if failure_streak > 0 {
-                                // Bounded exponential backoff: a namenode
-                                // outage must not turn every datanode
-                                // into a hot retry loop — and must not
-                                // silence the heartbeat forever either
-                                // (the old loop broke on first error, so
-                                // a healed namenode saw a ghost node).
-                                pause += interval
-                                    .saturating_mul(1 << failure_streak.min(3))
-                                    .min(Duration::from_secs(2));
-                            }
-                            if stop.wait_timeout(pause) {
-                                break;
-                            }
-                            inner.sampler.sample_at(Obs::now_us());
-                            let req = DatanodeRequest::Heartbeat {
-                                id: inner.id,
-                                used: inner.store.used_bytes(),
-                                active_transfers: inner.active_transfers.load(Ordering::Relaxed),
-                                telemetry: inner.local.snapshot(),
-                            };
-                            if inner.nn.call(&req).is_err() {
-                                failure_streak = failure_streak.saturating_add(1);
-                                inner.obs.metrics().heartbeat_failures.inc();
-                            } else {
-                                failure_streak = 0;
-                            }
-                        }
-                    })
-                    .expect("spawn dn heartbeat"),
-            );
+            let (node, stop) = (Arc::clone(&inner), Arc::clone(&stop));
+            let interval = Duration::from_secs_f64(inner.config.heartbeat_interval.as_secs_f64())
+                .max(Duration::from_millis(5));
+            threads.push(inner.spawn("dn-heartbeat", move || {
+                let mut failure_streak = 0u32;
+                loop {
+                    let mut pause = interval;
+                    if failure_streak > 0 {
+                        // Bounded exponential backoff: a namenode outage
+                        // must not turn every datanode into a hot retry
+                        // loop — and must not silence the heartbeat
+                        // forever either (the old loop broke on first
+                        // error, so a healed namenode saw a ghost node).
+                        pause += interval
+                            .saturating_mul(1 << failure_streak.min(3))
+                            .min(Duration::from_secs(2));
+                    }
+                    if stop.wait_timeout(pause) {
+                        break;
+                    }
+                    node.sampler.sample_at(Obs::now_us());
+                    let req = DatanodeRequest::Heartbeat {
+                        id: node.id,
+                        used: node.store.used_bytes(),
+                        active_transfers: node.active_transfers.load(Ordering::Relaxed),
+                        telemetry: node.local.snapshot(),
+                    };
+                    if node.nn.call(&req).is_err() {
+                        failure_streak = failure_streak.saturating_add(1);
+                        node.obs.metrics().heartbeat_failures.inc();
+                    } else {
+                        failure_streak = 0;
+                    }
+                }
+            })?);
         }
 
         Ok(Self {
@@ -375,15 +373,6 @@ impl DataNode {
 
     pub fn store(&self) -> &BlockStore {
         &self.inner.store
-    }
-
-    pub fn active_transfers(&self) -> u32 {
-        self.inner.active_transfers.load(Ordering::Relaxed)
-    }
-
-    /// The time-series sampler this node's heartbeat loop ticks.
-    pub fn sampler(&self) -> &Arc<Sampler> {
-        &self.inner.sampler
     }
 
     /// Fault injection for read-path tests: every packet this node
@@ -419,107 +408,96 @@ impl DataNode {
     }
 }
 
+/// Runs one op's handler. A panic costs one counted, typed error — never
+/// a silently dead xceiver thread with counters left askew.
+fn guarded<T>(dn: &DnInner, handler: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).map_err(|payload| {
+        dn.obs.metrics().handler_panics.inc();
+        format!("internal error: handler panicked: {}", panic_message(payload))
+    })
+}
+
 fn handle_connection(dn: Arc<DnInner>, mut stream: FabricStream) {
-    let op: DataOp = match recv_message(&mut stream) {
-        Ok(op) => op,
-        Err(_) => return,
+    let Ok(op) = recv_message::<DataOp>(&mut stream) else {
+        return;
     };
-    // A panicking op handler costs one typed error response (or, for the
-    // streaming ops that consume the connection, one dropped peer that
-    // failover already handles) — never a silently dead xceiver thread
-    // with counters left askew.
-    match op {
+    // The streaming ops consume the connection: their panic costs one
+    // dropped peer, which failover already handles.
+    let reply = match op {
         DataOp::WriteBlock(header) => {
             dn.active_transfers.fetch_add(1, Ordering::Relaxed);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = handle_write(&dn, header, stream);
-            }));
+            let _ = guarded(&dn, || handle_write(&dn, header, stream));
             dn.active_transfers.fetch_sub(1, Ordering::Relaxed);
-            if outcome.is_err() {
-                dn.obs.metrics().handler_panics.inc();
-            }
+            return;
         }
         DataOp::ReadBlock { block, offset, len } => {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = handle_read(&dn, block, offset, len, stream);
-            }));
-            if outcome.is_err() {
-                dn.obs.metrics().handler_panics.inc();
+            let _ = guarded(&dn, || handle_read(&dn, block, offset, len, stream));
+            return;
+        }
+        DataOp::RecoverBlock { block, new_gen, new_len } => {
+            match guarded(&dn, || dn.store.recover(block.id, new_gen, new_len)) {
+                Ok(Ok(block)) => DataReply::RecoverOk { block },
+                Ok(Err(e)) => DataReply::Error(e.to_string()),
+                Err(panic) => DataReply::Error(panic),
             }
         }
-        DataOp::RecoverBlock {
-            block,
-            new_gen,
-            new_len,
-        } => {
-            let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dn.store.recover(block.id, new_gen, new_len)
-            })) {
-                Ok(Ok(b)) => DataReply::RecoverOk { block: b },
-                Ok(Err(e)) => DataReply::Error(e.to_string()),
-                Err(payload) => {
-                    dn.obs.metrics().handler_panics.inc();
-                    DataReply::Error(format!(
-                        "internal error: handler panicked: {}",
-                        panic_message(payload)
-                    ))
-                }
-            };
-            let _ = send_message(&mut stream, &reply);
-        }
-        DataOp::GetTelemetry => {
-            let reply = DataReply::Telemetry {
-                text: prometheus_exposition(dn.obs.metrics()),
-                series_json: dn.sampler.series().to_json().to_string_compact(),
-            };
-            let _ = send_message(&mut stream, &reply);
-        }
-        DataOp::GetReplicaInfo { block } => {
-            let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dn.store.replica_info(block)
-            })) {
-                Ok(Some((b, finalized))) => DataReply::ReplicaInfo {
-                    block: Some(b),
-                    finalized,
-                },
-                Ok(None) => DataReply::ReplicaInfo {
-                    block: None,
-                    finalized: false,
-                },
-                Err(payload) => {
-                    dn.obs.metrics().handler_panics.inc();
-                    DataReply::Error(format!(
-                        "internal error: handler panicked: {}",
-                        panic_message(payload)
-                    ))
-                }
-            };
-            let _ = send_message(&mut stream, &reply);
-        }
+        DataOp::GetTelemetry => DataReply::Telemetry {
+            text: prometheus_exposition(dn.obs.metrics()),
+            series_json: dn.sampler.series().to_json().to_string_compact(),
+        },
+        DataOp::GetReplicaInfo { block } => match guarded(&dn, || dn.store.replica_info(block)) {
+            Ok(info) => {
+                let (block, finalized) = info.unzip();
+                DataReply::ReplicaInfo { block, finalized: finalized.unwrap_or(false) }
+            }
+            Err(panic) => DataReply::Error(panic),
+        },
+    };
+    let _ = send_message(&mut stream, &reply);
+}
+
+/// An ack of packet `seq` with this node's status alone: an FNFA, or a
+/// refusal (at `seq` 0 before any packet, of the whole transfer).
+fn own_ack(kind: AckKind, seq: u64, status: AckStatus) -> PipelineAck {
+    PipelineAck { kind, seq, batch: 1, statuses: vec![status] }
+}
+
+/// What the threads of one block write share.
+struct Write {
+    dn: Arc<DnInner>,
+    block: ExtendedBlock,
+    ctx: Option<TraceCtx>,
+    hop: Mutex<Hop>,
+    /// The upstream socket's writing half.
+    up: Mutex<WriteHalf>,
+}
+
+impl Write {
+    fn send(&self, ack: &PipelineAck) -> DfsResult<()> {
+        send_message(&mut *self.up.lock(), ack)
     }
-}
 
-/// `(seq, last_in_block)` handed from the receiver to the responder.
-type AckSignal = (u64, bool);
+    fn refuse(&self, seq: u64) {
+        let _ = self.send(&own_ack(AckKind::Packet, seq, AckStatus::Error));
+    }
 
-/// A validated packet frame on its way to the mirror: the frame body as
-/// it arrived, and its payload length for the buffer gauges.
-type Relay = (Bytes, u64);
-
-/// Sends an ack upstream under the shared writer lock.
-fn send_ack(up: &Mutex<WriteHalf>, ack: &PipelineAck) -> DfsResult<()> {
-    let mut w = up.lock();
-    send_message(&mut *w, ack)
-}
-
-/// This node's refusal of packet `seq` (or, at `seq` 0 before any packet,
-/// of the whole transfer).
-fn error_ack(seq: u64) -> PipelineAck {
-    PipelineAck {
-        kind: AckKind::Packet,
-        seq,
-        batch: 1,
-        statuses: vec![AckStatus::Error],
+    /// Performs what a store calls for before its ack; `bytes` is the
+    /// replica's length once the last packet is in.
+    fn perform(&self, action: Action, bytes: u64) {
+        let (datanode, block) = (self.dn.id, self.block.id);
+        match action {
+            Action::Fnfa { seq } => {
+                let _ = self.send(&own_ack(AckKind::FirstNodeFinish, seq, AckStatus::Success));
+                self.dn.obs.emit_traced(self.ctx, ObsEvent::FnfaSent { datanode, block });
+            }
+            Action::Received => {
+                let event = ObsEvent::BlockReceived { datanode, block, bytes };
+                self.dn.obs.emit_traced(self.ctx, event);
+            }
+            Action::Report => self.dn.report(block),
+            Action::Refuse { seq } => self.refuse(seq),
+            other => unreachable!("a store calls for no {other:?} before its ack"),
+        }
     }
 }
 
@@ -528,58 +506,38 @@ fn handle_write(
     header: WriteBlockHeader,
     stream: FabricStream,
 ) -> DfsResult<()> {
-    let (up_read, up_write) = stream.split();
-    let up_write = Arc::new(Mutex::new(up_write));
-
+    let (mut up_read, up) = stream.split();
     dn.store.create_rbw(header.block.id, header.block.gen)?;
 
     // Build the mirror connection (the rest of the pipeline), if any.
     let mirror = if let Some((next, rest)) = header.targets.split_first() {
         let mut m = dn.fabric.connect(&dn.host, &next.addr)?;
-        let fwd_header = WriteBlockHeader {
-            pipeline: header.pipeline,
-            client: header.client,
-            block: header.block,
-            mode: header.mode,
-            targets: rest.to_vec(),
-            position: header.position + 1,
-            client_buffer: header.client_buffer,
-            trace: header.trace,
-            span: header.span,
-        };
+        let (targets, position) = (rest.to_vec(), header.position + 1);
+        let fwd_header = WriteBlockHeader { targets, position, ..header.clone() };
         send_message(&mut m, &DataOp::WriteBlock(fwd_header))?;
         Some(m.split())
     } else {
         None
     };
 
-    run_write_threads(dn, &header, up_read, up_write, mirror)
-}
-
-// Receiver/flusher/forwarder/responder orchestration for one block write.
-fn run_write_threads(
-    dn: &Arc<DnInner>,
-    header: &WriteBlockHeader,
-    mut up_read: ReadHalf,
-    up_write: Arc<Mutex<WriteHalf>>,
-    mirror: Option<(ReadHalf, WriteHalf)>,
-) -> DfsResult<()> {
-    let block = header.block;
-    let has_mirror = mirror.is_some();
-    let config = &dn.config;
-    let queue_packets =
-        config.packets_in(config.forward_window(header.position as usize, header.client_buffer));
+    // The receiver (this thread), forwarder, flusher and responder.
+    let (config, position) = (&dn.config, header.position as usize);
+    let queue_packets = config.packets_in(config.forward_window(position, header.client_buffer));
     // Staging between receive and flush: the §IV-C buffer, in packets.
     let staging_packets = config.packets_in(config.datanode_client_buffer.as_u64());
+    let hop = Hop::new(position, mirror.is_some(), header.mode);
+    let verifies = hop.verifies();
+    let (block, ctx, hop, up) = (header.block, header.hop_ctx(), Mutex::new(hop), Mutex::new(up));
+    let w = Arc::new(Write { dn: Arc::clone(dn), block, ctx, hop, up });
 
-    let (fwd_tx, fwd_rx): (Sender<Relay>, Receiver<Relay>) = bounded(queue_packets);
-    let (flush_tx, flush_rx): (Sender<Packet>, Receiver<Packet>) = bounded(staging_packets);
-    let (ack_tx, ack_rx): (Sender<AckSignal>, Receiver<AckSignal>) = unbounded();
-
-    let (mirror_read, mirror_write) = match mirror {
-        Some((r, w)) => (Some(r), Some(w)),
-        None => (None, None),
-    };
+    // A checked frame on its way to the mirror as it arrived, with its
+    // payload length for the gauges.
+    let (fwd_tx, fwd_rx) = bounded::<(Bytes, u64)>(queue_packets);
+    let (flush_tx, flush_rx) = bounded::<Packet>(staging_packets);
+    // One message per store: the ack it made due and what follows that
+    // ack, or nothing, which still wakes the responder to read the mirror.
+    let (ack_tx, ack_rx) = unbounded::<Actions>();
+    let (mut mirror_read, mirror_write) = mirror.unzip();
 
     // Forwarder: relays each frame to the next datanode as it arrived.
     let forwarder = mirror_write.map(|mut m_write| {
@@ -591,56 +549,47 @@ fn run_write_threads(
                 // receiver never blocks on it; the responder reports the
                 // error.
                 mirror_alive = mirror_alive && write_frame(&mut m_write, &frame).is_ok();
-                node.obs.metrics().datanode_forward_bytes.sub(n);
-                DnLocalStats::sub(&node.local.forward_bytes, n);
+                node.forwarding(n, false);
             }
         })
     });
 
-    // Flusher: drains the staging queue into the disk model and the
-    // block store, finalizes on the last packet (emitting the FNFA from
-    // the first node in SMARTH mode), signals the responder and reports
-    // the replica to the namenode. A flush failure is reported upstream
-    // as an error ack so the client's recovery classifies it as a
-    // datanode error, exactly like the old serial path.
+    // Flusher. A store failure is refused upstream with an error ack, so
+    // the client's recovery classifies it as a datanode error.
     let flusher = {
-        let node = Arc::clone(dn);
-        let header = header.clone();
-        let up_write = Arc::clone(&up_write);
+        let w = Arc::clone(&w);
         dn.spawn("dn-flusher", move || -> DfsResult<()> {
-            let metrics_drop = |pkt: &Packet| {
-                let m = node.obs.metrics();
-                m.datanode_buffered_bytes.sub(pkt.payload.len() as u64);
-                m.datanode_staging_packets.sub(1);
-                DnLocalStats::sub(&node.local.buffered_bytes, pkt.payload.len() as u64);
-                DnLocalStats::sub(&node.local.staging_packets, 1);
+            // The ack an input calls for goes to the responder with what
+            // follows it, under the hop's lock, so the responder gets
+            // acks in the order they were decided.
+            let feed = |input: Input<'static>| {
+                let mut hop = w.hop.lock();
+                let (mine, responders) = hop.on(input).split_at_ack();
+                let _ = ack_tx.send(responders);
+                mine
             };
             for pkt in flush_rx.iter() {
-                let flushed = flush_packet(&node, &header, &up_write, &pkt);
-                metrics_drop(&pkt);
-                let finalized = flushed.inspect_err(|_| {
-                    let _ = send_ack(&up_write, &error_ack(pkt.seq));
+                let (seq, last, n) = (pkt.seq, pkt.last_in_block, pkt.payload.len() as u64);
+                let stored = store_packet(&w.dn, block, &pkt);
+                w.dn.staged(n, false);
+                let input = match stored {
+                    Ok(()) => Input::Stored { seq, last },
+                    Err(_) => Input::StoreFailed { seq },
+                };
+                for action in feed(input) {
+                    w.perform(action, pkt.offset_in_block + n);
+                    if action == Action::Report {
+                        // The answer calls only for the held ack.
+                        let mine = feed(Input::Reported);
+                        debug_assert_eq!(mine, Actions::default());
+                    }
+                }
+                if let Err(e) = stored {
                     // Unblock the receiver: drain whatever is staged.
                     for pkt in flush_rx.iter() {
-                        metrics_drop(&pkt);
+                        w.dn.staged(pkt.payload.len() as u64, false);
                     }
-                })?;
-                // The head reports before its last ack goes up, so every
-                // block of a returned put has a replica the namenode
-                // knows; the report overlaps the wait for the mirror's
-                // ack. Every other position acks first and reports
-                // after, off the ack path, as Hadoop's responder does.
-                let (report_first, report_after) = match header.position {
-                    0 => (finalized, None),
-                    _ => (None, finalized),
-                };
-                if let Some(replica) = report_first {
-                    node.notify_block_received(replica);
-                }
-                let last = pkt.last_in_block;
-                ack_tx.send((pkt.seq, last)).ok();
-                if let Some(replica) = report_after {
-                    node.notify_block_received(replica);
+                    return Err(e);
                 }
                 if last {
                     break;
@@ -650,75 +599,53 @@ fn run_write_threads(
         })
     };
 
-    // Responder: merges downstream acks with our own success and relays
-    // upstream (§II step 4). Acks are *cumulative*: while the previous
-    // upstream frame was in flight, every signal the receiver queued in
-    // the meantime is coalesced into one frame whose `batch` is the
-    // number of packets covered — the batching window is exactly the
-    // upstream backlog, so an idle pipeline still acks per-packet.
+    // Responder (§II step 4). Acks are *cumulative*: every ack decided
+    // while the previous frame was in flight goes out in one frame whose
+    // `batch` is the packets it covers, so the batching window is exactly
+    // the upstream backlog and an idle pipeline still acks per packet.
     let responder = {
-        let up_write = Arc::clone(&up_write);
-        let mut mirror_read = mirror_read;
+        let w = Arc::clone(&w);
         dn.spawn("dn-responder", move || {
-            // Highest seq the mirror has cumulatively acked, plus
-            // the statuses of its latest frame. The mirror batches
-            // independently, so its frame boundaries need not match
-            // ours — only coverage matters.
-            let mut mirror_covered: Option<u64> = None;
-            let mut mirror_statuses: Vec<AckStatus> = Vec::new();
             // Reused across frames: taken into each outgoing ack and
             // reclaimed after the send, so the per-frame hot path
             // allocates nothing once warm.
             let mut statuses: Vec<AckStatus> = Vec::new();
             loop {
-                let (first_seq, first_last) = match ack_rx.recv() {
-                    Ok(s) => s,
-                    Err(_) => break,
-                };
-                let mut seq = first_seq;
-                let mut last = first_last;
-                let mut batch = 1u64;
-                while !last {
-                    match ack_rx.try_recv() {
-                        Ok((s, l)) => {
-                            seq = s;
-                            last = l;
-                            batch += 1;
-                        }
+                let decided = match mirror_read.as_mut().filter(|_| w.hop.lock().awaits_mirror()) {
+                    Some(mr) => {
+                        let reply = recv_message::<PipelineAck>(mr);
+                        let input = match &reply {
+                            Ok(ack) => Input::MirrorAck { seq: ack.seq, statuses: &ack.statuses },
+                            Err(_) => Input::MirrorLost,
+                        };
+                        let decided = w.hop.lock().on(input);
+                        decided
+                    }
+                    None => match ack_rx.recv() {
+                        Ok(decided) => decided,
                         Err(_) => break,
-                    }
-                }
-                if mirror_read.is_some() {
-                    let mr = mirror_read.as_mut().expect("checked above");
-                    while mirror_covered.is_none_or(|c| c < seq) {
-                        match recv_message::<PipelineAck>(mr) {
-                            Ok(ack) => {
-                                mirror_covered = Some(ack.seq);
-                                let errored = ack.first_error().is_some();
-                                mirror_statuses = ack.statuses;
-                                if errored {
-                                    break;
-                                }
-                            }
-                            Err(_) => {
-                                mirror_statuses = vec![AckStatus::Error];
-                                break;
-                            }
-                        }
-                    }
-                }
-                statuses.clear();
-                statuses.push(AckStatus::Success);
-                statuses.extend_from_slice(&mirror_statuses);
-                let ack = PipelineAck {
-                    kind: AckKind::Packet,
-                    seq,
-                    batch,
-                    statuses: std::mem::take(&mut statuses),
+                    },
                 };
-                let sent = send_ack(&up_write, &ack);
-                statuses = ack.statuses;
-                if sent.is_err() || last {
+                // The flusher's acks queued so far were decided before
+                // or after this one; they all go out in this frame.
+                let (mut ack, mut report) = (None::<Ack>, false);
+                for action in ack_rx.try_iter().chain([decided]).flatten() {
+                    match action {
+                        Action::Ack(a) => ack = Some(ack.map_or(a, |b| b.merge(a))),
+                        Action::Report => report = true,
+                        other => unreachable!("an ack brings no {other:?}"),
+                    }
+                }
+                let Some(ack) = ack else { continue };
+                w.hop.lock().statuses(&mut statuses);
+                let (seq, batch) = (ack.seq, ack.batch);
+                let frame = PipelineAck { kind: AckKind::Packet, seq, batch, statuses };
+                let sent = w.send(&frame);
+                statuses = frame.statuses;
+                if report {
+                    w.dn.report(block.id);
+                }
+                if sent.is_err() || ack.last {
                     break;
                 }
             }
@@ -736,15 +663,9 @@ fn run_write_threads(
         .cloned();
 
     // Receiver loop (this thread): drain the socket, forward, stage.
-    let verify_here = match dn.config.verify_checksums_at {
-        VerifyChecksumsAt::EveryHop => true,
-        // The tail is the hop with no mirror: it verifies on behalf of
-        // the whole pipeline before the success ack chain starts.
-        VerifyChecksumsAt::TailOnly => !has_mirror,
-    };
     let result: DfsResult<()> = (|| {
         if let Some(e) = unstarted {
-            let _ = send_ack(&up_write, &error_ack(0));
+            w.refuse(0);
             return Err(e);
         }
         loop {
@@ -753,51 +674,43 @@ fn run_write_threads(
             // and the store get handles on that one buffer.
             let frame = read_frame(&mut up_read)?;
             let pkt = Packet::from_bytes(frame.clone())?;
-            // Verify before ack/store (§II step 3: "verifies the packet's
-            // checksum") — on the hops the config says must pay for it.
-            if verify_here
-                && dn
-                    .checksum
-                    .first_corrupt_chunk(&pkt.payload, &pkt.checksums)
-                    .is_some()
-            {
-                let _ = send_ack(&up_write, &error_ack(pkt.seq));
-                return Err(DfsError::ChecksumMismatch {
-                    block: block.id,
-                    seq: pkt.seq,
-                });
-            }
-            let last = pkt.last_in_block;
-            let n = pkt.payload.len() as u64;
-            if has_mirror {
-                // Forward *before* the local flush so downstream
-                // replication is never gated on this node's disk. A
-                // closed forwarder means the mirror died; the responder
-                // reports it via error acks, we just stop forwarding.
-                dn.obs.metrics().datanode_forward_bytes.add(n);
-                DnLocalStats::add(&dn.local.forward_bytes, n);
-                if fwd_tx.send((frame, n)).is_err() {
-                    dn.obs.metrics().datanode_forward_bytes.sub(n);
-                    DnLocalStats::sub(&dn.local.forward_bytes, n);
+            // §II step 3: the packet's checksum is verified before it is
+            // acked or stored, by the hop that verifies for the pipeline.
+            let intact = !verifies
+                || dn.checksum.first_corrupt_chunk(&pkt.payload, &pkt.checksums).is_none();
+            let (seq, last, n) = (pkt.seq, pkt.last_in_block, pkt.payload.len() as u64);
+            let mut pkt = Some(pkt);
+            let actions = w.hop.lock().on(Input::Arrived { seq, intact });
+            for action in actions {
+                match action {
+                    // Forwarded *before* the local flush, so downstream
+                    // replication is never gated on this node's disk. A
+                    // closed forwarder means the mirror died; the
+                    // responder reports it via error acks.
+                    Action::Forward => {
+                        dn.forwarding(n, true);
+                        if fwd_tx.send((frame.clone(), n)).is_err() {
+                            dn.forwarding(n, false);
+                        }
+                    }
+                    // Accounted before the send: the bounded queue blocks
+                    // here once the §IV-C buffer is full, and that backlog
+                    // is what backpressures the socket.
+                    Action::Stage => {
+                        dn.staged(n, true);
+                        if flush_tx.send(pkt.take().expect("one stage")).is_err() {
+                            // Flusher already failed and reported
+                            // upstream; its error is picked up at join.
+                            dn.staged(n, false);
+                            return Ok(());
+                        }
+                    }
+                    Action::Refuse { seq } => {
+                        w.refuse(seq);
+                        return Err(DfsError::ChecksumMismatch { block: block.id, seq });
+                    }
+                    other => unreachable!("an arrival calls for no {other:?}"),
                 }
-            }
-            // Stage for the flusher. Accounting happens before the send:
-            // the bounded queue blocks here once the §IV-C buffer is
-            // full, and that backlog is what backpressures the socket.
-            let m = dn.obs.metrics();
-            m.datanode_buffered_bytes.add(n);
-            m.datanode_staging_packets.add(1);
-            DnLocalStats::add(&dn.local.buffered_bytes, n);
-            DnLocalStats::add(&dn.local.staging_packets, 1);
-            if flush_tx.send(pkt).is_err() {
-                // Flusher already failed and reported upstream; its
-                // error is picked up at join below.
-                let m = dn.obs.metrics();
-                m.datanode_buffered_bytes.sub(n);
-                m.datanode_staging_packets.sub(1);
-                DnLocalStats::sub(&dn.local.buffered_bytes, n);
-                DnLocalStats::sub(&dn.local.staging_packets, 1);
-                return Ok(());
             }
             if last {
                 break;
@@ -828,16 +741,9 @@ fn run_write_threads(
     }
 }
 
-/// One packet through the flush stage: disk tokens, store append and —
-/// on the last packet — finalize and FNFA (first node, SMARTH). Returns
-/// the finalized replica, which the caller reports to the namenode.
-fn flush_packet(
-    dn: &Arc<DnInner>,
-    header: &WriteBlockHeader,
-    up_write: &Mutex<WriteHalf>,
-    pkt: &Packet,
-) -> DfsResult<Option<smarth_core::ids::ExtendedBlock>> {
-    let block = header.block;
+/// One packet into the store: disk tokens, the append and, for the last
+/// packet, the finalize.
+fn store_packet(dn: &DnInner, block: ExtendedBlock, pkt: &Packet) -> DfsResult<()> {
     // Disk time: modelled as bucket tokens (§III-D's T_w is the
     // per-packet constant; sustained rate is the disk bandwidth).
     dn.disk
@@ -846,33 +752,10 @@ fn flush_packet(
     dn.store
         .append(block.id, block.gen, pkt.offset_in_block, pkt.payload.clone())?;
     if pkt.last_in_block {
-        let final_len = pkt.offset_in_block + pkt.payload.len() as u64;
-        let finalized = dn.store.finalize(block.id, block.gen, final_len)?;
-        // SMARTH's key move: the first node announces completion
-        // immediately (§III-A step 3).
-        if header.position == 0 && header.mode == WriteMode::Smarth {
-            let _ = send_ack(
-                up_write,
-                &PipelineAck {
-                    kind: AckKind::FirstNodeFinish,
-                    seq: pkt.seq,
-                    batch: 1,
-                    statuses: vec![AckStatus::Success],
-                },
-            );
-            dn.obs.emit_traced(header.hop_ctx(), ObsEvent::FnfaSent {
-                datanode: dn.id,
-                block: block.id,
-            });
-        }
-        dn.obs.emit_traced(header.hop_ctx(), ObsEvent::BlockReceived {
-            datanode: dn.id,
-            block: block.id,
-            bytes: final_len,
-        });
-        return Ok(Some(finalized));
+        let len = pkt.offset_in_block + pkt.payload.len() as u64;
+        dn.store.finalize(block.id, block.gen, len)?;
     }
-    Ok(None)
+    Ok(())
 }
 
 /// Serves a range of a finalized replica as packets of at most
@@ -880,7 +763,7 @@ fn flush_packet(
 /// spans two, so nothing is joined or copied on the way out.
 fn handle_read(
     dn: &Arc<DnInner>,
-    block: smarth_core::ids::ExtendedBlock,
+    block: ExtendedBlock,
     offset: u64,
     len: u64,
     mut stream: FabricStream,

@@ -1056,13 +1056,20 @@ where
     accepting.spawn(name, move || {
         // `NameNode::stop` closes the listener, which ends the
         // blocking accept (so does a fabric shutdown).
-        while let Ok(mut stream) = listener.accept() {
+        while let Ok(stream) = listener.accept() {
             if stop.is_stopped() {
                 break;
             }
             let conn_state = Arc::clone(&state);
             let conn_stop = Arc::clone(&stop);
+            // The loop keeps the stream until the spawn is decided, so a
+            // refused connection is counted before its peer sees it close.
+            let held = Arc::new(Mutex::new(Some(stream)));
+            let conn = Arc::clone(&held);
             let serve = move || {
+                let Some(mut stream) = conn.lock().take() else {
+                    return;
+                };
                 while !conn_stop.is_stopped() {
                     let req: Req = match recv_message(&mut stream) {
                         Ok(r) => r,

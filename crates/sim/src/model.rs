@@ -2,18 +2,20 @@
 //!
 //! The simulator replays the protocol state machines of the real
 //! implementation — packet-granular store-and-forward pipelines, per-hop
-//! forward buffers with credit backpressure (§IV-C), in-order ack
-//! aggregation, FNFA-triggered pipelining (§III-A), speed tracking with
-//! 3-second heartbeat flushes (§III-B) — over [`RateServer`]s standing in
-//! for NICs, `tc` pair shapers and disks. Virtual time makes an 8 GB
+//! forward buffers with credit backpressure (§IV-C), FNFA-triggered
+//! pipelining (§III-A), speed tracking with 3-second heartbeat flushes
+//! (§III-B) — over [`RateServer`]s standing in for NICs, `tc` pair
+//! shapers and disks. Each datanode hop is the emulator's own
+//! [`hop::Hop`], fed by the `Stored` and `AckDown` events: it decides
+//! the acks, the FNFA and when the replica is reported. Virtual time makes an 8 GB
 //! upload over a 50 Mbps-throttled cluster take milliseconds of wall time
 //! and produce bit-identical results for a given seed.
 //!
 //! Pending events wait, packed into one `u64` each, in a monotone radix
 //! queue (`queue.rs`), which pops them by due time and then push order.
 //! Virtual time restarts at zero for each upload, and so does the queue.
-//! A fully acked pipeline drops its per-packet arrays, so the engine's
-//! memory follows the pipelines in flight, not the file.
+//! A hop keeps in-order watermarks, not per-packet records, so the
+//! engine's memory follows the blocks, not the packets.
 //!
 //! A run is steered by the knobs the emulator reads and no others: the
 //! scenario's [`WriteMode`] and its [`DfsConfig`]. The client sends its
@@ -31,6 +33,7 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use smarth_core::config::{ClusterSpec, DfsConfig, WriteMode};
 use smarth_core::error::DfsResult;
+use smarth_core::hop::{self, Action, Input};
 use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, FileId};
 use smarth_core::localopt::{local_optimize, LocalOptOutcome};
 use smarth_core::obs::telemetry::Sampler;
@@ -208,19 +211,16 @@ struct Host {
 
 struct Hop {
     host: usize,
-    /// Per-packet state, dropped once the pipeline is fully acked.
-    arrived: Vec<Option<SimInstant>>,
-    stored: Vec<Option<SimInstant>>,
-    down_ack: Vec<Option<SimInstant>>,
+    /// The datanode's side of the protocol: stores, acks, the FNFA and
+    /// the report.
+    machine: hop::Hop,
+    /// Packets fully arrived here; they arrive in order.
+    arrived: u64,
     fwd_next: u64,
     fwd_busy: bool,
-    /// Bytes received but not yet fully forwarded (forward buffer).
+    /// Bytes received but not yet fully forwarded (forward buffer), and
+    /// not yet on disk (the staging queue); see [`Sim::admits`].
     queue_bytes: u64,
-    /// Bytes received but not yet on disk — the staging queue between
-    /// the emulator datanode's receive and flush stages. Bounded by
-    /// `datanode_client_buffer`, so a slow disk pushes back on the
-    /// upstream sender exactly like the bounded flush channel does in
-    /// the emulated write path.
     disk_queue_bytes: u64,
     waiting_credit: bool,
 }
@@ -241,8 +241,8 @@ struct Pipe {
     hops: Vec<Hop>,
     started: SimInstant,
     fnfa_at: Option<SimInstant>,
+    /// Fully acked; until then the pipeline is active.
     done_at: Option<SimInstant>,
-    active: bool,
 }
 
 impl Pipe {
@@ -326,13 +326,6 @@ impl Sim {
         self.now.0 / 1_000
     }
 
-    /// The §IV-C forward window of pipeline position `hop`, the same
-    /// rule the emulator's datanode sizes its forward queue by.
-    fn buffer_of(&self, hop: usize) -> u64 {
-        self.config
-            .forward_window(hop, self.config.datanode_client_buffer.as_u64())
-    }
-
     /// Reserves the server chain from `src` to `dst` (egress → optional
     /// pair shaper → ingress) and returns
     /// `(egress_free, chain_done, arrival)`:
@@ -362,13 +355,17 @@ impl Sim {
         (t_egress, t_ingress, t_ingress + self.latency)
     }
 
-    /// Whether `size` more bytes would overflow the hop's receive→flush
-    /// staging queue. Mirrors the emulator's bounded flush channel: the
-    /// bound is `datanode_client_buffer` at every hop, and an empty
-    /// queue always admits one packet.
-    fn staging_full(&self, pipe: usize, hop: usize, size: u64) -> bool {
-        let occ = self.pipes[pipe].hops[hop].disk_queue_bytes;
-        occ > 0 && occ + size > self.config.datanode_client_buffer.as_u64()
+    /// Whether hop `hop` takes `size` more bytes now (§IV-C): room in its
+    /// forward buffer, the window the emulator's datanode sizes its
+    /// forward queue by (a tail forwards nothing), and in its receive →
+    /// flush staging queue, bounded by `datanode_client_buffer` at every
+    /// hop like the emulator's bounded flush channel, which always admits
+    /// one packet.
+    fn admits(&self, pipe: usize, hop: usize, size: u64) -> bool {
+        let (p, buffer) = (&self.pipes[pipe], self.config.datanode_client_buffer.as_u64());
+        let h = &p.hops[hop];
+        (hop + 1 == p.hops.len() || h.queue_bytes + size <= self.config.forward_window(hop, buffer))
+            && (h.disk_queue_bytes == 0 || h.disk_queue_bytes + size <= buffer)
     }
 
     // -- event handlers ----------------------------------------------------
@@ -394,21 +391,9 @@ impl Sim {
             self.schedule(prod_done, Ev::ClientSend { pipe });
             return;
         }
-        // Credit on the first node's forward buffer (only relevant when
-        // the pipeline actually forwards, i.e. replication > 1).
-        if self.pipes[pipe].hops.len() > 1 {
-            let occ = self.pipes[pipe].hops[0].queue_bytes;
-            if occ + size > self.buffer_of(0) {
-                self.pipes[pipe].waiting_credit = true;
-                return;
-            }
-        }
-        // Credit on the first node's receive→flush staging queue: the
-        // emulator bounds bytes waiting for disk by
-        // `datanode_client_buffer`, so a saturated disk stalls the
-        // sender. An empty queue always admits one packet (the bounded
-        // channel's minimum capacity of one).
-        if self.staging_full(pipe, 0, size) {
+        // Credit at the first node: a saturated disk or mirror stalls
+        // the sender.
+        if !self.admits(pipe, 0, size) {
             self.pipes[pipe].waiting_credit = true;
             return;
         }
@@ -429,7 +414,8 @@ impl Sim {
         let n_hops = self.pipes[pipe].hops.len();
         {
             let h = &mut self.pipes[pipe].hops[hop];
-            h.arrived[pkt as usize] = Some(self.now);
+            debug_assert_eq!(h.arrived, pkt, "arrivals come in order");
+            h.arrived += 1;
             if hop + 1 < n_hops {
                 h.queue_bytes += size;
             }
@@ -447,42 +433,21 @@ impl Sim {
     }
 
     fn on_forward(&mut self, pipe: usize, hop: usize) {
-        let n_hops = self.pipes[pipe].hops.len();
-        debug_assert!(hop + 1 < n_hops);
-        let (k, size, arrived_at, src, dst) = {
+        let (k, size, src, dst) = {
             let p = &self.pipes[pipe];
             let h = &p.hops[hop];
-            if h.fwd_busy || h.fwd_next >= p.packets {
+            // Busy, or the next packet not yet received (or none left).
+            if h.fwd_busy || h.fwd_next >= h.arrived {
                 return;
             }
             let k = h.fwd_next;
-            match h.arrived[k as usize] {
-                Some(t) => (
-                    k,
-                    p.pkt_size(k),
-                    t,
-                    h.host,
-                    p.hops[hop + 1].host,
-                ),
-                None => return, // not yet received
-            }
+            (k, p.pkt_size(k), h.host, p.hops[hop + 1].host)
         };
-        // Credit at the next hop's forward buffer (tail stores only).
-        if hop + 2 < n_hops {
-            let occ = self.pipes[pipe].hops[hop + 1].queue_bytes;
-            if occ + size > self.buffer_of(hop + 1) {
-                self.pipes[pipe].hops[hop].waiting_credit = true;
-                return;
-            }
-        }
-        // Credit at the next hop's receive→flush staging queue — every
-        // hop (including the tail) bounds bytes awaiting disk.
-        if self.staging_full(pipe, hop + 1, size) {
+        if !self.admits(pipe, hop + 1, size) {
             self.pipes[pipe].hops[hop].waiting_credit = true;
             return;
         }
-        let earliest = if arrived_at > self.now { arrived_at } else { self.now };
-        let (_egress_free, chain_done, arrival) = self.transmit(src, dst, earliest, size);
+        let (_egress_free, chain_done, arrival) = self.transmit(src, dst, self.now, size);
         {
             let h = &mut self.pipes[pipe].hops[hop];
             h.fwd_busy = true;
@@ -528,90 +493,82 @@ impl Sim {
     }
 
     fn on_stored(&mut self, pipe: usize, hop: usize, pkt: u64) {
-        let n_hops = self.pipes[pipe].hops.len();
-        let is_last_pkt = pkt + 1 == self.pipes[pipe].packets;
+        let last = pkt + 1 == self.pipes[pipe].packets;
         let size = self.pipes[pipe].pkt_size(pkt);
         {
             let h = &mut self.pipes[pipe].hops[hop];
-            h.stored[pkt as usize] = Some(self.now);
             h.disk_queue_bytes = h.disk_queue_bytes.saturating_sub(size);
         }
         // Staging space freed.
         self.wake_upstream(pipe, hop);
-        if is_last_pkt {
-            // The replica is fully on disk at this hop: the datanode
-            // reports it to the namenode, and the DES timelines carry the
-            // same per-hop residency spans the conformance differ joins on.
-            let p = &self.pipes[pipe];
-            let (block, ctx, datanode, bytes) = (p.block, p.ctx, p.target_ids[hop], p.block.len);
-            self.clock.set(self.vtime_us());
-            let report = DatanodeRequest::BlockReceived {
-                id: datanode,
-                block,
-            };
-            let ack = self.nn.handle_datanode_request(report);
-            assert_eq!(
-                ack,
-                DatanodeResponse::BlockReceivedAck,
-                "{block:?} on {datanode}"
-            );
-            self.obs.emit_virtual_traced(
-                self.vtime_us(),
-                ctx,
-                ObsEvent::BlockReceived {
-                    datanode,
-                    block: block.id,
-                    bytes,
-                },
-            );
-        }
-        if hop == 0 && is_last_pkt && self.mode == WriteMode::Smarth {
-            let at = self.now + self.latency;
-            let p = &self.pipes[pipe];
-            let (block, ctx, datanode) = (p.block.id, p.ctx, p.target_ids[0]);
-            self.obs.emit_virtual_traced(
-                self.vtime_us(),
-                ctx,
-                ObsEvent::FnfaSent { datanode, block },
-            );
-            self.schedule(at, Ev::Fnfa { pipe });
-        }
-        let down_ready =
-            hop + 1 == n_hops || self.pipes[pipe].hops[hop].down_ack[pkt as usize].is_some();
-        if down_ready {
-            self.emit_ack_up(pipe, hop, pkt);
-        }
+        let actions = self.pipes[pipe].hops[hop].machine.on(Input::Stored { seq: pkt, last });
+        self.perform(pipe, hop, actions);
     }
 
     fn on_ack_down(&mut self, pipe: usize, hop: usize, pkt: u64) {
-        self.pipes[pipe].hops[hop].down_ack[pkt as usize] = Some(self.now);
-        if self.pipes[pipe].hops[hop].stored[pkt as usize].is_some() {
-            self.emit_ack_up(pipe, hop, pkt);
-        }
+        let ack = Input::MirrorAck { seq: pkt, statuses: &[] };
+        let actions = self.pipes[pipe].hops[hop].machine.on(ack);
+        self.perform(pipe, hop, actions);
     }
 
-    fn emit_ack_up(&mut self, pipe: usize, hop: usize, pkt: u64) {
-        let at = self.now + self.latency;
-        if hop == 0 {
-            self.schedule(at, Ev::AckClient { pipe, pkt });
-        } else {
-            self.schedule(at, Ev::AckDown { pipe, hop: hop - 1, pkt });
+    /// Performs at this instant what hop `hop`'s machine called for, and
+    /// what the answer to a report calls for. An ack is one event per
+    /// packet it covers.
+    fn perform(&mut self, pipe: usize, hop: usize, mut actions: hop::Actions) {
+        let names = |sim: &Sim| {
+            let p = &sim.pipes[pipe];
+            (p.block, p.ctx, p.target_ids[hop])
+        };
+        let mut reported = true;
+        while std::mem::take(&mut reported) {
+            for action in actions {
+                match action {
+                    Action::Ack(ack) => {
+                        let at = self.now + self.latency;
+                        for pkt in ack.seq + 1 - ack.batch..ack.seq + 1 {
+                            let ev = match hop {
+                                0 => Ev::AckClient { pipe, pkt },
+                                _ => Ev::AckDown { pipe, hop: hop - 1, pkt },
+                            };
+                            self.schedule(at, ev);
+                        }
+                    }
+                    Action::Fnfa { .. } => {
+                        let (block, ctx, datanode) = names(self);
+                        let event = ObsEvent::FnfaSent { datanode, block: block.id };
+                        self.obs.emit_virtual_traced(self.vtime_us(), ctx, event);
+                        self.schedule(self.now + self.latency, Ev::Fnfa { pipe });
+                    }
+                    // The DES timelines carry the same per-hop residency
+                    // spans the conformance differ joins on.
+                    Action::Received => {
+                        let (block, ctx, datanode) = names(self);
+                        let (block, bytes) = (block.id, block.len);
+                        let event = ObsEvent::BlockReceived { datanode, block, bytes };
+                        self.obs.emit_virtual_traced(self.vtime_us(), ctx, event);
+                    }
+                    Action::Report => {
+                        let (block, _, datanode) = names(self);
+                        self.clock.set(self.vtime_us());
+                        let report = DatanodeRequest::BlockReceived { id: datanode, block };
+                        let ack = self.nn.handle_datanode_request(report);
+                        assert_eq!(ack, DatanodeResponse::BlockReceivedAck, "{block:?} on {datanode}");
+                        reported = true;
+                    }
+                    other => unreachable!("no DES event calls for {other:?}"),
+                }
+            }
+            if reported {
+                actions = self.pipes[pipe].hops[hop].machine.on(Input::Reported);
+            }
         }
     }
 
     fn on_ack_client(&mut self, pipe: usize, _pkt: u64) {
         let p = &mut self.pipes[pipe];
         p.acked += 1;
-        if p.acked == p.packets && p.active {
-            p.active = false;
+        if p.acked == p.packets && p.done_at.is_none() {
             p.done_at = Some(self.now);
-            // Every hop has stored and acked every packet: no handler
-            // reads the per-packet state again.
-            for h in &mut p.hops {
-                h.arrived = Vec::new();
-                h.stored = Vec::new();
-                h.down_ack = Vec::new();
-            }
             self.active_count -= 1;
             self.blocks_done += 1;
             if self.sending == Some(pipe) {
@@ -724,7 +681,7 @@ impl Sim {
         let excluded = self
             .pipes
             .iter()
-            .filter(|p| p.active)
+            .filter(|p| p.done_at.is_none())
             .flat_map(|p| p.target_ids.iter().copied())
             .collect();
         let req = ClientRequest::AddBlock {
@@ -806,13 +763,14 @@ impl Sim {
         let last_packet_size = block_bytes - packet_size * (packets - 1);
         let ppb = self.config.packets_per_block();
 
+        let n_hops = hosts.len();
         let hops = hosts
             .iter()
-            .map(|&host| Hop {
+            .enumerate()
+            .map(|(position, &host)| Hop {
                 host,
-                arrived: vec![None; packets as usize],
-                stored: vec![None; packets as usize],
-                down_ack: vec![None; packets as usize],
+                machine: hop::Hop::new(position, position + 1 < n_hops, self.mode),
+                arrived: 0,
                 fwd_next: 0,
                 fwd_busy: false,
                 queue_bytes: 0,
@@ -842,7 +800,6 @@ impl Sim {
             started: start,
             fnfa_at: None,
             done_at: None,
-            active: true,
         });
         let at = self.vtime_us();
         // The §III-A overlap latency, measured the same way the real
@@ -1262,29 +1219,6 @@ mod tests {
     use super::*;
     use crate::scenario::{contention, heterogeneous, two_rack};
     use smarth_core::config::InstanceType;
-
-    /// After a run every pipeline is fully acked, so none may hold its
-    /// per-packet arrays.
-    #[test]
-    fn fully_acked_pipes_hold_no_per_packet_state() {
-        let mib = ByteSize::mib(256);
-        for mode in [WriteMode::Hdfs, WriteMode::Smarth] {
-            for s in [
-                two_rack(InstanceType::Small, mib, Some(Bandwidth::mbps(100.0)), mode),
-                contention(InstanceType::Medium, mib, 3, Bandwidth::mbps(50.0), mode),
-                heterogeneous(mib, mode),
-            ] {
-                let (sim, _) = run_rounds(&s, Obs::disabled(), None);
-                assert_eq!(sim.pipes.len(), 4);
-                for (i, p) in sim.pipes.iter().enumerate() {
-                    for h in &p.hops {
-                        let held = [&h.arrived, &h.stored, &h.down_ack].map(Vec::capacity);
-                        assert_eq!(held, [0; 3], "{mode:?}: pipe {i} keeps per-packet state");
-                    }
-                }
-            }
-        }
-    }
 
     /// The DES's namenode is the emulator's: after each golden case every
     /// datanode is alive on its heartbeats, the namespace holds one
