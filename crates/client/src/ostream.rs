@@ -1,74 +1,28 @@
-//! `DfsOutputStream` — the client write path, in both protocols.
-//!
-//! * **HDFS mode** (§II): one pipeline at a time. The stream sends every
-//!   packet of a block, then blocks until the pipeline is *fully acked*
-//!   by all replicas before asking the namenode for the next block —
-//!   the stop-and-wait behaviour whose cost §III-D's Formula (2) models.
-//!
-//! * **SMARTH mode** (§III-A): the stream waits only for the first
-//!   datanode's FIRST_NODE_FINISH ack, then immediately allocates the
-//!   next block on a *new* pipeline while the previous pipelines keep
-//!   replicating in the background. The active-pipeline set is bounded
-//!   by the §IV-C rule (a datanode serves at most one of this client's
-//!   pipelines; when every datanode is busy, block allocation fails and
-//!   the stream waits for a pipeline to drain).
-//!
-//! In both modes the first block's allocation arrives with the stream:
-//! `create` carried the first `addBlock` (§II steps 1–2 in one namenode
-//! round trip), so the first `write` opens a pipeline at once. Every
-//! later block, and the first one when the namenode had nowhere to place
-//! it, is asked for with `addBlock`; a stream closed before any byte was
-//! written gives the unused allocation back.
-//!
-//! Fault tolerance implements Algorithm 3 (single pipeline recovery:
-//! requeue retained packets, probe replicas, bump the generation stamp,
-//! truncate survivors to the common prefix, rebuild and resend) embedded
-//! in Algorithm 4's multi-pipeline loop (recover every errored pipeline,
-//! then resume the interrupted block). `smarth_core::recovery` decides
-//! every step; this stream performs them.
+//! `DfsOutputStream` — the client write path, in both protocols: the
+//! executor of one [`Session`], which decides when a block is asked for,
+//! finished and committed (HDFS stop-and-wait, §II; SMARTH's FNFA
+//! pipelining under the §IV-C busy set, §III-A), and of
+//! `smarth_core::recovery`'s Algorithms 3 and 4 when a pipeline breaks.
+//! This stream owns the threads, sockets and retained packets: it opens
+//! the pipelines, sends the packets and the RPCs, and feeds back every
+//! pipeline event. `create` brought the first block's allocation, so
+//! the first `write` opens a pipeline at once.
 
 use crate::client::ClientCtx;
-use crate::pipeline::{Pipeline, PipelineEvent, PipelineEventKind};
+use crate::pipeline::{now, Pipeline, PipelineEvent, PipelineEventKind};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use smarth_core::checksum::ChunkedChecksum;
 use smarth_core::config::WriteMode;
 use smarth_core::error::{DfsError, DfsResult};
-use smarth_core::ids::{BlockId, DatanodeId, ExtendedBlock, FileId, GenStamp, PipelineId};
-use smarth_core::localopt::{local_optimize, LocalOptOutcome};
+use smarth_core::ids::{BlockId, ExtendedBlock, FileId, GenStamp, PipelineId};
 use smarth_core::obs::{Obs, ObsEvent, RecoveryCause, TraceCtx};
 use smarth_core::proto::{DataOp, DataReply, DatanodeInfo, LocatedBlock, Packet};
-use smarth_core::recovery::{self, AckTimeouts, Action, Allocation, Input, Probe, Recovery, Retained};
-use smarth_core::units::{ByteSize, SimDuration};
+use smarth_core::recovery::{self, AckTimeouts, Probe, Recovery, Retained};
 use smarth_core::wire::{recv_message, send_message};
+use smarth_core::write::{Action, Input, Lent, Session};
+pub use smarth_core::write::StreamStats;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Counters reported by [`DfsOutputStream::close`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    pub bytes_written: u64,
-    pub blocks_committed: u64,
-    /// Pipeline recoveries performed (Algorithm 3 invocations).
-    pub recoveries: u64,
-    /// Exploration swaps done by the local optimization (Algorithm 2).
-    pub explored_swaps: u64,
-    /// High-water mark of concurrently active pipelines.
-    pub max_concurrent_pipelines: usize,
-}
-
-struct ActiveBlock {
-    pipeline: Pipeline,
-    next_seq: u64,
-    /// Bytes handed to the pipeline so far.
-    offset: u64,
-    fnfa: bool,
-    fully_acked: bool,
-}
-
-struct PendingPipeline {
-    pipeline: Pipeline,
-    len: u64,
-}
 
 /// A writable stream to one DFS file. Not `Sync`: one writer per stream,
 /// like HDFS's single-writer lease model.
@@ -83,26 +37,11 @@ pub struct DfsOutputStream {
     events_rx: Receiver<PipelineEvent>,
     next_pipeline: u64,
 
-    /// The allocation `create` brought back, until the first block is
-    /// opened on it or `close()` gives it back.
-    first_block: Option<LocatedBlock>,
-    current: Option<ActiveBlock>,
-    pending: Vec<PendingPipeline>,
-    /// Fully-acked SMARTH blocks whose namenode commit has not been
-    /// sent yet. Instead of paying a dedicated `commitBlock` round
-    /// trip on the critical path between blocks, the head of this
-    /// queue rides the next `add_block` RPC as its `previous`
-    /// argument (mirroring HDFS `addBlock(previous)`); leftovers are
-    /// flushed at `close()`, the newest on `complete(last)`.
-    deferred_commits: Vec<ExtendedBlock>,
-    /// Datanodes discovered dead through recovery; excluded from all
-    /// future placements of this stream.
-    dead: Vec<DatanodeId>,
+    /// Decides what happens to every block; this stream performs it.
+    session: Session,
+    /// The open pipelines: the current one and the draining ones.
+    pipes: Vec<Pipeline>,
     packet_buf: Vec<u8>,
-    stats: StreamStats,
-    /// Timestamp of the most recent FNFA, for the FNFA→next-allocation
-    /// latency histogram (the §III-A overlap the protocol exists to buy).
-    last_fnfa_at: Option<u64>,
 }
 
 impl DfsOutputStream {
@@ -115,6 +54,8 @@ impl DfsOutputStream {
     ) -> Self {
         let (events_tx, events_rx) = unbounded();
         let checksum = ChunkedChecksum::new(ctx.config.bytes_per_checksum);
+        let metrics = ctx.obs.metrics().clone();
+        let session = Session::new(ctx.id, mode, &ctx.config, first_block, metrics);
         Self {
             ctx,
             file_id,
@@ -124,14 +65,9 @@ impl DfsOutputStream {
             events_tx,
             events_rx,
             next_pipeline: 1,
-            first_block,
-            current: None,
-            pending: Vec::new(),
-            deferred_commits: Vec::new(),
-            dead: Vec::new(),
+            session,
+            pipes: Vec::new(),
             packet_buf: Vec::new(),
-            stats: StreamStats::default(),
-            last_fnfa_at: None,
         }
     }
 
@@ -139,54 +75,36 @@ impl DfsOutputStream {
         &self.ctx.obs
     }
 
-    /// Marks the head deferred commit as applied by the namenode.
-    /// `AddBlock` runs `update_block(previous)` before placement, so
-    /// any placement outcome — success, a short pipeline, or
-    /// `PlacementFailed` — means the commit landed. Re-sending after
-    /// other errors is safe: `update_block` is idempotent.
-    fn deferred_commit_landed(&mut self) {
-        if !self.deferred_commits.is_empty() {
-            self.deferred_commits.remove(0);
-            self.stats.blocks_committed += 1;
-            self.obs().metrics().blocks_committed.inc();
-        }
-    }
-
     /// Currently active pipelines (current + draining).
     pub fn active_pipelines(&self) -> usize {
-        self.pending.len() + usize::from(self.current.is_some())
+        self.session.active()
     }
 
     /// Host names of the datanodes in the *current* block's pipeline,
     /// first node first; empty between blocks. Fault-injection harnesses
     /// use this to aim a kill at a live pipeline member.
     pub fn current_target_hosts(&self) -> Vec<String> {
-        let targets = self.current.iter().flat_map(|c| &c.pipeline.targets);
-        targets.map(|t| t.host_name.clone()).collect()
+        let current = self.pipes.iter().filter(|p| Some(p.id) == self.session.current());
+        current.flat_map(|p| &p.targets).map(|t| t.host_name.clone()).collect()
     }
 
     /// Appends data to the stream, blocking under network backpressure.
     pub fn write(&mut self, mut data: &[u8]) -> DfsResult<()> {
         let packet_size = self.ctx.config.packet_size.as_u64() as usize;
-        let block_size = self.ctx.config.block_size.as_u64();
         while !data.is_empty() {
-            if self.current.is_none() {
+            if self.session.current().is_none() {
                 self.open_next_block()?;
             }
-            let offset = self.current.as_ref().map(|c| c.offset).expect("a current block");
-            let block_remaining = block_size - offset - self.packet_buf.len() as u64;
-            let packet_remaining = packet_size - self.packet_buf.len();
-            let take = data.len().min(packet_remaining).min(block_remaining as usize);
+            let block_room = self.session.room() - self.packet_buf.len() as u64;
+            let take = data.len().min(packet_size - self.packet_buf.len()).min(block_room as usize);
             self.packet_buf.extend_from_slice(&data[..take]);
             data = &data[take..];
-            self.stats.bytes_written += take as u64;
-            self.obs().metrics().bytes_written.add(take as u64);
 
-            let at_block_end = offset + self.packet_buf.len() as u64 == block_size;
+            let at_block_end = take as u64 == block_room;
             if self.packet_buf.len() == packet_size || at_block_end {
                 self.flush_packet(at_block_end)?;
                 if at_block_end {
-                    self.finish_current_block()?;
+                    self.await_finish()?;
                 }
             }
         }
@@ -200,153 +118,75 @@ impl DfsOutputStream {
         // file ends exactly on a packet boundary mid-block, the buffer
         // is empty but the block is still open — seal it with an empty
         // `last` packet (the datanodes finalize at the current length).
-        if !self.packet_buf.is_empty() || self.current.is_some() {
+        if !self.packet_buf.is_empty() || self.session.current().is_some() {
             self.flush_packet(true)?;
-            self.finish_current_block()?;
+            self.await_finish()?;
         }
-        // Nothing was ever written: the file is sealed with no blocks, not
-        // with an empty one.
-        if let Some(unused) = self.first_block.take() {
-            self.abandon_allocation(unused.block.id)?;
-        }
-
-        // §II steps 5-6: wait for every ack, then complete.
-        // (In HDFS mode finish_current_block already waited per block, so
-        // `pending` is only populated in SMARTH mode.)
+        // §II steps 5-6: wait for every ack, commit, then complete.
         let mut timeouts = AckTimeouts::default();
-        while !self.pending.is_empty() {
-            self.pump_event(&mut timeouts)?;
+        loop {
+            for action in self.session.on(Input::Close) {
+                match action {
+                    Action::AwaitEvent => self.pump_event(&mut timeouts)?,
+                    Action::GiveBack(block) => self.abandon_allocation(block)?,
+                    Action::Complete(last) => {
+                        self.ctx.rpc.complete(self.ctx.id, self.file_id, last)?;
+                        return Ok(self.session.stats);
+                    }
+                    other => self.act(other)?,
+                }
+            }
         }
-        // Flush commits that never found an `add_block` to ride: all
-        // but the newest go as explicit commits, the newest rides the
-        // `complete` RPC itself (HDFS `complete(last)` semantics).
-        let mut deferred = std::mem::take(&mut self.deferred_commits);
-        let last = deferred.pop();
-        for block in deferred {
-            self.ctx.rpc.commit_block(self.ctx.id, self.file_id, block)?;
-            self.stats.blocks_committed += 1;
-            self.obs().metrics().blocks_committed.inc();
-        }
-        self.ctx.rpc.complete(self.ctx.id, self.file_id, last)?;
-        if last.is_some() {
-            self.stats.blocks_committed += 1;
-            self.obs().metrics().blocks_committed.inc();
-        }
-        Ok(self.stats)
     }
 
     // ------------------------------------------------------------------
     // Block lifecycle
     // ------------------------------------------------------------------
 
-    /// Allocates the next block and opens its pipeline. A namenode outage
+    /// Asks the session for a block until one is open. A namenode outage
     /// on `addBlock` and a first target that refuses the pipeline are
     /// incidents of one [`Recovery::opening`] plan per block.
     fn open_next_block(&mut self) -> DfsResult<()> {
         let mut plan = Recovery::opening();
-        loop {
-            // Ablation cap on concurrent pipelines (§IV-C's rule emerges
-            // naturally from placement exclusions; the override forces a
-            // different cap).
-            if let Some(cap) = self.ctx.config.max_pipelines_override {
-                while self.pending.len() + 1 > cap.max(1) {
-                    self.handle_next_event()?;
-                }
-            }
-
-            let located = loop {
-                let excluded = self.busy_and_dead();
-                // Piggyback the oldest deferred commit on this allocation
-                // rather than spending a separate RPC round trip. A
-                // scratch rebuild keeps `previous = None`: it must not
-                // couple a replay to unrelated commit state.
-                let previous = self.deferred_commits.first().copied();
-                // The first block's allocation came with `create`, when
-                // nothing was busy, dead or waiting for its commit.
-                let reply = match self.first_block.take() {
-                    Some(lb) => Ok(lb),
-                    None => self.ctx.rpc.add_block(self.ctx.id, self.file_id, previous, &excluded),
-                };
-                let outcome = recovery::allocation(reply, self.replication, !self.pending.is_empty());
-                if !matches!(outcome, Allocation::Failed(_)) {
-                    // Any placement outcome means the commit landed: the
-                    // namenode applies `previous` before it places.
-                    self.deferred_commit_landed();
-                }
-                match outcome {
-                    Allocation::Use(lb) => break lb,
-                    Allocation::GiveBack(block) => {
-                        let _ = self.abandon_allocation(block);
-                        self.handle_next_event()?;
+        let mut reply = None;
+        while self.session.current().is_none() {
+            let actions = {
+                let (tracker, mut rng) = (self.ctx.tracker.lock(), self.ctx.rng.lock());
+                let lent = Lent { now: now(), tracker: &tracker, rng: &mut *rng };
+                self.session.on(match reply.take() {
+                    Some(reply) => Input::Allocated(reply, lent),
+                    None => Input::NeedBlock(lent),
+                })
+            };
+            for action in actions {
+                match action {
+                    Action::AddBlock { previous, excluded } => {
+                        reply = Some(self.ctx.rpc.add_block(self.ctx.id, self.file_id, previous, &excluded));
                     }
-                    Allocation::Wait => self.handle_next_event()?,
-                    Allocation::Failed(e) => {
+                    Action::AwaitEvent => self.handle_next_event()?,
+                    Action::Failed(e) => {
                         // Between blocks: no allocation exists yet.
                         let mut site = Site::new(ExtendedBlock::new(BlockId(0), GenStamp::INITIAL, 0), None);
-                        self.drive(&mut plan, Input::AllocationFailed(e), &mut site)?;
+                        self.drive(&mut plan, recovery::Input::AllocationFailed(e), &mut site)?;
                     }
-                }
-            };
-
-            // §III-A overlap: how long after the previous block's FNFA did
-            // the next allocation land?
-            if let Some(fnfa_at) = self.last_fnfa_at.take() {
-                self.obs()
-                    .metrics()
-                    .fnfa_to_allocation_us
-                    .observe(Obs::now_us().saturating_sub(fnfa_at));
-            }
-            // Causal context minted by the namenode for this block's whole
-            // lifecycle; every event below rides on it.
-            let ctx = located.trace_ctx();
-            self.obs().emit_traced(ctx, ObsEvent::BlockAllocated {
-                client: self.ctx.id,
-                block: located.block.id,
-                targets: located.targets.iter().map(|t| t.id).collect(),
-            });
-
-            let mut targets = located.targets;
-            // Algorithm 2: client-side re-sort plus ε-exploration.
-            if self.ctx.config.runs_local_opt(self.mode) {
-                let tracker = self.ctx.tracker.lock();
-                let mut rng = self.ctx.rng.lock();
-                if let LocalOptOutcome::Explored { swapped_index } = local_optimize(
-                    &mut targets,
-                    &tracker,
-                    self.ctx.config.local_opt_threshold,
-                    &mut *rng,
-                ) {
-                    self.stats.explored_swaps += 1;
-                    self.obs().metrics().exploration_swaps.inc();
-                    self.obs().emit_traced(ctx, ObsEvent::ExplorationSwap {
-                        block: located.block.id,
-                        promoted: targets[0].id,
-                        displaced: targets[swapped_index].id,
-                    });
-                }
-            }
-
-            let first = targets[0].id;
-            match self.open_pipeline(located.block, targets, ctx) {
-                Ok(pipeline) => {
-                    self.current = Some(ActiveBlock {
-                        pipeline,
-                        next_seq: 0,
-                        offset: 0,
-                        fnfa: false,
-                        fully_acked: false,
-                    });
-                    let active = self.active_pipelines();
-                    self.stats.max_concurrent_pipelines =
-                        self.stats.max_concurrent_pipelines.max(active);
-                    return Ok(());
-                }
-                Err(error) => {
-                    let mut site = Site::new(located.block, ctx);
-                    self.drive(&mut plan, Input::Refused { first, error }, &mut site)?;
+                    Action::Open { block, targets, ctx } => {
+                        let first = targets[0].id;
+                        match self.open_pipeline(block, targets, ctx) {
+                            Ok(pipeline) => {
+                                self.feed(Input::Opened(pipeline.up()))?;
+                                self.pipes.push(pipeline);
+                            }
+                            Err(error) => {
+                                let mut site = Site::new(block, ctx);
+                                self.drive(&mut plan, recovery::Input::Refused { first, error }, &mut site)?;
+                            }
+                        }
+                    }
+                    other => self.act(other)?,
                 }
             }
         }
+        Ok(())
     }
 
     /// Returns an allocation no pipeline was opened on to the namenode.
@@ -393,75 +233,43 @@ impl DfsOutputStream {
         });
     }
 
+    fn take_pipe(&mut self, id: PipelineId) -> Pipeline {
+        let i = self.pipes.iter().position(|p| p.id == id).expect("an open pipeline");
+        self.pipes.swap_remove(i)
+    }
+
     fn flush_packet(&mut self, last_in_block: bool) -> DfsResult<()> {
         // Surface any pending pipeline events (errors especially) before
         // committing more data to a possibly-dead pipeline.
         while let Ok(ev) = self.events_rx.try_recv() {
-            self.process_event(ev)?;
+            self.on_event(ev)?;
         }
         let payload = bytes::Bytes::from(std::mem::take(&mut self.packet_buf));
-        let current = self.current.as_mut().expect("flush without current block");
-        let pkt = Packet {
-            seq: current.next_seq,
-            offset_in_block: current.offset,
-            last_in_block,
-            checksums: self.checksum.compute(&payload),
-            payload,
+        let packet = Input::Packet { len: payload.len() as u64, last: last_in_block };
+        let mut actions = self.session.on(packet).into_iter();
+        let Some(Action::Send { id, seq, offset, last }) = actions.next() else {
+            unreachable!("a packet is sent before anything it finishes")
         };
-        current.next_seq += 1;
-        current.offset += pkt.payload.len() as u64;
-        let pipeline_id = current.pipeline.id;
-        if current.pipeline.send_packet(pkt).is_err() {
+        let checksums = self.checksum.compute(&payload);
+        let pkt = Packet { seq, offset_in_block: offset, last_in_block: last, checksums, payload };
+        let pipeline = self.pipes.iter_mut().find(|p| p.id == id).expect("the current pipeline");
+        if pipeline.send_packet(pkt).is_err() {
             // The packet is retained in the pipeline, so recovery will
             // resend it (Algorithm 3 line 3).
-            self.recover(pipeline_id, Input::SendFailed)?;
+            self.feed(Input::Failed(id, recovery::Input::SendFailed))?;
         }
-        Ok(())
+        actions.try_for_each(|action| self.act(action))
     }
 
-    /// Called once the last packet of the current block has been sent.
-    /// HDFS is stop-and-wait: it blocks until every replica acked. SMARTH
-    /// (§III-A) waits only for the FNFA and lets the pipeline drain in
-    /// the background.
-    fn finish_current_block(&mut self) -> DfsResult<()> {
-        let hdfs = self.mode == WriteMode::Hdfs;
+    /// Waits until the session finished the current block: HDFS is
+    /// stop-and-wait, every replica acks; SMARTH (§III-A) waits only for
+    /// the FNFA and lets the pipeline drain in the background.
+    fn await_finish(&mut self) -> DfsResult<()> {
         let mut timeouts = AckTimeouts::default();
-        while !self.current.as_ref().is_some_and(|c| if hdfs { c.fully_acked } else { c.fnfa }) {
+        while self.session.current().is_some() {
             self.pump_event(&mut timeouts)?;
         }
-        let done = self.current.take().expect("current");
-        let block = ExtendedBlock::new(done.pipeline.block.id, done.pipeline.block.gen, done.offset);
-        if hdfs {
-            self.ctx.rpc.commit_block(self.ctx.id, self.file_id, block)?;
-            self.stats.blocks_committed += 1;
-            self.obs().metrics().blocks_committed.inc();
-            self.close_pipeline(done.pipeline, true);
-        } else if done.fully_acked {
-            // On a fast cluster the full-pipeline ack can arrive while the
-            // block is still current (it may even beat the FNFA frame,
-            // whose write races the final ack). Its completion event is
-            // already consumed, so queue its commit here instead of
-            // parking it in `pending` where no further event would ever
-            // release it.
-            self.deferred_commits.push(block);
-            self.close_pipeline(done.pipeline, true);
-        } else {
-            self.pending.push(PendingPipeline { len: done.offset, pipeline: done.pipeline });
-        }
         Ok(())
-    }
-
-    fn busy_and_dead(&self) -> Vec<DatanodeId> {
-        let mut v = self.dead.clone();
-        if let Some(c) = &self.current {
-            v.extend(c.pipeline.datanode_ids());
-        }
-        for p in &self.pending {
-            v.extend(p.pipeline.datanode_ids());
-        }
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     // ------------------------------------------------------------------
@@ -477,7 +285,7 @@ impl DfsOutputStream {
     /// Waits for one pipeline event and processes it.
     fn handle_next_event(&mut self) -> DfsResult<()> {
         let ev = self.wait_event()?;
-        self.process_event(ev)
+        self.on_event(ev)
     }
 
     /// Waits for one pipeline event and processes it. A timeout while a
@@ -489,67 +297,42 @@ impl DfsOutputStream {
     /// silent cluster still surfaces the timeout error.
     fn pump_event(&mut self, timeouts: &mut AckTimeouts) -> DfsResult<()> {
         match self.wait_event() {
-            Ok(ev) => self.process_event(ev),
-            Err(e) => {
-                let current = self.current.as_ref().map(|c| c.pipeline.id);
-                match current.or_else(|| self.pending.first().map(|p| p.pipeline.id)) {
-                    Some(pid) if timeouts.recover() => self.recover(pid, Input::AckTimeout),
-                    _ => Err(e),
-                }
-            }
+            Ok(ev) => self.on_event(ev),
+            Err(_) if self.session.active() > 0 && timeouts.recover() => self.feed(Input::Stalled),
+            Err(e) => Err(e),
         }
     }
 
-    fn process_event(&mut self, ev: PipelineEvent) -> DfsResult<()> {
-        match ev.kind {
-            PipelineEventKind::FirstNodeFinish => {
-                if let Some(c) = &mut self.current {
-                    if c.pipeline.id == ev.pipeline {
-                        c.fnfa = true;
-                        // §III-B: record the block transfer speed to the
-                        // first datanode.
-                        let elapsed = c.pipeline.started.elapsed();
-                        let first = c.pipeline.targets[0].id;
-                        self.ctx.tracker.lock().observe(
-                            first,
-                            ByteSize::bytes(c.offset),
-                            SimDuration::from_secs_f64(elapsed.as_secs_f64()),
-                        );
-                        let block = c.pipeline.block.id;
-                        let ctx = c.pipeline.ctx;
-                        self.last_fnfa_at = Some(Obs::now_us());
-                        self.obs().metrics().fnfa_received.inc();
-                        self.obs().emit_traced(ctx, ObsEvent::FnfaReceived {
-                            block,
-                            first_node: first,
-                        });
-                    }
-                }
-            }
-            PipelineEventKind::FullyAcked => {
-                if let Some(c) = &mut self.current {
-                    if c.pipeline.id == ev.pipeline {
-                        c.fully_acked = true;
-                        c.fnfa = true; // full ack implies first-node done
-                        return Ok(());
-                    }
-                }
-                if let Some(idx) = self
-                    .pending
-                    .iter()
-                    .position(|p| p.pipeline.id == ev.pipeline)
-                {
-                    let done = self.pending.swap_remove(idx);
-                    let block = done.pipeline.block;
-                    self.deferred_commits.push(ExtendedBlock::new(block.id, block.gen, done.len));
-                    self.close_pipeline(done.pipeline, true);
-                }
-            }
+    fn on_event(&mut self, ev: PipelineEvent) -> DfsResult<()> {
+        let id = ev.pipeline;
+        self.feed(match ev.kind {
+            PipelineEventKind::FirstNodeFinish => Input::Fnfa { id, now: now() },
+            PipelineEventKind::FullyAcked => Input::FullyAcked(id),
             PipelineEventKind::Error { failed_index } => {
-                // Stale error events for already-recovered pipelines are
-                // ignored inside recover().
-                self.recover(ev.pipeline, Input::HopError(failed_index))?;
+                Input::Failed(id, recovery::Input::HopError(failed_index))
             }
+        })
+    }
+
+    fn feed(&mut self, input: Input<'_>) -> DfsResult<()> {
+        self.session.on(input).into_iter().try_for_each(|action| self.act(action))
+    }
+
+    /// Performs one action of the session that needs no answer here.
+    fn act(&mut self, action: Action) -> DfsResult<()> {
+        match action {
+            Action::Log(ctx, event) => self.obs().emit_traced(ctx, event),
+            Action::SpeedRecord { first, bytes, took } => self.ctx.tracker.lock().observe(first, bytes, took),
+            Action::GiveBack(block) => _ = self.abandon_allocation(block),
+            // The write loop asks for the next block when it has bytes.
+            Action::NextBlock => {}
+            Action::Commit(block) => self.ctx.rpc.commit_block(self.ctx.id, self.file_id, block)?,
+            Action::Close { id, committed } => {
+                let pipeline = self.take_pipe(id);
+                self.close_pipeline(pipeline, committed);
+            }
+            Action::Recover(id, cause) => self.recover(id, cause)?,
+            other => unreachable!("{other:?} answers no pipeline event"),
         }
         Ok(())
     }
@@ -561,17 +344,8 @@ impl DfsOutputStream {
     /// Recovers one pipeline: Algorithm 3, invoked per failed pipeline as
     /// Algorithm 4's loop (events arrive one at a time, so the
     /// error-pipeline set is drained through repeated calls).
-    fn recover(&mut self, pipeline_id: PipelineId, trigger: Input) -> DfsResult<()> {
-        let is_current = self.current.as_ref().is_some_and(|c| c.pipeline.id == pipeline_id);
-        let (old, len, resume) = if is_current {
-            let c = self.current.take().expect("checked");
-            (c.pipeline, c.offset, Some(c.next_seq))
-        } else if let Some(i) = self.pending.iter().position(|p| p.pipeline.id == pipeline_id) {
-            let p = self.pending.remove(i);
-            (p.pipeline, p.len, None)
-        } else {
-            return Ok(()); // stale event for a replaced pipeline
-        };
+    fn recover(&mut self, pipeline_id: PipelineId, trigger: recovery::Input) -> DfsResult<()> {
+        let old = self.take_pipe(pipeline_id);
         let retained = old.take_retained_packets();
         let mut plan = Recovery::new(
             pipeline_id,
@@ -584,23 +358,12 @@ impl DfsOutputStream {
         site.retained = &retained;
         site.broken = Some(old);
         let result = self.drive(&mut plan, trigger, &mut site);
-        if result.is_ok() {
-            // Step 7 of Algorithm 4: resume the interrupted block, or
-            // restore the pipeline to its draining role.
-            let pipeline = site.rebuilt.take().expect("a rebuilt pipeline");
-            match resume {
-                Some(next_seq) => {
-                    self.current = Some(ActiveBlock {
-                        pipeline,
-                        next_seq,
-                        offset: len,
-                        fnfa: false,
-                        fully_acked: false,
-                    });
-                }
-                None => self.pending.push(PendingPipeline { pipeline, len }),
-            }
-        }
+        // Step 7 of Algorithm 4: the session resumes the interrupted
+        // block, or restores the pipeline to its draining role.
+        let rebuilt = site.rebuilt.take().filter(|_| result.is_ok());
+        let new = rebuilt.as_ref().map(Pipeline::up);
+        self.pipes.extend(rebuilt);
+        self.feed(Input::Rebuilt { old: pipeline_id, new })?;
         self.obs().emit_traced(site.ctx, ObsEvent::RecoveryFinished {
             block: site.block.id,
             success: result.is_ok(),
@@ -611,7 +374,7 @@ impl DfsOutputStream {
     /// Executes `plan` from `input` on: performs every action and feeds
     /// the answer to the one request among them back, until a list asks
     /// for nothing.
-    fn drive(&mut self, plan: &mut Recovery, mut input: Input, site: &mut Site<'_>) -> DfsResult<()> {
+    fn drive(&mut self, plan: &mut Recovery, mut input: recovery::Input, site: &mut Site<'_>) -> DfsResult<()> {
         loop {
             let mut answer = None;
             for action in plan.on(input) {
@@ -623,7 +386,8 @@ impl DfsOutputStream {
     }
 
     /// Performs one action; a request returns its answer.
-    fn perform(&mut self, action: Action, site: &mut Site<'_>) -> DfsResult<Option<Input>> {
+    fn perform(&mut self, action: recovery::Action, site: &mut Site<'_>) -> DfsResult<Option<recovery::Input>> {
+        use recovery::{Action, Input};
         let (block, ctx, client) = (site.block, site.ctx, self.ctx.id);
         let retained = site.retained;
         Ok(match action {
@@ -647,9 +411,7 @@ impl DfsOutputStream {
                 None
             }
             Action::MarkDead(dn) => {
-                if !self.dead.contains(&dn) {
-                    self.dead.push(dn);
-                }
+                self.feed(smarth_core::write::Input::Dead(dn))?;
                 None
             }
             Action::Backoff(attempt) => {
@@ -671,7 +433,7 @@ impl DfsOutputStream {
                     .collect(),
             )),
             Action::AddDatanodes { mut existing, wanted } => {
-                existing.extend(self.busy_and_dead());
+                existing.extend(self.session.excluded());
                 let reply = self.ctx.rpc.additional_datanodes(client, block.id, &existing, wanted);
                 Some(Input::Extra(reply))
             }
@@ -694,8 +456,8 @@ impl DfsOutputStream {
                 self.ctx.rpc.abandon_block(client, self.file_id, block.id),
             )),
             Action::Allocate => {
-                let reply = self.ctx.rpc.add_block(client, self.file_id, None, &self.busy_and_dead());
-                Some(Input::Allocated { reply, draining: !self.pending.is_empty() })
+                let reply = self.ctx.rpc.add_block(client, self.file_id, None, &self.session.excluded());
+                Some(Input::Allocated { reply, draining: self.session.draining() })
             }
             Action::GiveBack(id) => {
                 let _ = self.abandon_allocation(id);
@@ -735,7 +497,7 @@ impl DfsOutputStream {
         attempt: u32,
         nested: bool,
     ) {
-        self.stats.recoveries += 1;
+        self.session.stats.recoveries += 1;
         self.obs().metrics().record_recovery(cause);
         let started = ObsEvent::RecoveryStarted { block, attempt, cause, nested };
         self.obs().emit_traced(ctx, started);

@@ -24,12 +24,18 @@ use smarth_core::error::{DfsError, DfsResult};
 use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, PipelineId, SpanId, TraceId};
 use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
 use smarth_core::proto::{AckKind, DataOp, DatanodeInfo, Packet, PipelineAck, WriteBlockHeader};
+use smarth_core::units::SimInstant;
 use smarth_core::wire::{send_message, send_packet};
+use smarth_core::write::Opened;
 use smarth_fabric::{Fabric, WriteHalf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+
+/// The client's clock: the process-wide one the event log stamps with.
+pub(crate) fn now() -> SimInstant {
+    SimInstant(Obs::now_us() * 1_000)
+}
 
 /// What a pipeline can report to its stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +78,7 @@ pub struct Pipeline {
     /// for untraced writes (e.g. blocks located by a read path).
     pub ctx: Option<TraceCtx>,
     /// When the first packet was sent (speed measurement, §III-B).
-    pub started: Instant,
+    pub started: SimInstant,
     write: WriteHalf,
     shared: Arc<Shared>,
     responder: Option<JoinHandle<()>>,
@@ -180,7 +186,7 @@ impl Pipeline {
             block,
             targets,
             ctx,
-            started: Instant::now(),
+            started: now(),
             write,
             shared,
             responder: Some(responder),
@@ -218,6 +224,12 @@ impl Pipeline {
     /// Datanode ids in this pipeline (the §IV-C busy set).
     pub fn datanode_ids(&self) -> Vec<DatanodeId> {
         self.targets.iter().map(|t| t.id).collect()
+    }
+
+    /// The pipeline as the write session knows it.
+    pub(crate) fn up(&self) -> Opened {
+        let (id, block, ctx, at) = (self.id, self.block, self.ctx, self.started);
+        Opened { id, block, targets: self.datanode_ids(), ctx, at }
     }
 
     /// Takes all retained packets — the recovery resend source
@@ -463,10 +475,12 @@ mod tests {
     #[test]
     fn broken_connection_reports_error_without_index() {
         let f = fabric();
-        // Listener accepts then immediately drops the stream.
+        // Listener accepts, reads the header, then drops the stream: a
+        // drop before the header would fail `open` itself.
         let listener = f.listen("dn:1").unwrap();
         std::thread::spawn(move || {
-            let _ = listener.accept();
+            let mut s = listener.accept().unwrap();
+            let _: DataOp = recv_message(&mut s).unwrap();
         });
         let (tx, rx) = unbounded();
         let _p = open(&f, tx);

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stdin = std::io::stdin();
     let mut seed = 0u64;
-    // Sequence number of the last event exported by `trace`, so repeat
+    // The ring's read cursor after the last `trace` export, so repeat
     // exports are incremental instead of re-serializing the whole ring.
     let mut trace_cursor: Option<u64> = None;
     loop {
@@ -192,15 +192,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })(),
             ["trace", path, rest @ ..] => (|| {
                 let full = rest.first() == Some(&"full") || trace_cursor.is_none();
-                let events = match (full, trace_cursor) {
-                    (false, Some(after)) => sink.snapshot_after(after),
-                    _ => sink.snapshot(),
-                };
+                let (events, cursor) = sink.snapshot_from(trace_cursor.filter(|_| !full).unwrap_or(0));
                 if events.is_empty() {
                     println!("no new events since the last export; use `trace {path} full` for everything");
                     return Ok(());
                 }
-                trace_cursor = events.last().map(|r| r.seq);
+                trace_cursor = Some(cursor);
                 let report = TraceAssembler::assemble(&events);
                 write_chrome_trace(&report, std::path::Path::new(path))?;
                 println!(

@@ -10,7 +10,7 @@
 //! seeded, replayable [`FaultPlan`] layered on `smarth_fabric`
 //! (datanode stalls, connection drops, slow-node bandwidth dips), and a
 //! monitor that consumes the observability stream incrementally
-//! (via [`RingBufferSink::snapshot_after`]) and asserts per-window
+//! (via [`RingBufferSink::snapshot_from`]) and asserts per-window
 //! invariants while the run is live:
 //!
 //! * no block gets more FNFAs than one plus its recoveries (a recovery
@@ -1697,7 +1697,7 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
         .collect();
     let mut checker = Checker::new(cfg, run_start_us, dn_ids);
     let mut windows: Vec<WindowStats> = Vec::new();
-    let mut cursor: Option<u64> = None;
+    let mut cursor = 0;
     let mut events_seen: u64 = 0;
     let mut window_start = 0u64;
     let mut faults_seen = 0usize;
@@ -1729,13 +1729,8 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
         }
 
         let faults_snapshot = shared.fault_log.lock().clone();
-        let fresh = match cursor {
-            None => ring.snapshot(),
-            Some(c) => ring.snapshot_after(c),
-        };
-        if let Some(last) = fresh.last() {
-            cursor = Some(last.seq);
-        }
+        let fresh;
+        (fresh, cursor) = ring.snapshot_from(cursor);
         events_seen += fresh.len() as u64;
         checker.ingest(&fresh, &faults_snapshot);
         checker.check_gauges(&metrics);
@@ -1768,10 +1763,7 @@ pub fn run(cfg: &SoakConfig) -> DfsResult<SoakReport> {
     // drain everything left, and close the last window over it.
     sampling.flush();
     let faults_snapshot = shared.fault_log.lock().clone();
-    let fresh = match cursor {
-        None => ring.snapshot(),
-        Some(c) => ring.snapshot_after(c),
-    };
+    let (fresh, _) = ring.snapshot_from(cursor);
     events_seen += fresh.len() as u64;
     checker.ingest(&fresh, &faults_snapshot);
     checker.check_gauges(&metrics);

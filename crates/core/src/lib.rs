@@ -40,6 +40,7 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 pub mod wire;
+pub mod write;
 
 pub use config::{ClusterSpec, DfsConfig, HostRole, HostSpec, InstanceType, WriteMode};
 pub use conformance::{

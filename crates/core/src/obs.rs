@@ -388,6 +388,8 @@ impl EventSink for NullSink {
 pub struct RingBufferSink {
     capacity: usize,
     buf: Mutex<VecDeque<EventRecord>>,
+    /// Records ever pushed; moves only under `buf`'s lock.
+    pushed: AtomicU64,
     dropped: AtomicU64,
 }
 
@@ -397,6 +399,7 @@ impl RingBufferSink {
         Arc::new(RingBufferSink {
             capacity,
             buf: Mutex::new(VecDeque::with_capacity(capacity)),
+            pushed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         })
     }
@@ -406,19 +409,15 @@ impl RingBufferSink {
         self.buf.lock().iter().cloned().collect()
     }
 
-    /// Copies out only the retained records with `seq > after`, oldest
-    /// first. Together with [`EventRecord::seq`] this gives callers an
-    /// incremental-export cursor: keep the last seq you saw and ask for
-    /// everything newer, instead of re-snapshotting the whole ring.
-    /// Records evicted before the call are gone either way — compare
-    /// [`RingBufferSink::dropped`] across calls to detect gaps.
-    pub fn snapshot_after(&self, after: u64) -> Vec<EventRecord> {
-        self.buf
-            .lock()
-            .iter()
-            .filter(|r| r.seq > after)
-            .cloned()
-            .collect()
+    /// The retained records pushed since `cursor` (a count of pushes; 0
+    /// reads all), oldest first, and the next cursor: each comes back
+    /// once, whatever order emitters took their seqs in. Evicted ones are
+    /// gone — compare [`RingBufferSink::dropped`] across calls.
+    pub fn snapshot_from(&self, cursor: u64) -> (Vec<EventRecord>, u64) {
+        let buf = self.buf.lock();
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        let skip = cursor.saturating_sub(pushed - buf.len() as u64) as usize;
+        (buf.iter().skip(skip).cloned().collect(), pushed)
     }
 
     /// Number of records evicted due to capacity.
@@ -439,6 +438,7 @@ impl EventSink for RingBufferSink {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         buf.push_back(record.clone());
+        self.pushed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1260,19 +1260,20 @@ mod tests {
         assert_eq!(sampling.sampled_out(), 15);
     }
 
+    /// Emitters take their seq before the ring's lock, so records can
+    /// land out of seq order; the cursor still hands each out once.
     #[test]
-    fn ring_buffer_snapshot_after_is_a_cursor() {
+    fn ring_buffer_snapshot_from_is_a_cursor() {
         let ring = RingBufferSink::new(16);
-        let obs = Obs::new(ring.clone());
-        for i in 0..5 {
-            obs.emit(sample_event(i));
+        let (mut cursor, mut read) = (0, Vec::new());
+        for seq in [1, 3, 2, 4] {
+            let event = sample_event(seq);
+            ring.emit(&EventRecord { seq, at_us: 0, virtual_time: false, ctx: None, event });
+            let fresh;
+            (fresh, cursor) = ring.snapshot_from(cursor);
+            read.extend(fresh.iter().map(|r| r.seq));
         }
-        let all = ring.snapshot();
-        let cursor = all[2].seq;
-        let newer = ring.snapshot_after(cursor);
-        assert_eq!(newer.len(), 2);
-        assert!(newer.iter().all(|r| r.seq > cursor));
-        assert!(ring.snapshot_after(all.last().unwrap().seq).is_empty());
+        assert_eq!((read, cursor), (vec![1, 3, 2, 4], 4));
     }
 
     #[test]
@@ -1359,28 +1360,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_after_resyncs_past_evicted_cursor() {
+    fn snapshot_from_resyncs_past_evicted_cursor() {
         let ring = RingBufferSink::new(4);
         let obs = Obs::new(ring.clone());
         for i in 0..3 {
             obs.emit(sample_event(i));
         }
-        let cursor = ring.snapshot().last().unwrap().seq;
-        assert_eq!(cursor, 2);
-        // Overflow the ring so every record the cursor ever saw — and
-        // several it never saw — are evicted.
+        let (_, cursor) = ring.snapshot_from(0);
+        assert_eq!(cursor, 3);
+        // Overflow the ring: the cursor's records and several more go.
         for i in 3..11 {
             obs.emit(sample_event(i));
         }
-        let fresh = ring.snapshot_after(cursor);
-        // The cursor points into the evicted past: the full live tail
-        // comes back in order — no panic, no silently skipped records.
+        let (fresh, cursor) = ring.snapshot_from(cursor);
+        // A cursor in the evicted past gets the whole live tail, in order.
         let seqs: Vec<u64> = fresh.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9, 10]);
         // The gap is detectable: dropped() counts records 0..=6.
         assert_eq!(ring.dropped(), 7);
         // A fresh cursor at the live tail sees exactly nothing.
-        assert!(ring.snapshot_after(10).is_empty());
+        assert!(ring.snapshot_from(cursor).0.is_empty());
     }
 
     #[test]

@@ -319,6 +319,28 @@ mod tests {
         assert!(waited >= Duration::from_millis(400), "last ack left after {waited:?}");
     }
 
+    /// Only the head sends an FNFA: one from a mirror fails the mirror
+    /// upstream instead of acking the packet it names.
+    #[test]
+    fn an_fnfa_from_a_mirror_is_a_mirror_error() {
+        let cluster = TestCluster::new(1);
+        cluster.fabric.add_host("mirror", "rack-a", Bandwidth::unlimited());
+        let listener = cluster.fabric.listen("mirror:50010").unwrap();
+        std::thread::spawn(move || {
+            let mut s = listener.accept().unwrap();
+            let (_, pkt): (DataOp, Packet) = (recv_message(&mut s).unwrap(), recv_message(&mut s).unwrap());
+            let statuses = vec![smarth_core::proto::AckStatus::Success];
+            let fnfa = PipelineAck { kind: AckKind::FirstNodeFinish, seq: pkt.seq, batch: 1, statuses };
+            send_message(&mut s, &fnfa).unwrap();
+            std::thread::sleep(Duration::from_secs(2)); // no close to learn from
+        });
+        let id = smarth_core::ids::DatanodeId(9);
+        let mirror = DatanodeInfo { id, host_name: "mirror".into(), rack: "rack-a".into(), addr: "mirror:50010".into() };
+        let block = ExtendedBlock::new(BlockId(14), GenStamp::INITIAL, 0);
+        let (acks, _) = write_block(&cluster, &[cluster.info(0), mirror], block, &[3; 4096], WriteMode::Hdfs);
+        assert_eq!(acks[0].first_error(), Some(1), "{acks:?}");
+    }
+
     #[test]
     fn refused_reports_are_counted_and_the_block_still_acks() {
         let replies = NnReplies {

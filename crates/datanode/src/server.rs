@@ -614,9 +614,13 @@ fn handle_write(
                 let decided = match mirror_read.as_mut().filter(|_| w.hop.lock().awaits_mirror()) {
                     Some(mr) => {
                         let reply = recv_message::<PipelineAck>(mr);
+                        // Only the head sends an FNFA: any other kind
+                        // from a mirror is a protocol error.
                         let input = match &reply {
-                            Ok(ack) => Input::MirrorAck { seq: ack.seq, statuses: &ack.statuses },
-                            Err(_) => Input::MirrorLost,
+                            Ok(ack) if ack.kind == AckKind::Packet => {
+                                Input::MirrorAck { seq: ack.seq, statuses: &ack.statuses }
+                            }
+                            _ => Input::MirrorLost,
                         };
                         let decided = w.hop.lock().on(input);
                         decided

@@ -21,11 +21,10 @@
 //! scenario's [`WriteMode`] and its [`DfsConfig`]. The client sends its
 //! RPCs to the emulator's own namenode, hosted in process on virtual
 //! time, which mints the ids, places (Algorithm 1), keeps the speed
-//! registry and the replica map, and orders read sources. The client's
-//! decisions are the `smarth-core` calls the emulator's client makes:
-//! Algorithm 2, the keep rule for a short pipeline, the §IV-C forward
-//! window and the read stripe count. Only the FNFA→`T_n` timing of the
-//! next block's open is written here.
+//! registry and the replica map, and orders read sources. The client is
+//! the emulator's [`write::Session`], fed once per block event; the
+//! §IV-C forward window and the read stripe count are `smarth-core`
+//! calls too. Only the FNFA→`T_n` timing of the next open is written here.
 
 use crate::queue::EventQueue;
 use crate::server::RateServer;
@@ -34,15 +33,14 @@ use rand_chacha::ChaCha8Rng;
 use smarth_core::config::{ClusterSpec, DfsConfig, WriteMode};
 use smarth_core::error::DfsResult;
 use smarth_core::hop::{self, Action, Input};
-use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, FileId};
-use smarth_core::localopt::{local_optimize, LocalOptOutcome};
+use smarth_core::ids::{ClientId, DatanodeId, ExtendedBlock, FileId, PipelineId};
 use smarth_core::obs::telemetry::Sampler;
 use smarth_core::obs::{Obs, ObsEvent, TraceCtx};
 use smarth_core::proto::{
-    ClientRequest, ClientResponse, DatanodeRequest, DatanodeResponse, LocatedBlock,
+    ClientRequest, ClientResponse, DatanodeInfo, DatanodeRequest, DatanodeResponse,
 };
-use smarth_core::recovery::{self, Allocation};
 use smarth_core::speed::ClientSpeedTracker;
+use smarth_core::write::{self, Lent, Session};
 use smarth_core::units::{Bandwidth, ByteSize, SimDuration, SimInstant};
 use smarth_namenode::{Clock, NameNodeState};
 use std::collections::BTreeMap;
@@ -268,25 +266,18 @@ struct Sim {
     latency: SimDuration,
     mode: WriteMode,
     config: DfsConfig,
+    /// Indexed by `PipelineId`.
     pipes: Vec<Pipe>,
-    // client protocol state
-    sending: Option<usize>,
-    active_count: usize,
-    next_block: u64,
-    /// Virtual timestamp of the latest FNFA, consumed by the next
-    /// allocation — the §III-A overlap latency, same as the real client.
-    last_fnfa_vt: Option<u64>,
-    total_blocks: u64,
-    blocks_done: u64,
+    /// The client's decisions.
+    session: Session,
     finished_at: Option<SimInstant>,
     /// The namenode the emulator runs, in process, on `clock`: it mints
     /// ids, places, keeps the speed registry and the replica map.
     nn: NameNodeState,
     clock: Clock,
-    /// This round's file, and the first block that came with it.
+    /// This round's file.
     path: String,
     file: FileId,
-    first_block: Option<LocatedBlock>,
     /// Algorithm 2's inputs: the client's speed records and its RNG.
     tracker: ClientSpeedTracker,
     rng: ChaCha8Rng,
@@ -294,8 +285,6 @@ struct Sim {
     last_heartbeat: SimInstant,
     // measurement
     file_size: ByteSize,
-    max_concurrent: usize,
-    explored_swaps: u64,
     // Same event stream as the real write path, stamped with virtual
     // time (warm-up rounds run with a disabled handle).
     obs: Obs,
@@ -371,9 +360,6 @@ impl Sim {
     // -- event handlers ----------------------------------------------------
 
     fn on_client_send(&mut self, pipe: usize) {
-        if self.sending != Some(pipe) {
-            return;
-        }
         let (k, size, prod_done, target0, sent_all_after) = {
             let p = &self.pipes[pipe];
             if p.next_send >= p.packets {
@@ -404,8 +390,6 @@ impl Sim {
         if !sent_all_after {
             self.schedule(egress_free, Ev::ClientSend { pipe });
         }
-        // In SMARTH mode the client stays "sending" until the FNFA; in
-        // HDFS mode until the full ack. Both handled by those events.
     }
 
     fn on_arrive(&mut self, pipe: usize, hop: usize, pkt: u64) {
@@ -567,76 +551,100 @@ impl Sim {
     fn on_ack_client(&mut self, pipe: usize, _pkt: u64) {
         let p = &mut self.pipes[pipe];
         p.acked += 1;
-        if p.acked == p.packets && p.done_at.is_none() {
+        if p.acked == p.packets {
             p.done_at = Some(self.now);
-            self.active_count -= 1;
-            self.blocks_done += 1;
-            if self.sending == Some(pipe) {
-                // HDFS mode: the block completes while still "current".
-                self.sending = None;
-            }
-            self.obs.metrics().blocks_committed.inc();
-            self.obs
-                .metrics()
-                .bytes_written
-                .add(self.pipes[pipe].block.len);
-            self.obs.metrics().concurrent_pipelines.dec();
-            let p = &self.pipes[pipe];
-            let (block, ctx) = (p.block, p.ctx);
-            self.obs.emit_virtual_traced(
-                self.vtime_us(),
-                ctx,
-                ObsEvent::PipelineClosed {
-                    block: block.id,
-                    committed: true,
-                },
-            );
-            // The commit is charged no time: the emulator's client sends
-            // it on the next `addBlock` or on `complete`.
-            let (client, file_id) = (CLIENT, self.file);
-            if self.blocks_done == self.total_blocks {
-                let last = Some(block);
-                self.call(ClientRequest::Complete { client, file_id, last })
-                    .expect("the namenode completes a written file");
-                self.finished_at = Some(self.now + self.config.namenode_rpc_cost);
-            } else {
-                self.call(ClientRequest::CommitBlock { client, file_id, block })
-                    .expect("the namenode commits a written block");
-                self.schedule_now(Ev::TryOpen);
-            }
+            self.feed(write::Input::FullyAcked(PipelineId(pipe as u64)));
         }
     }
 
     fn on_fnfa(&mut self, pipe: usize) {
-        // §III-B: record the observed client→first-datanode speed.
-        let (first, bytes, elapsed) = {
-            let p = &self.pipes[pipe];
-            (
-                p.target_ids[0],
-                p.block.len,
-                self.now.elapsed_since(p.started),
-            )
-        };
-        self.tracker
-            .observe(first, ByteSize::bytes(bytes), elapsed);
-        if self.pipes[pipe].fnfa_at.is_none() {
-            self.pipes[pipe].fnfa_at = Some(self.now);
-            self.last_fnfa_vt = Some(self.vtime_us());
-            self.obs.metrics().fnfa_received.inc();
-            let (block, ctx) = (self.pipes[pipe].block.id, self.pipes[pipe].ctx);
-            self.obs.emit_virtual_traced(
-                self.vtime_us(),
-                ctx,
-                ObsEvent::FnfaReceived {
-                    block,
-                    first_node: first,
-                },
-            );
+        self.pipes[pipe].fnfa_at.get_or_insert(self.now);
+        self.feed(write::Input::Fnfa { id: PipelineId(pipe as u64), now: self.now });
+    }
+
+    /// Feeds the client one pipeline event and performs its answer. A
+    /// finished block or a drained pipeline lets the client ask again:
+    /// for the next block, or, with every byte placed and no pipeline
+    /// left, to close the file.
+    fn feed(&mut self, input: write::Input<'_>) {
+        let actions = self.session.on(input);
+        if !self.client(actions) {
+            return;
         }
-        if self.sending == Some(pipe) {
-            self.sending = None;
-            self.schedule_now(Ev::TryOpen);
+        if self.session.stats.bytes_written < self.file_size.as_u64() || self.session.active() > 0 {
+            return self.schedule_now(Ev::TryOpen);
         }
+        while self.finished_at.is_none() {
+            let actions = self.session.on(write::Input::Close);
+            self.client(actions);
+        }
+    }
+
+    fn on_try_open(&mut self) {
+        if self.session.stats.bytes_written == self.file_size.as_u64() {
+            return;
+        }
+        let lent = Lent { now: self.now, tracker: &self.tracker, rng: &mut self.rng };
+        let actions = self.session.on(write::Input::NeedBlock(lent));
+        self.client(actions);
+    }
+
+    /// Performs at this instant what the client session called for, and
+    /// what the answers call for. Returns whether a block finished or a
+    /// pipeline closed.
+    fn client(&mut self, actions: write::Actions) -> bool {
+        let mut asks = false;
+        for action in actions {
+            use write::Action as A;
+            match action {
+                A::Log(ctx, event) => self.obs.emit_virtual_traced(self.vtime_us(), ctx, event),
+                A::AddBlock { previous, excluded } => {
+                    if self.now.elapsed_since(self.last_heartbeat) >= self.config.heartbeat_interval {
+                        self.heartbeat();
+                    }
+                    let (client, file_id) = (CLIENT, self.file);
+                    let req = ClientRequest::AddBlock { client, file_id, previous, excluded };
+                    let reply = self.call(req).map(|resp| match resp {
+                        ClientResponse::BlockAllocated(located) => located,
+                        other => unreachable!("addBlock answered {other:?}"),
+                    });
+                    let lent = Lent { now: self.now, tracker: &self.tracker, rng: &mut self.rng };
+                    let actions = self.session.on(write::Input::Allocated(reply, lent));
+                    asks |= self.client(actions);
+                }
+                A::GiveBack(block) => {
+                    self.obs.metrics().allocations_abandoned.inc();
+                    let abandon = ClientRequest::AbandonBlock { client: CLIENT, file_id: self.file, block };
+                    self.call(abandon).expect("the namenode takes back an unused block");
+                }
+                A::Open { block, targets, ctx } => self.open(block, targets, ctx),
+                A::SpeedRecord { first, bytes, took } => self.tracker.observe(first, bytes, took),
+                // Commits take no time: they ride `addBlock` or `complete`,
+                // or go out between two events.
+                A::Commit(block) => {
+                    let commit = ClientRequest::CommitBlock { client: CLIENT, file_id: self.file, block };
+                    self.call(commit).expect("the namenode commits a written block");
+                }
+                A::Close { id, committed } => {
+                    self.obs.metrics().concurrent_pipelines.dec();
+                    let p = &self.pipes[id.raw() as usize];
+                    let event = ObsEvent::PipelineClosed { block: p.block.id, committed };
+                    self.obs.emit_virtual_traced(self.vtime_us(), p.ctx, event);
+                    asks = true;
+                }
+                A::NextBlock => asks = true,
+                A::Complete(last) => {
+                    let complete = ClientRequest::Complete { client: CLIENT, file_id: self.file, last };
+                    self.call(complete).expect("the namenode completes a written file");
+                    self.finished_at = Some(self.now + self.config.namenode_rpc_cost);
+                }
+                // A completion or an FNFA asks again.
+                A::AwaitEvent | A::Send { .. } => {}
+                A::Failed(e) => panic!("the namenode refused a block: {e}"),
+                A::Recover(..) => unreachable!("no DES event fails a pipeline"),
+            }
+        }
+        asks
     }
 
     /// One client RPC to the hosted namenode, at the current instant.
@@ -671,104 +679,14 @@ impl Sim {
         self.last_heartbeat = self.now;
     }
 
-    /// The next block's allocation. The first came with `create`; the
-    /// rest come from `addBlock`, which excludes this client's busy
-    /// datanodes (§IV-C).
-    fn allocate(&mut self) -> DfsResult<LocatedBlock> {
-        if let Some(first) = self.first_block.take() {
-            return Ok(first);
-        }
-        let excluded = self
-            .pipes
-            .iter()
-            .filter(|p| p.done_at.is_none())
-            .flat_map(|p| p.target_ids.iter().copied())
-            .collect();
-        let req = ClientRequest::AddBlock {
-            client: CLIENT,
-            file_id: self.file,
-            previous: None,
-            excluded,
-        };
-        self.call(req).map(|resp| match resp {
-            ClientResponse::BlockAllocated(located) => located,
-            other => unreachable!("addBlock answered {other:?}"),
-        })
-    }
-
-    fn on_try_open(&mut self) {
-        if self.sending.is_some() || self.next_block >= self.total_blocks {
-            return;
-        }
-        // The ablation cap, as the emulator's client applies it. Without
-        // it the busy set alone limits the pipelines (§IV-C).
-        if self
-            .config
-            .max_pipelines_override
-            .is_some_and(|cap| self.active_count >= cap.max(1))
-        {
-            return; // a completion event will retry
-        }
-        if self.now.elapsed_since(self.last_heartbeat) >= self.config.heartbeat_interval {
-            self.heartbeat();
-        }
-        let draining = self.active_count > 0;
-        let located = match recovery::allocation(self.allocate(), self.config.replication, draining)
-        {
-            Allocation::Use(located) => located,
-            Allocation::GiveBack(block) => {
-                self.obs.metrics().allocations_abandoned.inc();
-                let abandon = ClientRequest::AbandonBlock {
-                    client: CLIENT,
-                    file_id: self.file,
-                    block,
-                };
-                self.call(abandon)
-                    .expect("the namenode takes back an unused block");
-                return; // a completion event will retry
-            }
-            Allocation::Wait => return,
-            Allocation::Failed(e) => panic!("the namenode refused a block: {e}"),
-        };
-        let (block, ctx) = (located.block, located.trace_ctx());
-        let placed: Vec<DatanodeId> = located.targets.iter().map(|t| t.id).collect();
-        let mut targets = located.targets;
-        let mut explored_swap = None;
-        if self.config.runs_local_opt(self.mode) {
-            if let LocalOptOutcome::Explored { swapped_index } = local_optimize(
-                &mut targets,
-                &self.tracker,
-                self.config.local_opt_threshold,
-                &mut self.rng,
-            ) {
-                self.explored_swaps += 1;
-                explored_swap = Some(swapped_index);
-            }
-        }
-        let final_ids: Vec<DatanodeId> = targets.iter().map(|t| t.id).collect();
-        let hosts: Vec<usize> = final_ids
-            .iter()
-            .map(|id| self.dn_hosts[id.raw() as usize])
-            .collect();
-
-        // Block geometry.
-        let block_size = self.config.block_size.as_u64();
-        let packet_size = self.config.packet_size.as_u64();
-        let block_index = self.next_block;
-        self.next_block += 1;
-        let file = self.file_size.as_u64();
-        let offset = block_index * block_size;
-        let block_bytes = block_size.min(file - offset);
-        let packets = block_bytes.div_ceil(packet_size).max(1);
-        let last_packet_size = block_bytes - packet_size * (packets - 1);
-        let ppb = self.config.packets_per_block();
-
-        let n_hops = hosts.len();
-        let hops = hosts
-            .iter()
-            .enumerate()
-            .map(|(position, &host)| Hop {
-                host,
+    /// Opens a pipeline for the file's next block; the namenode RPC
+    /// (`T_n`) passes before its first packet can leave.
+    fn open(&mut self, block: ExtendedBlock, targets: Vec<DatanodeInfo>, ctx: Option<TraceCtx>) {
+        let target_ids: Vec<DatanodeId> = targets.iter().map(|t| t.id).collect();
+        let n_hops = target_ids.len();
+        let hops = (target_ids.iter().enumerate())
+            .map(|(position, id)| Hop {
+                host: self.dn_hosts[id.raw() as usize],
                 machine: hop::Hop::new(position, position + 1 < n_hops, self.mode),
                 arrived: 0,
                 fwd_next: 0,
@@ -778,67 +696,35 @@ impl Sim {
                 waiting_credit: false,
             })
             .collect();
-
-        // Namenode RPC (T_n) before the first packet can leave.
-        let start = self.now + self.config.namenode_rpc_cost;
-        let pipe_idx = self.pipes.len();
+        let (block_size, packet_size) = (self.config.block_size.as_u64(), self.config.packet_size.as_u64());
+        let offset = self.session.stats.bytes_written;
+        let len = block_size.min(self.file_size.as_u64() - offset);
+        let packets = len.div_ceil(packet_size).max(1);
+        let (pipe, at) = (self.pipes.len(), self.now + self.config.namenode_rpc_cost);
         self.pipes.push(Pipe {
-            target_ids: final_ids.clone(),
-            block: ExtendedBlock {
-                len: block_bytes,
-                ..block
-            },
+            target_ids: target_ids.clone(),
+            block: ExtendedBlock { len, ..block },
             ctx,
             packets,
             packet_size,
-            last_packet_size,
-            first_global_pkt: block_index * ppb,
+            last_packet_size: len - packet_size * (packets - 1),
+            first_global_pkt: offset / block_size * self.config.packets_per_block(),
             next_send: 0,
             waiting_credit: false,
             acked: 0,
             hops,
-            started: start,
+            started: at,
             fnfa_at: None,
             done_at: None,
         });
-        let at = self.vtime_us();
-        // The §III-A overlap latency, measured the same way the real
-        // client measures it (FNFA consumed by the next allocation).
-        if let Some(fnfa_at) = self.last_fnfa_vt.take() {
-            self.obs
-                .metrics()
-                .fnfa_to_allocation_us
-                .observe(at.saturating_sub(fnfa_at));
-        }
-        let block = block.id;
-        self.obs.emit_virtual_traced(
-            at,
-            ctx,
-            ObsEvent::BlockAllocated {
-                client: CLIENT,
-                block,
-                targets: placed,
-            },
-        );
-        if let Some(swapped_index) = explored_swap {
-            self.obs.metrics().exploration_swaps.inc();
-            self.obs.emit_virtual_traced(
-                at,
-                ctx,
-                ObsEvent::ExplorationSwap {
-                    block,
-                    promoted: final_ids[0],
-                    displaced: final_ids[swapped_index],
-                },
-            );
-        }
         self.obs.metrics().concurrent_pipelines.inc();
-        self.obs
-            .emit_virtual_traced(at, ctx, ObsEvent::PipelineOpened { block, targets: final_ids });
-        self.sending = Some(pipe_idx);
-        self.active_count += 1;
-        self.max_concurrent = self.max_concurrent.max(self.active_count);
-        self.schedule(start, Ev::ClientSend { pipe: pipe_idx });
+        let event = ObsEvent::PipelineOpened { block: block.id, targets: target_ids.clone() };
+        self.obs.emit_virtual_traced(self.vtime_us(), ctx, event);
+        let up = write::Opened { id: PipelineId(pipe as u64), block, targets: target_ids, ctx, at };
+        self.session.on(write::Input::Opened(up));
+        let sent = self.session.on(write::Input::Packet { len, last: true });
+        assert!(sent.into_iter().all(|a| matches!(a, write::Action::Send { .. })), "{block:?} opens unfinished");
+        self.schedule(at, Ev::ClientSend { pipe });
     }
 
     fn run(&mut self) {
@@ -885,9 +771,10 @@ impl Sim {
         }
         assert!(
             self.finished_at.is_some(),
-            "simulation deadlocked: {} of {} blocks done, {} events processed",
-            self.blocks_done,
-            self.total_blocks,
+            "simulation deadlocked: {} of {} bytes placed, {} pipelines open, {} events processed",
+            self.session.stats.bytes_written,
+            self.file_size.as_u64(),
+            self.session.active(),
             guard
         );
     }
@@ -1022,11 +909,11 @@ fn simulate_upload_inner(
     SimResult {
         upload_secs: secs,
         file_bytes: scenario.file_size.as_u64(),
-        blocks: sim.total_blocks,
+        blocks: sim.pipes.len() as u64,
         throughput_mbps: scenario.file_size.as_f64() * 8.0 / 1e6 / secs,
-        max_concurrent_pipelines: sim.max_concurrent,
+        max_concurrent_pipelines: sim.session.stats.max_concurrent_pipelines,
         first_node_histogram,
-        explored_swaps: sim.explored_swaps,
+        explored_swaps: sim.session.stats.explored_swaps,
         timeline,
         read_secs,
     }
@@ -1122,7 +1009,6 @@ fn run_rounds(
                 }
             })
             .collect();
-        let total_blocks = scenario.file_size.div_ceil(config.block_size).max(1);
         let round_obs = if measured {
             obs.clone()
         } else {
@@ -1161,25 +1047,17 @@ fn run_rounds(
             mode: scenario.mode,
             config: config.clone(),
             pipes: Vec::new(),
-            sending: None,
-            active_count: 0,
-            next_block: 0,
-            last_fnfa_vt: None,
-            total_blocks,
-            blocks_done: 0,
+            session: Session::new(CLIENT, scenario.mode, config, first, round_obs.metrics().clone()),
             finished_at: None,
             nn,
             clock: clock.clone(),
             path,
             file: file_id,
-            first_block: first,
             tracker,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             dn_hosts: dn_hosts.clone(),
             last_heartbeat: SimInstant::ZERO,
             file_size: scenario.file_size,
-            max_concurrent: 0,
-            explored_swaps: 0,
             obs: round_obs,
             sampler: if measured {
                 telemetry.clone().map(|(s, interval)| (s, interval, 0))
