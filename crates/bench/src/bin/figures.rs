@@ -16,12 +16,6 @@
 //! the threaded emulator (not the simulator) and saves
 //! `results/<run>.soak.json` with per-window recovery attribution.
 //!
-//! The `conformance` id runs the same workload through BOTH engines
-//! (threaded emulator and DES) per cluster preset, saves the paired
-//! Chrome traces (`results/conformance_<preset>.{emulator,sim}.trace.json`,
-//! each with its digest embedded under `otherData.digest`) and the
-//! machine-readable verdict (`results/conformance_<preset>.diff.json`).
-//!
 //! The `claims` id judges the paper's shape claims over
 //! `smarth_sim::claims::SEEDS` and saves `results/claims.csv`: per claim
 //! and quantity the median, q10 and q90, the verdict on the medians and
@@ -33,118 +27,13 @@
 use smarth_bench::figures::{self, FigureOpts};
 use smarth_bench::report::Table;
 use smarth_cluster::soak::{self, SoakConfig};
-use smarth_cluster::{random_data, MiniCluster};
-use smarth_core::conformance::diff_reports;
-use smarth_core::obs::{Obs, RingBufferSink};
-use smarth_core::trace::{write_chrome_trace, TraceAssembler, TraceReport};
-use smarth_core::units::{Bandwidth, ByteSize};
-use smarth_core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
 use smarth_sim::claims::{self, CLAIMS, SEEDS};
-use smarth_sim::{simulate_upload_with_obs, SimScenario};
 use std::path::PathBuf;
 
 const ALL_IDS: &[&str] = &[
     "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "ablations", "ext_storage", "soak", "conformance", "claims",
+    "ablations", "ext_storage", "soak", "claims",
 ];
-
-/// One conformance preset run through both engines: a single-client
-/// SMARTH upload on a homogeneous two-rack cluster, identical spec,
-/// config, seed and size on each side.
-fn paired_conformance_reports(
-    instance: InstanceType,
-    upload_bytes: usize,
-    seed: u64,
-    read_back: bool,
-) -> smarth_core::DfsResult<(TraceReport, TraceReport)> {
-    let mut spec = ClusterSpec::homogeneous(instance);
-    spec.cross_rack_throttle = Some(Bandwidth::mbps(300.0));
-    spec.link_latency = SimDuration::from_micros(50);
-    let mut config = DfsConfig::test_scale();
-    config.disk_bandwidth = Bandwidth::unlimited();
-
-    let sink = RingBufferSink::new(262_144);
-    let obs = Obs::new(sink.clone());
-    let cluster = MiniCluster::start_with_obs(&spec, config.clone(), seed, obs)?;
-    let client = cluster.client()?;
-    let data = random_data(seed, upload_bytes);
-    client.put("/conformance/a.bin", &data, WriteMode::Smarth)?;
-    if read_back {
-        client.get("/conformance/a.bin")?;
-    }
-    let panics = cluster.obs().metrics().handler_panics.get();
-    if panics > 0 {
-        return Err(smarth_core::DfsError::internal(format!(
-            "{panics} handler panic(s) during conformance run"
-        )));
-    }
-    cluster.shutdown();
-    let emulator = TraceAssembler::assemble(&sink.snapshot());
-
-    let sink = RingBufferSink::new(262_144);
-    let obs = Obs::new(sink.clone());
-    let mut scenario = SimScenario::new(
-        spec,
-        config,
-        WriteMode::Smarth,
-        ByteSize::bytes(upload_bytes as u64),
-    );
-    scenario.seed = seed;
-    scenario.warmup_uploads = 0;
-    scenario.read_back = read_back;
-    simulate_upload_with_obs(&scenario, obs);
-    let sim = TraceAssembler::assemble(&sink.snapshot());
-    Ok((emulator, sim))
-}
-
-fn run_conformance(out_dir: &std::path::Path, quick: bool) {
-    // (preset, instance, bytes, read-back): the `read` preset puts and
-    // reads back on both engines, so the diff checks read admission block
-    // by block — its tail, under a packet and read as one stripe, included.
-    let presets: &[(&str, InstanceType, usize, bool)] = if quick {
-        &[
-            ("large", InstanceType::Large, 2 * 1024 * 1024, false),
-            ("read", InstanceType::Medium, 2 * 1024 * 1024 + 5_000, true),
-        ]
-    } else {
-        &[
-            ("small", InstanceType::Small, 1024 * 1024, false),
-            ("medium", InstanceType::Medium, 2 * 1024 * 1024 + 512 * 1024, false),
-            ("large", InstanceType::Large, 5 * 1024 * 1024, false),
-            ("read", InstanceType::Medium, 2 * 1024 * 1024 + 5_000, true),
-        ]
-    };
-    for (name, instance, bytes, read_back) in presets {
-        let id = format!("conformance_{name}");
-        let (emulator, sim) = match paired_conformance_reports(*instance, *bytes, 0xC0F0, *read_back)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Covers handler panics detected after the run as well —
-                // a conformance pass with panicking servers is no pass.
-                eprintln!("{id}: paired run failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let verdict = diff_reports(&id, &emulator, &sim);
-        print!("{}", verdict.render());
-        let epath = out_dir.join(format!("{id}.emulator.trace.json"));
-        let spath = out_dir.join(format!("{id}.sim.trace.json"));
-        let saved = std::fs::create_dir_all(out_dir)
-            .and_then(|()| write_chrome_trace(&emulator, &epath))
-            .and_then(|()| write_chrome_trace(&sim, &spath))
-            .and_then(|()| verdict.save(out_dir));
-        match saved {
-            Ok(dpath) => println!(
-                "  saved {} (+ {} + {})\n",
-                dpath.display(),
-                epath.display(),
-                spath.display()
-            ),
-            Err(e) => eprintln!("  failed to save conformance artifacts for {id}: {e}"),
-        }
-    }
-}
 
 fn run_claims(out_dir: &std::path::Path) {
     let columns = ["claim", "quantity", "median", "q10", "q90", "verdict", "seeds_passing"];
@@ -247,12 +136,6 @@ fn main() {
         }
         if id == "claims" {
             run_claims(&out_dir);
-            continue;
-        }
-        if id == "conformance" {
-            // Paired emulator + DES runs with a cross-engine diff
-            // verdict instead of a figure table.
-            run_conformance(&out_dir, quick);
             continue;
         }
         let tables = generate(id, opts).expect("ids validated above");

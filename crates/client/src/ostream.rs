@@ -473,7 +473,8 @@ impl DfsOutputStream {
         })
     }
 
-    /// Opens a pipeline and sends it `packets`.
+    /// Opens a pipeline and sends it `packets`; a pipeline that fails on
+    /// the way is closed uncommitted, its packets no longer in flight.
     fn resend(
         &mut self,
         block: ExtendedBlock,
@@ -483,7 +484,11 @@ impl DfsOutputStream {
     ) -> DfsResult<Pipeline> {
         let mut pipeline = self.open_pipeline(block, targets, ctx)?;
         for pkt in packets {
-            pipeline.send_packet(pkt)?;
+            if let Err(e) = pipeline.send_packet(pkt) {
+                pipeline.take_retained_packets();
+                self.close_pipeline(pipeline, false);
+                return Err(e);
+            }
         }
         Ok(pipeline)
     }

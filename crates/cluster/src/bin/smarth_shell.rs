@@ -26,8 +26,6 @@
 //! seed <path> <size>[k|m]                put with both protocols, print timing
 //! soak <clients> <secs> [seed]           sustained churn + fault injection on a fresh cluster;
 //!                                        prints the invariant report, saves results/<id>.soak.json
-//! diff <a.json> <b.json>                 cross-engine conformance diff of two trace/digest files;
-//!                                        prints the verdict, saves results/<id>.diff.json
 //! replay <soak.json>                     re-run a saved soak report's echoed fault plan verbatim
 //!                                        and check the recovery schedule reproduces
 //! help | quit
@@ -35,7 +33,6 @@
 
 use smarth_cluster::soak::{self, SoakConfig};
 use smarth_cluster::{random_data, replay, MiniCluster};
-use smarth_core::conformance::{diff_digests, TraceDigest};
 use smarth_core::json::Json;
 use smarth_core::obs::telemetry::{SloTracker, TelemetrySeries};
 use smarth_core::obs::{Obs, RingBufferSink};
@@ -94,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ["help"] => {
                 println!("put <path> <size>[k|m] [hdfs|smarth] | get <path> | ls <path> | rm <path>");
                 println!("report | trace <file.json> [full] | metrics | top [n] | slo | kill <host> | throttle <host> <mbps|off> | seed <path> <size>");
-                println!("soak <clients> <secs> [seed] | diff <a.json> <b.json> | replay <soak.json> | quit");
+                println!("soak <clients> <secs> [seed] | replay <soak.json> | quit");
                 Ok(())
             }
             ["put", path, size, rest @ ..] => (|| {
@@ -314,30 +311,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let report = soak::run(&SoakConfig::sustained(clients, secs, soak_seed))?;
                 print!("{}", report.render());
                 let path = report.save(std::path::Path::new("results"))?;
-                println!("saved {}", path.display());
-                Ok::<(), Box<dyn std::error::Error>>(())
-            })(),
-            ["diff", a_path, b_path] => (|| {
-                let load = |p: &str| -> Result<TraceDigest, Box<dyn std::error::Error>> {
-                    let text = std::fs::read_to_string(p)?;
-                    let v = smarth_core::json::parse(&text)
-                        .map_err(|e| format!("parse {p}: {e:?}"))?;
-                    // A Chrome trace carries its digest under `otherData`.
-                    let in_trace = v.get("otherData").get("digest");
-                    let digest = if in_trace.is_null() { &v } else { in_trace };
-                    TraceDigest::from_json(digest).map_err(|e| format!("{p}: {e}").into())
-                };
-                let (a, b) = (load(a_path)?, load(b_path)?);
-                let stem = |p: &str| -> String {
-                    std::path::Path::new(p)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| p.to_string())
-                };
-                let id = format!("{}-vs-{}", stem(a_path), stem(b_path));
-                let verdict = diff_digests(&id, &a, &b);
-                print!("{}", verdict.render());
-                let path = verdict.save(std::path::Path::new("results"))?;
                 println!("saved {}", path.display());
                 Ok::<(), Box<dyn std::error::Error>>(())
             })(),

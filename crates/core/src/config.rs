@@ -151,8 +151,8 @@ pub struct DfsConfig {
     /// block map into. Paths hash to a shard by their first component, so
     /// independent volumes never contend on a lock. `1` reproduces the
     /// single-lock namenode bit-for-bit (ids and RNG draws are global, so
-    /// conformance digests are invariant in this knob under serial
-    /// traffic).
+    /// a serial workload's blocks, commits and read admission do not
+    /// depend on this knob).
     pub namenode_shards: usize,
 }
 

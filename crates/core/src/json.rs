@@ -836,7 +836,6 @@ mod tests {
     /// One `name compact-json` line per record and per enum variant, as
     /// `tests/golden/json.txt` has them.
     fn golden_lines() -> Golden {
-        use crate::conformance::{BlockDigest, DiffVerdict, Engine, MetricDiff, TraceDigest};
         use crate::config::WriteMode;
         use crate::ids::{BlockId, ClientId, DatanodeId, SpanId, TraceId};
         use crate::obs::telemetry::{
@@ -883,17 +882,6 @@ mod tests {
         for mode in [WriteMode::Hdfs, WriteMode::Smarth] {
             g.read(&format!("WriteMode::{mode:?}"), &mode);
         }
-
-        let block_digest = BlockDigest { index: 1, bytes: 262_144, committed: true, targets: 3, recoveries: 1, hop_residency: vec![0.25, 0.5, 0.875], reads: 2, read_stripes: 4, read_bytes: 524_288 };
-        let digest = TraceDigest { engine: Engine::Sim, blocks: vec![block_digest.clone()], fnfa_count: 2, overlap_pairs: 1, max_concurrent: 2, mean_pipeline_span_us: 1234.5, fnfa_gap_ratios: vec![0.125, 0.0625] };
-        let metric = MetricDiff { name: "fnfa_count", a: 2.0, b: 3.0, divergence: 1.0, tolerance: 1.5, pass: true };
-        let verdict = DiffVerdict { id: "a-vs-b".into(), engine_a: Engine::Sim, engine_b: Engine::Emulator, metrics: vec![metric.clone()], pass: true };
-        g.read("Engine::Sim", &Engine::Sim);
-        g.read("Engine::Emulator", &Engine::Emulator);
-        g.read("BlockDigest", &block_digest);
-        g.read("TraceDigest", &digest);
-        g.write("MetricDiff", &metric);
-        g.write("DiffVerdict", &verdict);
 
         for kind in [MetricKind::Counter, MetricKind::Gauge, MetricKind::Quantile] {
             g.read(&format!("MetricKind::{kind:?}"), &kind);

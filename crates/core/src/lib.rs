@@ -23,7 +23,6 @@ extern crate self as smarth_core;
 
 pub mod checksum;
 pub mod config;
-pub mod conformance;
 pub mod costmodel;
 pub mod error;
 pub mod hop;
@@ -43,9 +42,6 @@ pub mod wire;
 pub mod write;
 
 pub use config::{ClusterSpec, DfsConfig, HostRole, HostSpec, InstanceType, WriteMode};
-pub use conformance::{
-    diff_digests, diff_reports, BlockDigest, DiffVerdict, MetricDiff, TraceDigest,
-};
 pub use error::{DfsError, DfsResult};
 pub use obs::{
     EventRecord, EventSink, FanoutSink, JsonLinesSink, Metrics, NullSink, Obs, ObsEvent,

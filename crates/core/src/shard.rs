@@ -7,8 +7,8 @@
 //! bookkeeping stays shard-local and a rename inside one volume never
 //! crosses shards. The hash is FNV-1a, fixed here rather than borrowed
 //! from `std` so the mapping never drifts between builds, engines, or
-//! platforms — conformance digests depend on it only through *routing*,
-//! never through ids, but the DES mirrors the same function so both
+//! platforms — a workload's trace depends on it only through *routing*,
+//! never through ids, and the DES hosts the same namenode, so both
 //! engines agree on which shard a workload exercises.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -19,7 +19,7 @@
 //! and the threaded cluster be cross-checked block by block.
 
 use crate::ids::{BlockId, ClientId, DatanodeId, TraceId};
-use crate::json::{ObjectBuilder, ToJson, Value};
+use crate::json::{ObjectBuilder, Value};
 use crate::obs::{EventRecord, Histogram, ObsEvent, RecoveryCause};
 use std::collections::BTreeMap;
 
@@ -583,23 +583,10 @@ pub fn to_chrome_trace(report: &TraceReport) -> Value {
         }
     }
     events.sort_by_key(|e| e.get("ts").as_u64().unwrap_or(0));
-    // The summary plus the engine-comparable digest ride along in
-    // otherData, so any saved trace file can later feed a cross-engine
-    // diff (`smarth_shell diff a.json b.json`) without re-running.
-    let other = match report.summary_json() {
-        Value::Object(mut fields) => {
-            fields.push((
-                "digest".to_string(),
-                crate::conformance::TraceDigest::from_report(report).to_json(),
-            ));
-            Value::Object(fields)
-        }
-        v => v,
-    };
     ObjectBuilder::new()
         .field("traceEvents", Value::Array(events))
         .field("displayTimeUnit", "ms")
-        .field("otherData", other)
+        .field("otherData", report.summary_json())
         .build()
 }
 

@@ -523,8 +523,8 @@ impl Sim {
                         self.obs.emit_virtual_traced(self.vtime_us(), ctx, event);
                         self.schedule(self.now + self.latency, Ev::Fnfa { pipe });
                     }
-                    // The DES timelines carry the same per-hop residency
-                    // spans the conformance differ joins on.
+                    // The DES timelines carry the same per-hop replica
+                    // records as the emulator's.
                     Action::Received => {
                         let (block, ctx, datanode) = names(self);
                         let (block, bytes) = (block.id, block.len);

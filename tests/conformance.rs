@@ -1,36 +1,25 @@
-//! Cross-engine conformance: the threaded emulator and the
-//! discrete-event simulator run the same workload on the same
-//! [`ClusterSpec`], and the dimensionless digests of their trace
-//! streams must agree within the tolerance bands — block-by-block
-//! payloads exactly, FNFA counts, pipeline overlap, and per-hop
-//! replica residency approximately. Also exercises the other half of
-//! the harness: replaying a saved soak report's echoed fault plan must
-//! reproduce its per-window recovery-cause counts exactly.
+//! Cross-engine equality: the threaded emulator and the discrete-event
+//! simulator run the same workload on the same [`ClusterSpec`] and must
+//! make the same decisions. Both host the same namenode, datanode hop
+//! and client write session from `smarth-core`, so every block's
+//! payload, commit, pipeline width and read admission, and each
+//! engine's FNFA count, must match exactly. Timing is not compared:
+//! one engine runs on wall-clock microseconds, the other on virtual
+//! ones.
 
-use smarth::cluster::{random_data, replay, soak, MiniCluster, SoakConfig};
-use smarth::core::conformance::{diff_digests, diff_reports, TraceDigest};
+use smarth::cluster::{random_data, MiniCluster};
 use smarth::core::obs::{Obs, RingBufferSink};
-use smarth::core::trace::{TraceAssembler, TraceReport};
+use smarth::core::trace::{BlockTimeline, TraceAssembler, TraceReport};
 use smarth::core::units::{Bandwidth, ByteSize};
 use smarth::core::{ClusterSpec, DfsConfig, InstanceType, SimDuration, WriteMode};
 use smarth::sim::{simulate_upload_with_obs, SimScenario};
 
 /// One spec + config + upload size, run through BOTH engines. The
-/// emulator drives a real [`MiniCluster`] with a single client `put`;
-/// the simulator replays the identical scenario in virtual time. Both
-/// event streams are assembled the same way.
+/// emulator drives a real [`MiniCluster`] with a single client `put`
+/// (plus a striped `get` when `read_back`); the simulator replays the
+/// identical scenario in virtual time (its read mirror when
+/// `read_back`). Both event streams are assembled the same way.
 fn paired_reports(
-    instance: InstanceType,
-    upload_bytes: usize,
-    seed: u64,
-) -> (TraceReport, TraceReport) {
-    paired_reports_with_read_back(instance, upload_bytes, seed, false)
-}
-
-/// [`paired_reports`], optionally reading the file back on both engines
-/// (striped `get` on the emulator, the DES read mirror on the
-/// simulator) so the digests carry read admission too.
-fn paired_reports_with_read_back(
     instance: InstanceType,
     upload_bytes: usize,
     seed: u64,
@@ -78,116 +67,62 @@ fn paired_reports_with_read_back(
     (emulator, sim)
 }
 
+/// Per block, in allocation order: payload bytes, committed, pipeline
+/// width, read spans, announced stripes and bytes read back.
+type Decisions = Vec<(u64, bool, usize, usize, u64, u64)>;
+fn block_decisions(report: &TraceReport) -> Decisions {
+    let decide = |b: &BlockTimeline| {
+        let bytes = b.hops.iter().map(|h| h.bytes).max().unwrap_or(0);
+        let stripes = b.reads.iter().map(|r| r.stripes).sum();
+        let read = b.reads.iter().map(|r| r.bytes).sum();
+        (bytes, b.committed, b.targets.len(), b.reads.len(), stripes, read)
+    };
+    report.blocks.iter().map(decide).collect()
+}
+
+fn fnfa_count(report: &TraceReport) -> u64 {
+    report.clients.iter().map(|c| c.fnfa_count).sum()
+}
+
+fn max_concurrent(report: &TraceReport) -> usize {
+    report.clients.iter().map(|c| c.max_concurrent).max().unwrap_or(0)
+}
+
+/// Runs one preset through both engines and asserts equal decisions.
+fn conforming_blocks(
+    name: &str, instance: InstanceType, bytes: usize, seed: u64, read_back: bool,
+) -> Decisions {
+    let (emulator, sim) = paired_reports(instance, bytes, seed, read_back);
+    let blocks = block_decisions(&emulator);
+    assert!(blocks.iter().all(|b| b.1), "{name}: every block must commit: {blocks:?}");
+    assert_eq!(blocks, block_decisions(&sim), "{name}: per-block decisions differ");
+    assert_eq!(fnfa_count(&emulator), fnfa_count(&sim), "{name}: FNFA counts differ");
+    for (engine, report) in [("emulator", &emulator), ("sim", &sim)] {
+        let peak = max_concurrent(report);
+        assert!(peak >= 2, "{name}: the {engine} must overlap pipelines, peaked at {peak}");
+    }
+    blocks
+}
+
 #[test]
 fn engines_conform_on_cluster_presets() {
-    // (preset name, instance, upload size): a handful of blocks up to a
-    // few dozen at the 256 KiB test scale.
     let presets = [
         ("small", InstanceType::Small, 1024 * 1024),
         ("medium", InstanceType::Medium, 2 * 1024 * 1024 + 512 * 1024),
         ("large", InstanceType::Large, 5 * 1024 * 1024),
     ];
     for (name, instance, bytes) in presets {
-        let (emulator, sim) = paired_reports(instance, bytes, 0xC0F0 + bytes as u64);
-        let verdict = diff_reports(&format!("conformance-{name}"), &emulator, &sim);
-        assert!(
-            verdict.pass,
-            "{name}: engines diverged beyond tolerance\n{}",
-            verdict.render()
-        );
+        conforming_blocks(name, instance, bytes, 0xC0F0 + bytes as u64, false);
     }
 }
 
 #[test]
 fn engines_conform_on_reads() {
-    // The read preset: put + full read-back on both engines. Beyond the
-    // write-path bands, every paired block must show identical read
-    // admission — same span count, same announced stripes, same bytes.
-    // The tail block is shorter than a packet: both engines take its
-    // stripe count from `DfsConfig::stripes_for` and announce one.
-    let (emulator, sim) =
-        paired_reports_with_read_back(InstanceType::Medium, 2 * 1024 * 1024 + 5_000, 0xBEAD, true);
-    let a = TraceDigest::from_report(&emulator);
-    let b = TraceDigest::from_report(&sim);
-    assert!(
-        a.blocks.iter().all(|x| x.reads == 1 && x.read_stripes >= 1),
-        "emulator digest must carry one read span per block"
-    );
-    for digest in [&a, &b] {
-        let stripes: Vec<u64> = digest.blocks.iter().map(|x| x.read_stripes).collect();
-        assert_eq!(stripes, [3, 3, 3, 3, 3, 3, 3, 3, 1]);
-    }
-    assert!(
-        a.blocks.iter().all(|x| x.read_bytes == x.bytes),
-        "each block must be read back in full"
-    );
-    let verdict = diff_digests("conformance-read", &a, &b);
-    assert!(
-        verdict.pass,
-        "engines diverged beyond tolerance on the read preset\n{}",
-        verdict.render()
-    );
-}
-
-#[test]
-fn perturbed_report_fails_the_bands() {
-    let (emulator, sim) = paired_reports(InstanceType::Large, 1024 * 1024, 99);
-    let a = TraceDigest::from_report(&emulator);
-    let mut b = TraceDigest::from_report(&sim);
-    let honest = diff_digests("perturb-baseline", &a, &b);
-    assert!(honest.pass, "baseline must pass:\n{}", honest.render());
-
-    // Corrupt one block's payload: positional pairing must flag it as a
-    // structural mismatch, not absorb it into a ratio band.
-    b.blocks[0].bytes *= 2;
-    let verdict = diff_digests("perturb-bytes", &a, &b);
-    assert!(!verdict.pass, "doubled payload must fail");
-    assert!(
-        verdict.failures().iter().any(|m| m.name == "block_size_mismatches"),
-        "failure must name the perturbed metric:\n{}",
-        verdict.render()
-    );
-
-    // Drop a committed block entirely: the exact committed-count gate
-    // must fail.
-    b.blocks[0].bytes /= 2; // undo
-    b.blocks.pop();
-    let verdict = diff_digests("perturb-missing", &a, &b);
-    assert!(!verdict.pass, "missing block must fail");
-}
-
-#[test]
-fn replay_reproduces_recovery_schedule_exactly() {
-    // The deterministic soak profile: op-budgeted, single window, both
-    // faults at exact byte offsets mid-block.
-    let cfg = SoakConfig::deterministic(4242);
-    let report = soak::run(&cfg).unwrap();
-    assert!(
-        report.violations.is_empty(),
-        "reference run must be clean: {:?}",
-        report.violations
-    );
-    assert!(
-        report.recoveries_total() >= 2,
-        "both injected faults must recover something"
-    );
-
-    // Save the report and replay the file — exactly what the shell's
-    // `replay <file>` does — so the echoed config is printed, parsed
-    // and re-run verbatim.
-    let dir = std::env::temp_dir().join(format!("smarth-replay-{}", std::process::id()));
-    let path = report.save(&dir).unwrap();
-    let outcome = replay::replay_file(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(outcome.comparable, "op-budgeted profiles compare windows");
-    assert!(
-        outcome.matches(),
-        "replay diverged from the saved schedule:\n{}",
-        outcome.render()
-    );
-    assert_eq!(
-        outcome.saved.len(),
-        outcome.replayed.len(),
-        "window structure must reproduce"
-    );
+    // Put + full read-back; the sub-packet tail announces one stripe.
+    let bytes = 2 * 1024 * 1024 + 5_000;
+    let blocks = conforming_blocks("read", InstanceType::Medium, bytes, 0xBEAD, true);
+    let stripes: Vec<u64> = blocks.iter().map(|&(.., stripes, _)| stripes).collect();
+    assert_eq!(stripes, [3, 3, 3, 3, 3, 3, 3, 3, 1], "read: announced stripes");
+    let in_full = blocks.iter().all(|&(bytes, _, _, reads, _, read)| reads == 1 && read == bytes);
+    assert!(in_full, "read: each block must be read back once, in full: {blocks:?}");
 }

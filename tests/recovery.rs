@@ -203,25 +203,23 @@ fn second_fault_during_recovery_attributed_as_nested() {
     let mut stream = client.create("/nested/f.bin", WriteMode::Smarth).unwrap();
     stream.write(&data[..400_000]).unwrap();
 
-    // Find one in-flight block with at least two RBW replica holders and
-    // kill both at once: the first death starts the recovery, the second
-    // is discovered by the recovery's own replica probe.
+    // Take two members of the pipeline being written that hold an RBW
+    // replica and kill both at once: the first death starts the
+    // recovery, the second is discovered by the recovery's own replica
+    // probe. (A draining block's holders would do neither if the block
+    // finalized first: SMARTH's busy set keeps them out of the current
+    // pipeline.)
     let victims = {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            let mut holders: std::collections::HashMap<_, Vec<String>> =
-                std::collections::HashMap::new();
-            for h in cluster.datanode_hosts() {
-                for b in cluster.datanode(&h).unwrap().store().rbw_blocks() {
-                    holders.entry(b).or_default().push(h.clone());
-                }
-            }
-            if let Some((_, hosts)) = holders.into_iter().find(|(_, v)| v.len() >= 2) {
+            let mut hosts = stream.current_target_hosts();
+            hosts.retain(|h| !cluster.datanode(h).unwrap().store().rbw_blocks().is_empty());
+            if hosts.len() >= 2 {
                 break hosts;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "no block ever had two in-flight replicas"
+                "the current pipeline never had two in-flight replicas"
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
@@ -268,6 +266,59 @@ fn second_fault_during_recovery_attributed_as_nested() {
         .all(|r| r.cause == RecoveryCause::NestedFailure));
 
     assert_eq!(client.get("/nested/f.bin").unwrap(), data);
+    cluster.shutdown();
+}
+
+#[test]
+fn rebuilt_pipeline_whose_resend_fails_is_closed() {
+    // Recovery reopens a block on its survivors and resends the retained
+    // packets. When that resend fails after the pipeline opened, the
+    // pipeline must still be closed and its packets uncounted: both
+    // `concurrent_pipelines` and `packets_in_flight` drain to 0.
+    use smarth::core::proto::{DataOp, DataReply};
+    use smarth::core::wire::{recv_message, send_message};
+    use smarth::core::{ExtendedBlock, GenStamp};
+    use smarth::datanode::DataNode;
+
+    let cluster = cluster(8, 71);
+    let client = cluster.client().unwrap();
+    let data = random_data(73, 600_000);
+    let mut stream = client.create("/resend/f.bin", WriteMode::Smarth).unwrap();
+    // Twelve packets of the first block: more than one socket buffer.
+    stream.write(&data[..200_000]).unwrap();
+    let head = stream.current_target_hosts()[0].clone();
+
+    // The head's data port now answers as a fake: one empty replica (at
+    // a stamp no probe calls stale) and one `RecoverBlock`, so recovery
+    // resends everything to it; it reads the header of that pipeline and
+    // hangs up, and refuses every later connection unanswered.
+    let addr = DataNode::data_addr_of(&head);
+    cluster.fabric().close_listener(&addr);
+    let listener = cluster.fabric().listen(&addr).unwrap();
+    std::thread::spawn(move || {
+        let mut hung_up = false;
+        while let Ok(mut s) = listener.accept() {
+            match recv_message::<DataOp>(&mut s) {
+                Ok(DataOp::GetReplicaInfo { block }) if !hung_up => {
+                    let block = Some(ExtendedBlock::new(block, GenStamp(u64::MAX), 0));
+                    let _ = send_message(&mut s, &DataReply::ReplicaInfo { block, finalized: false });
+                }
+                Ok(DataOp::RecoverBlock { block, new_gen, new_len }) if !hung_up => {
+                    let block = ExtendedBlock::new(block.id, new_gen, new_len);
+                    let _ = send_message(&mut s, &DataReply::RecoverOk { block });
+                }
+                _ => hung_up = true,
+            }
+        }
+    });
+    cluster.fabric().cut_link(&cluster.spec().client_host().name, &head);
+
+    stream.write(&data[200_000..]).unwrap();
+    let stats = stream.close().unwrap();
+    assert!(stats.recoveries >= 1, "the cut must be recovered");
+    assert_eq!(client.get("/resend/f.bin").unwrap(), data);
+    let m = cluster.obs().metrics();
+    assert_eq!((m.concurrent_pipelines.get(), m.packets_in_flight.get()), (0, 0));
     cluster.shutdown();
 }
 

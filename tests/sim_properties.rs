@@ -3,10 +3,7 @@
 //! checked against randomly drawn configurations.
 
 use proptest::prelude::*;
-use smarth::core::conformance::TraceDigest;
-use smarth::core::json::ToJson;
 use smarth::core::obs::{Obs, RingBufferSink};
-use smarth::core::trace::TraceAssembler;
 use smarth::core::units::{Bandwidth, ByteSize};
 use smarth::core::{InstanceType, WriteMode};
 use smarth::sim::scenario::two_rack;
@@ -132,16 +129,14 @@ proptest! {
     }
 
     /// Determinism extends beyond aggregates to the full event
-    /// structure: two runs of the same seeded scenario must produce
-    /// byte-identical conformance digests (block order, sizes, FNFA gap
-    /// ratios, hop residencies — everything the cross-engine comparator
-    /// consumes).
+    /// structure: two runs of the same seeded scenario must emit the
+    /// same event stream, record for record (times, order, payloads).
     #[test]
     fn seeded_determinism_extends_to_trace_digests(
         seed in any::<u64>(),
         mib in 64u64..256,
     ) {
-        let digest_json = || {
+        let events = || {
             let sink = RingBufferSink::new(65_536);
             let obs = Obs::new(sink.clone());
             let mut s = two_rack(
@@ -153,12 +148,11 @@ proptest! {
             s.seed = seed;
             s.warmup_uploads = 0;
             simulate_upload_with_obs(&s, obs);
-            let report = TraceAssembler::assemble(&sink.snapshot());
-            TraceDigest::from_report(&report).to_json().to_string_compact()
+            sink.snapshot()
         };
-        let a = digest_json();
-        let b = digest_json();
-        prop_assert_eq!(a, b, "same seed and spec must digest identically");
+        let a = events();
+        prop_assert!(!a.is_empty());
+        prop_assert!(a == events(), "same seed and spec must emit the same events");
     }
 
     /// The pipeline cap (active datanodes / replication) holds for any

@@ -2,7 +2,8 @@
 //! per-window recovery-cause counts must be bit-identical across runs
 //! (including a mid-recovery second fault attributed separately as
 //! `nested_failure`), and a short multi-client churn smoke with a
-//! generated fault plan. The sustained profile is opt-in via
+//! generated fault plan, and a saved report whose replay reproduces its
+//! recovery schedule. The sustained profile is opt-in via
 //! `SMARTH_SOAK_LONG=1` so tier-1 stays fast.
 
 use smarth::cluster::soak::{self, SoakConfig};
@@ -314,4 +315,40 @@ fn sustained_profile_long_soak() {
     report
         .save(std::path::Path::new("results"))
         .expect("report written");
+}
+
+#[test]
+fn replay_reproduces_recovery_schedule_exactly() {
+    // The deterministic soak profile: op-budgeted, single window, both
+    // faults at exact byte offsets mid-block.
+    let cfg = SoakConfig::deterministic(4242);
+    let report = soak::run(&cfg).unwrap();
+    assert!(
+        report.violations.is_empty(),
+        "reference run must be clean: {:?}",
+        report.violations
+    );
+    assert!(
+        report.recoveries_total() >= 2,
+        "both injected faults must recover something"
+    );
+
+    // Save the report and replay the file — exactly what the shell's
+    // `replay <file>` does — so the echoed config is printed, parsed
+    // and re-run verbatim.
+    let dir = std::env::temp_dir().join(format!("smarth-replay-{}", std::process::id()));
+    let path = report.save(&dir).unwrap();
+    let outcome = replay::replay_file(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(outcome.comparable, "op-budgeted profiles compare windows");
+    assert!(
+        outcome.matches(),
+        "replay diverged from the saved schedule:\n{}",
+        outcome.render()
+    );
+    assert_eq!(
+        outcome.saved.len(),
+        outcome.replayed.len(),
+        "window structure must reproduce"
+    );
 }
